@@ -14,6 +14,14 @@ flow).
 
 Everything is vectorized over leading axes: inputs of shape ``(..., d)``
 produce outputs with matching leading shape.
+
+Each tangent field is inverted once.  The radial inversion is the one
+iterative kernel on the hot path, and every public method reaches it
+through a one-entry memo keyed on the exact values of the last tangent
+field: the stepper's final evaluation, the energy report, the discrete
+energy and the next step's first evaluation all see the same field, so
+only the first of them pays for the inversion.  A hit returns the very
+arrays a fresh inversion would, so results are bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ class RegularizedMap:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         self.params = params
         self.dim = dim
+        # (tau copy, r, rho) of the last inversion, see _flux
+        self._memo = None
 
     @property
     def eps(self) -> float:
@@ -133,6 +143,26 @@ class RegularizedMap:
             )
         return v
 
+    def _flux(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (invert(tau), |invert(tau)|) from one radial inversion.
+
+        The last (tau, r, rho) is memoized; a hit needs the same shape and
+        equal values.  Equal values have equal norms bitwise (a signed zero
+        squares to +0), so a hit returns what a fresh inversion would.
+        kappa is rebuilt from the caller's tau, keeping its zeros' signs.
+        """
+        tau = self._check_vec(tau, "tau")
+        memo = self._memo
+        if memo is not None and memo[0].shape == tau.shape \
+                and np.array_equal(memo[0], tau):
+            _, r, rho = memo
+        else:
+            r = np.sqrt(np.sum(tau * tau, axis=-1))
+            rho = self._invert_radial(r)
+            self._memo = (tau.copy(), r, rho)
+        scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
+        return tau * scale[..., None], rho
+
     def forward(self, kappa: np.ndarray) -> np.ndarray:
         """Map a flux vector to a tangent vector; output is parallel to the
         input."""
@@ -144,11 +174,8 @@ class RegularizedMap:
     def invert(self, tau: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`: recover the flux vector from a tangent
         vector.  Radial, with invert(0) = 0."""
-        tau = self._check_vec(tau, "tau")
-        r = np.sqrt(np.sum(tau * tau, axis=-1))
-        rho = self._invert_radial(r)
-        scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
-        return tau * scale[..., None]
+        kappa, _ = self._flux(tau)
+        return kappa
 
     def inverse_jacobian(self, tau: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`invert`, shape ``(..., d, d)``.
@@ -207,11 +234,7 @@ class RegularizedMap:
         """Return (invert(tau), inverse_jacobian(tau), potential(tau)) from a
         single radial inversion.  Used by the implicit stepper, where all
         three are needed at the same points."""
-        tau = self._check_vec(tau, "tau")
-        r = np.sqrt(np.sum(tau * tau, axis=-1))
-        rho = self._invert_radial(r)
-        scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
-        kappa = tau * scale[..., None]
+        kappa, rho = self._flux(tau)
         eps = self.eps
         rho_sq = rho * rho
         w = (eps + rho_sq) ** -0.5

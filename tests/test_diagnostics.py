@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, EnergyReport, Grid, RegParams,
+from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RegParams,
                       RegularizedMap, ScenarioSpec, TensionProfile,
                       Trajectory, build, compatibility_predicate,
                       constitutive_tension, decay_fit, generalized_residual,
@@ -64,6 +64,18 @@ def test_report_energy_forms_agree(gravity2, rmap):
         rep = report(state, rmap, gravity2)
         assert abs(rep.E - rep.E_alt) <= 10.0 * grid.h
         assert rep.E_rel >= -10.0 * grid.h
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cells", [2, 3, 200, 4000])
+def test_equilibrium_energy_matches_quadrature(cells, dim):
+    # trapezoid quadrature is exact on the affine hanging profile, so the
+    # hard-coded reference of the relative energy must match it to rounding
+    grid = Grid(cells)
+    g = GravitySpec.down(dim)
+    down = np.outer(1.0 - grid.nodes, g.direction)
+    recomputed = grid.quad_trapezoid(down @ (-g.direction))
+    assert abs(recomputed - EQUILIBRIUM_ENERGY) <= 1e-12
 
 
 def test_generalized_residual_stationary_down(gravity2):

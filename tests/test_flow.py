@@ -3,7 +3,8 @@ import pytest
 
 from whipflow import (ArcState, GravitySpec, Grid, RegParams, RegularizedMap,
                       ScenarioSpec, StepperConfig, Trajectory, build,
-                      discrete_energy, evolve, mollify, residual, step)
+                      constitutive_tension, discrete_energy, evolve, mollify,
+                      report, residual, step)
 from whipflow.errors import ShapeError, SolverFailure
 
 
@@ -113,6 +114,50 @@ def test_step_decreases_energy_away_from_equilibrium(gravity2):
     new = step(state, 1e-2, rmap, gravity2, cfg)
     after = discrete_energy(new, rmap, gravity2)
     assert after < before
+
+
+def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
+    # the stepper's last evaluation is at the accepted state, so the
+    # observer-side functionals and the next step's first evaluation must
+    # all reuse that radial inversion
+    grid = Grid(80)
+    rmap = make_map(1e-2)
+    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.03,
+                        taper_width=0.05)
+    state = mollify(build(spec, grid, gravity2), spec)
+    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.1)
+
+    inversions = []
+    evaluations = []  # inversion count before and after each local_calculus
+    invert_radial = RegularizedMap._invert_radial
+    local_calculus = RegularizedMap.local_calculus
+
+    def counted_invert_radial(self, r):
+        inversions.append(1)
+        return invert_radial(self, r)
+
+    def logged_local_calculus(self, tau):
+        before = len(inversions)
+        out = local_calculus(self, tau)
+        evaluations.append((before, len(inversions)))
+        return out
+
+    monkeypatch.setattr(RegularizedMap, "_invert_radial", counted_invert_radial)
+    monkeypatch.setattr(RegularizedMap, "local_calculus", logged_local_calculus)
+
+    new = step(state, 1e-2, rmap, gravity2, cfg)
+    assert len(evaluations) > 1  # Newton moved off the initial guess
+    settled = len(inversions)
+    report(new, rmap, gravity2)
+    discrete_energy(new, rmap, gravity2)
+    constitutive_tension(new, rmap)
+    assert len(inversions) == settled
+
+    evaluations.clear()
+    step(new, 1e-2, rmap, gravity2, cfg)
+    first_before, first_after = evaluations[0]
+    assert first_after == first_before == settled
+    assert len(inversions) > settled
 
 
 def test_pin_exact_after_steps(gravity2):

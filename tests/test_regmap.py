@@ -219,3 +219,123 @@ def test_non_finite_inputs_rejected():
         m.forward(np.array([np.inf, 1.0]))
     with pytest.raises(NumericDomainError):
         m.forward(np.zeros(3))  # dimension mismatch
+
+
+# -- the one-entry inversion memo -----------------------------------------
+
+def fresh(m):
+    return RegularizedMap(m.params, dim=m.dim)
+
+
+def count_inversions(monkeypatch, m):
+    calls = []
+    inner = m._invert_radial
+
+    def counted(r):
+        calls.append(1)
+        return inner(r)
+
+    monkeypatch.setattr(m, "_invert_radial", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_sees_in_place_mutation(dim):
+    rng = np.random.default_rng(20 + dim)
+    m = RegularizedMap(RegParams(0.01), dim=dim)
+    tau = rng.normal(size=(40, dim))
+    before = m.invert(tau)
+    tau[7] *= 3.0
+    tau[-1, 0] = 0.5
+    after = m.invert(tau)
+    assert np.array_equal(after, fresh(m).invert(tau))
+    assert not np.array_equal(after, before)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_survives_caller_mutating_the_result(dim):
+    rng = np.random.default_rng(30 + dim)
+    m = RegularizedMap(RegParams(0.05), dim=dim)
+    tau = rng.normal(size=(25, dim))
+    kappa = m.invert(tau)
+    kappa[:] = 0.0
+    assert np.array_equal(m.invert(tau), fresh(m).invert(tau))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_keys_on_shape(dim):
+    rng = np.random.default_rng(40 + dim)
+    m = RegularizedMap(RegParams(0.02), dim=dim)
+    tau = rng.normal(size=(12, dim))
+    m.invert(tau)
+    head = tau[:5]
+    out = m.invert(head)
+    assert out.shape == head.shape
+    assert np.array_equal(out, fresh(m).invert(head))
+    # same values, different leading shape
+    m.invert(tau)
+    grouped = tau.reshape(3, 4, dim)
+    out = m.invert(grouped)
+    assert out.shape == grouped.shape
+    assert np.array_equal(out, fresh(m).invert(grouped))
+    # a single vector after a field that starts with it
+    out = m.invert(tau[0])
+    assert out.shape == (dim,)
+    assert np.array_equal(out, fresh(m).invert(tau[0]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_keeps_signed_zeros(dim):
+    m = RegularizedMap(RegParams(0.1), dim=dim)
+    plus = np.zeros((4, dim))
+    plus[2, 0] = 0.7
+    minus = plus.copy()
+    minus[0] = -0.0
+    minus[2, 1] = -0.0  # zero component of a nonzero tangent
+    minus[3, -1] = -0.0
+    assert np.array_equal(plus, minus)
+    m.invert(plus)
+    kappa = m.invert(minus)  # equal values: a memo hit
+    expected = fresh(m).invert(minus)
+    assert np.array_equal(kappa, expected)
+    assert np.array_equal(np.signbit(kappa), np.signbit(expected))
+    assert np.array_equal(np.signbit(kappa), np.signbit(minus))
+    kappa, _, _ = m.local_calculus(plus)
+    assert not np.any(np.signbit(kappa))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_not_shared_between_maps(dim):
+    rng = np.random.default_rng(50 + dim)
+    tau = rng.normal(size=(30, dim))
+    stiff = RegularizedMap(RegParams(1e-3), dim=dim)
+    soft = RegularizedMap(RegParams(0.5), dim=dim)
+    a = stiff.invert(tau)
+    b = soft.invert(tau)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(stiff.invert(tau), fresh(stiff).invert(tau))
+    assert np.array_equal(soft.invert(tau), fresh(soft).invert(tau))
+
+
+def _results_equal(x, y):
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(_results_equal, x, y))
+    return np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "method",
+    ["invert", "inverse_jacobian", "spectral_bounds", "potential",
+     "local_calculus"],
+)
+def test_memo_hit_is_bitwise_fresh(monkeypatch, dim, method):
+    rng = np.random.default_rng(60 + dim)
+    m = RegularizedMap(RegParams(3e-3), dim=dim)
+    tau = rng.normal(size=(50, dim)) * 1.5
+    tau[4] = 0.0
+    m.local_calculus(tau)
+    calls = count_inversions(monkeypatch, m)
+    hit = getattr(m, method)(tau.copy())
+    assert calls == []
+    assert _results_equal(hit, getattr(fresh(m), method)(tau))
