@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import decay_fit, report
+from .diagnostics import decay_fit, potential_energy, report
 from .errors import (ContractError, InversionError, RunFormatError,
                      SolverFailure, StepRejected, TensionSolveError,
                      UnderResolvedError)
@@ -28,7 +28,8 @@ from .flow import GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegParams, RegularizedMap
 from .run_io import (RunRecord, Snapshot, write_run, write_trajectory)
-from .scenarios import KINDS, ScenarioSpec, branching_pair, build, mollify
+from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
+                        eps_equilibrium, mollify)
 from .tension import counterexample_tension, tension_for_state
 
 EXIT_OK = 0
@@ -247,15 +248,19 @@ def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
 def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
     e_rel0 = reports[0].E_rel
     e_rel_end = reports[-1].E_rel
+    # the decay is fitted against the eps-equilibrium the run converges to,
+    # over [1e-4, 0.5] of its initial excess (criterion 9's window); E_rel
+    # and the E_rel_* entries keep the constrained reference
+    e_eq = potential_energy(eps_equilibrium(grid, rmap, g), g)
+    excess = [dataclasses.replace(r, E_rel=r.E - e_eq) for r in reports]
+    excess0 = excess[0].E_rel
     fit_doc = None
-    if len(reports) >= 10 and e_rel0 > 0.0:
-        # fit the decay phase: from where the relative energy has halved
-        # down to where it levels off against the regularized equilibrium
-        floor = max(1.5 * e_rel_end, 1e-4 * e_rel0)
-        in_band = [r for r in reports if floor <= r.E_rel <= 0.5 * e_rel0]
+    if len(excess) >= 10 and excess0 > 0.0:
+        in_band = [r for r in excess
+                   if 1e-4 * excess0 <= r.E_rel <= 0.5 * excess0]
         if len(in_band) >= 10:
             try:
-                fit = decay_fit(reports, (in_band[0].t, in_band[-1].t))
+                fit = decay_fit(excess, (in_band[0].t, in_band[-1].t))
                 fit_doc = {
                     "window": list(fit.window),
                     "rate": fit.rate,

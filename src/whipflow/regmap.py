@@ -22,6 +22,17 @@ field: the stepper's final evaluation, the energy report, the discrete
 energy and the next step's first evaluation all see the same field, so
 only the first of them pays for the inversion.  A hit returns the very
 arrays a fresh inversion would, so results are bitwise unchanged.
+
+The radial inversion solves f(rho) = r for the radial profile
+f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
+once, from eps alone: f sampled at rho = sqrt(eps)*x for x = 0 and 256
+log-spaced x in [1e-3, 1e4*eps^(-3/2)].  Reading the table backwards starts
+every entry near its root; above the table (r - 1)/eps, a lower bound
+since f(rho) <= eps*rho + 1, is already accurate.  The start is clamped
+into the bracket that always holds the root, and from there Newton needs
+at most three updates for eps in [1e-4, 1], plus two polish updates; each
+update costs one square root.  The start depends on r and eps only, never
+on earlier calls, so an inversion is a pure function of its input.
 """
 
 from __future__ import annotations
@@ -68,6 +79,10 @@ class RegularizedMap:
         self.dim = dim
         # (tau copy, r, rho) of the last inversion, see _flux
         self._memo = None
+        # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
+        x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * params.eps ** -1.5, 256)))
+        self._rho_tab = np.sqrt(params.eps) * x
+        self._f_tab = self._radial(self._rho_tab)
 
     @property
     def eps(self) -> float:
@@ -76,62 +91,67 @@ class RegularizedMap:
     # -- scalar radial profile -------------------------------------------
 
     def _radial(self, rho: np.ndarray) -> np.ndarray:
-        """|forward| as a function of |k|: f(r) = eps*r + r/sqrt(eps+r^2)."""
-        eps = self.eps
-        return eps * rho + rho / np.sqrt(eps + rho * rho)
+        """|forward| as a function of |k|: f(r) = eps*r + r/sqrt(eps+r^2).
 
-    def _radial_slope(self, rho: np.ndarray) -> np.ndarray:
-        """f'(r) = eps + eps*(eps+r^2)^(-3/2); positive, so f is strictly
+        f'(r) = eps*(1 + (eps+r^2)^(-3/2)) is positive, so f is strictly
         increasing, and f is concave on r >= 0."""
         eps = self.eps
-        return eps + eps * (eps + rho * rho) ** -1.5
+        return eps * rho + rho / np.sqrt(eps + rho * rho)
 
     def _invert_radial(self, r: np.ndarray) -> np.ndarray:
         """Solve f(rho) = r for rho >= 0, elementwise.
 
-        f is increasing and concave, so Newton started at any point with
-        f(rho0) <= r converges monotonically from below.  The starting
-        point r/(eps + eps^(-1/2)) is such a point since
-        f(rho) <= (eps + eps^(-1/2)) * rho.  A bracket [lo, hi] with
-        lo = rho0 and hi = r/eps (eps*rho <= f(rho) puts the root below
-        r/eps) is maintained as a bisection safeguard.
+        The start is the start table read backwards, or (r - 1)/eps above
+        it, clamped into the bracket [lo, hi] = [r/(eps + eps^(-1/2)), r/eps]
+        (eps*rho <= f(rho) <= (eps + eps^(-1/2))*rho puts the root there).
+        Newton then updates until |f(rho) - r| <= newton_tol*(1 + r) in every
+        entry, which takes at most three updates for eps in [1e-4, 1].  Each
+        evaluation tightens the bracket, and an update that leaves it is
+        replaced by bisection.  Raises InversionError when newton_max_iter
+        updates do not suffice.
         """
         eps = self.eps
-        tol = self.params.newton_tol
         r = np.asarray(r, dtype=float)
         lo = r / (eps + eps ** -0.5)
         hi = r / eps
-        rho = lo.copy() if lo.ndim else np.asarray(lo)
-        target = tol * (1.0 + r)
-        resid = self._radial(rho) - r
+        rho = np.where(r > self._f_tab[-1], (r - 1.0) / eps,
+                       np.interp(r, self._f_tab, self._rho_tab))
+        rho = np.minimum(np.maximum(rho, lo), hi)
+        target = self.params.newton_tol * (1.0 + r)
         for _ in range(self.params.newton_max_iter):
-            active = np.abs(resid) > target
-            if not active.any():
-                return self._polish(rho, r)
-            cand = rho - resid / self._radial_slope(rho)
-            outside = active & ((cand <= lo) | (cand >= hi))
-            cand = np.where(outside, 0.5 * (lo + hi), cand)
-            rho = np.where(active, cand, rho)
-            resid = self._radial(rho) - r
-            lo = np.where(active & (resid <= 0.0), rho, lo)
-            hi = np.where(active & (resid > 0.0), rho, hi)
-        if np.any(np.abs(resid) > target):
-            raise InversionError(
-                "radial inversion did not converge within "
-                f"{self.params.newton_max_iter} iterations"
-            )
-        return self._polish(rho, r)
+            resid, step = self._newton_step(rho, r)
+            if not np.any(np.abs(resid) > target):
+                break
+            # converged entries take a null step, so the bracket is tested
+            # strictly: a step onto its own end is no reason to bisect
+            lo = np.where(resid <= 0.0, rho, lo)
+            hi = np.where(resid > 0.0, rho, hi)
+            rho = rho - step
+            outside = (rho < lo) | (rho > hi)
+            if outside.any():
+                rho = np.where(outside, 0.5 * (lo + hi), rho)
+        else:
+            resid, step = self._newton_step(rho, r)
+            if np.any(np.abs(resid) > target):
+                raise InversionError(
+                    "radial inversion did not converge within "
+                    f"{self.params.newton_max_iter} iterations"
+                )
+        # two unconditional updates drive the root to its floating point
+        # fixed point (quadratic convergence from an already-converged
+        # iterate); without them the flux noise floor is set by newton_tol
+        # divided by the radial slope, which ruins implicit-solver
+        # residuals at small eps
+        rho = np.maximum(rho - step, 0.0)
+        return np.maximum(rho - self._newton_step(rho, r)[1], 0.0)
 
-    def _polish(self, rho, r):
-        # two unconditional Newton updates drive the root to its floating
-        # point fixed point (quadratic convergence from an already-converged
-        # iterate); without this the flux noise floor is set by newton_tol
-        # divided by the radial slope, which ruins implicit-solver residuals
-        # at small eps
-        for _ in range(2):
-            rho = rho - (self._radial(rho) - r) / self._radial_slope(rho)
-            rho = np.maximum(rho, 0.0)
-        return rho
+    def _newton_step(self, rho, r):
+        """(f(rho) - r, the Newton update (f(rho) - r)/f'(rho)) from one
+        square root.  The residual is bitwise _radial(rho) - r."""
+        eps = self.eps
+        q = np.sqrt(eps + rho * rho)
+        resid = eps * rho + rho / q - r
+        return resid, resid / (eps + eps / (q * q * q))
 
     # -- vector operations -----------------------------------------------
 
@@ -186,17 +206,20 @@ class RegularizedMap:
         and its inverse follows from Sherman-Morrison.  Symmetric positive
         definite for every tau.
         """
-        tau = self._check_vec(tau, "tau")
-        kappa = self.invert(tau)
+        return self._jacobian(*self._flux(tau))[0]
+
+    def _jacobian(self, kappa, rho):
+        """(inverse_jacobian, w) at kappa with |kappa| = rho, where
+        w = (eps + rho^2)^(-1/2)."""
         eps = self.eps
-        rho_sq = np.sum(kappa * kappa, axis=-1)
+        rho_sq = rho * rho
         w = (eps + rho_sq) ** -0.5
         c1 = eps + w
         c3 = w ** 3
         outer = kappa[..., :, None] * kappa[..., None, :]
-        eye = np.eye(self.dim)
         radial_gain = c3 / (c1 * (c1 - c3 * rho_sq))
-        return eye / c1[..., None, None] + outer * radial_gain[..., None, None]
+        jac = np.eye(self.dim) / c1[..., None, None] + outer * radial_gain[..., None, None]
+        return jac, w
 
     def spectral_bounds(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form eigenvalue bounds (lo, hi) of the inverse Jacobian.
@@ -205,14 +228,10 @@ class RegularizedMap:
         the radial one eps^(-1)/(1 + (eps+rho^2)^(-3/2)), rho = |invert(tau)|.
         Both positive, lo <= hi.
         """
-        tau = self._check_vec(tau, "tau")
-        kappa = self.invert(tau)
+        _, rho = self._flux(tau)
         eps = self.eps
-        rho_sq = np.sum(kappa * kappa, axis=-1)
-        w = (eps + rho_sq) ** -0.5
-        lo = 1.0 / (eps + w)
-        hi = (1.0 / eps) / (1.0 + w ** 3)
-        return lo, hi
+        w = (eps + rho * rho) ** -0.5
+        return 1.0 / (eps + w), (1.0 / eps) / (1.0 + w ** 3)
 
     def potential(self, tau: np.ndarray) -> np.ndarray:
         """Convex scalar potential of the inverse map:
@@ -222,10 +241,9 @@ class RegularizedMap:
         Its gradient with respect to tau is invert(tau), and it is bounded
         below by -sqrt(eps) (attained at tau = 0).
         """
-        tau = self._check_vec(tau, "tau")
-        kappa = self.invert(tau)
+        _, rho = self._flux(tau)
         eps = self.eps
-        rho_sq = np.sum(kappa * kappa, axis=-1)
+        rho_sq = rho * rho
         return eps * (0.5 * rho_sq - (eps + rho_sq) ** -0.5)
 
     def local_calculus(
@@ -235,13 +253,5 @@ class RegularizedMap:
         single radial inversion.  Used by the implicit stepper, where all
         three are needed at the same points."""
         kappa, rho = self._flux(tau)
-        eps = self.eps
-        rho_sq = rho * rho
-        w = (eps + rho_sq) ** -0.5
-        c1 = eps + w
-        c3 = w ** 3
-        outer = kappa[..., :, None] * kappa[..., None, :]
-        radial_gain = c3 / (c1 * (c1 - c3 * rho_sq))
-        jac = np.eye(self.dim) / c1[..., None, None] + outer * radial_gain[..., None, None]
-        pot = eps * (0.5 * rho_sq - w)
-        return kappa, jac, pot
+        jac, w = self._jacobian(kappa, rho)
+        return kappa, jac, self.eps * (0.5 * (rho * rho) - w)

@@ -79,6 +79,19 @@ def _positions_from_tangents(grid: Grid, tangents: np.ndarray) -> np.ndarray:
     return positions
 
 
+def eps_equilibrium(grid: Grid, rmap: RegularizedMap, g: GravitySpec) -> ArcState:
+    """The stationary state of the regularized scheme on ``grid``: the
+    state a regularized run settles at, not the constrained hanging string.
+
+    With zero velocity the residual rows force the flux through cell i to
+    be -g s_{i+1}; the tangent is its image under the forward map, and the
+    positions are summed back from the pinned end.
+    """
+    flux = -grid.nodes[1:, None] * g.direction
+    return ArcState(grid=grid, positions=_positions_from_tangents(
+        grid, rmap.forward(flux)))
+
+
 def build(spec: ScenarioSpec, grid: Grid, g: GravitySpec) -> ArcState:
     """Construct the initial curve of a scenario on a grid."""
     s = grid.nodes

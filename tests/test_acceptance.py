@@ -16,6 +16,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from test_run_io import random_record
 
@@ -27,10 +28,11 @@ from whipflow import (ArcState, GeodesicTensionProblem, Grid,
                       generalized_residual, hardy_check, mollify,
                       potential_energy, read_run, report, residual,
                       solve_tension, write_run)
+from whipflow.cli import _summarize as cli_summarize
 from whipflow.cli import main as cli_main
 from whipflow.diagnostics import EQUILIBRIUM_ENERGY, REFERENCE_DECAY_RATE
 from whipflow.run_io import records_equal
-from whipflow.scenarios import _positions_from_tangents
+from whipflow.scenarios import eps_equilibrium
 
 
 def announce(number, ok, detail):
@@ -200,18 +202,6 @@ def test_criterion_08_constraint_recovery(gravity2):
                            f"strictly decreasing: {decreasing}, in {elapsed:.1f}s")
 
 
-def eps_equilibrium(grid, rmap, g):
-    """The stationary state of the regularized scheme on ``grid``.
-
-    With zero velocity the residual rows force the flux through cell i to
-    be -g s_{i+1}; the tangent is its image under the forward map, and the
-    positions are summed back from the pinned end.
-    """
-    flux = -grid.nodes[1:, None] * g.direction
-    return ArcState(grid=grid, positions=_positions_from_tangents(
-        grid, rmap.forward(flux)))
-
-
 def test_criterion_09_decay_window_as_stated(pendulum_run):
     # The relative energy is measured against the equilibrium the run
     # converges to: the eps-equilibrium of the same eps, grid and gravity,
@@ -251,6 +241,27 @@ def test_criterion_09_decay_window_as_stated(pendulum_run):
         "relative energy over [1e-4, 0.5] E_rel(0) is not log-linear in t"
     )
     assert pointwise <= 1.05
+
+
+def test_summary_decay_fit_is_criterion_09_fit(pendulum_run):
+    # simulate's summary.json reports the decay that criterion 9 measures:
+    # against the eps-equilibrium, over [1e-4, 0.5] E_rel(0)
+    run = pendulum_run
+    e_eq = potential_energy(eps_equilibrium(run.grid, run.rmap, run.gravity),
+                            run.gravity)
+    reports = [replace(r, E_rel=r.E - e_eq) for r in run.reports]
+    e0 = reports[0].E_rel
+    in_band = [r for r in reports if 1e-4 * e0 <= r.E_rel <= 0.5 * e0]
+    expected = decay_fit(reports, (in_band[0].t, in_band[-1].t))
+    summary = cli_summarize(run.reports, run.grid, run.gravity, run.rmap,
+                            run.sup_tangent, run.eps)
+    fit = summary["decay_fit"]
+    assert fit["rate"] == pytest.approx(expected.rate, rel=1e-12)
+    assert fit["window"] == list(expected.window)
+    assert fit["r_squared"] >= 0.95
+    # the summary's relative energies keep the constrained reference
+    assert summary["E_rel_initial"] == run.reports[0].E_rel
+    assert summary["E_rel_final"] == run.reports[-1].E_rel
 
 
 def test_exponential_decay_before_saturation(pendulum_run):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from whipflow import RegParams, RegularizedMap
-from whipflow.errors import NumericDomainError
+from whipflow.errors import InversionError, NumericDomainError
 
 
 def rotation(rng, d):
@@ -58,6 +58,29 @@ def test_invert_large_input_large_output():
     m = RegularizedMap(RegParams(0.04), dim=2)
     out = m.invert(np.array([1.2, 0.0]))
     assert np.linalg.norm(out) >= 5.0
+
+
+# zero, the smallest subnormal, a tiny normal, a fine sweep through the knee
+# of the radial profile and sixteen decades around it
+RADII = np.concatenate((
+    [0.0, 5e-324, 1e-300], np.linspace(0.0, 3.0, 20001),
+    np.geomspace(1e-8, 1e8),
+))
+
+
+@pytest.mark.parametrize("eps", np.geomspace(1e-4, 1.0, 9))
+def test_radial_inversion_converges_in_three_updates(eps):
+    m = RegularizedMap(RegParams(eps, newton_max_iter=3), dim=2)
+    rho = m._invert_radial(RADII)
+    assert np.all(rho >= 0.0)
+    assert np.all(np.abs(m._radial(rho) - RADII) <= 1e-15 * (1.0 + RADII))
+
+
+def test_radial_inversion_raises_when_out_of_updates():
+    m = RegularizedMap(RegParams(1e-3, newton_max_iter=1), dim=2)
+    tau = np.stack([RADII, np.zeros_like(RADII)], axis=1)
+    with pytest.raises(InversionError):
+        m.invert(tau)
 
 
 def test_round_trip_battery():
