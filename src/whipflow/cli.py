@@ -27,7 +27,8 @@ from .errors import (ContractError, InversionError, RunFormatError,
 from .flow import GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegParams, RegularizedMap
-from .run_io import (RunRecord, Snapshot, write_run, write_trajectory)
+from .run_io import (RunRecord, Snapshot, _fmt, write_json, write_run,
+                     write_table, write_trajectory)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
                         eps_equilibrium, mollify)
 from .tension import counterexample_tension, tension_for_state
@@ -316,7 +317,7 @@ def cmd_sweep_eps(cfg) -> int:
     entries = []
     failed = False
     for eps in eps_list:
-        directory = base / f"eps_{'%.17g' % eps}"
+        directory = base / f"eps_{_fmt(eps)}"
         record = run_simulation(cfg, eps, directory)
         if record.summary["failed"] is not None:
             failed = True
@@ -334,14 +335,11 @@ def cmd_sweep_eps(cfg) -> int:
         eps_v = [e["eps"] for e in by_eps]
         slope = float(np.polyfit(np.log(eps_v), np.log(avgs), 1)[0])
         decreasing = bool(all(a > b for a, b in zip(avgs, avgs[1:])))
-    doc = {
-        "schema_version": "1",
+    write_json(base / "sweep_summary.json", {
         "entries": entries,
         "loglog_slope": slope,
         "strictly_decreasing": decreasing,
-    }
-    base.mkdir(parents=True, exist_ok=True)
-    (base / "sweep_summary.json").write_text(json.dumps(doc, indent=2) + "\n")
+    })
     print(f"wrote {base} (loglog slope: {slope})")
     return EXIT_NUMERIC if failed else EXIT_OK
 
@@ -354,14 +352,9 @@ def cmd_tension(cfg) -> int:
     profile = tension_for_state(state, g)
     directory = Path(cfg["out"]) / f"tension_{cfg['scenario']}_n{cfg['cells']}"
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "tension.csv", "w") as fh:
-        fh.write("s,sigma\n")
-        for s, v in zip(grid.nodes, profile.values):
-            fh.write("%.17g,%.17g\n" % (s, v))
-    (directory / "config.json").write_text(
-        json.dumps({"schema_version": "1", "config": cfg}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    write_table(directory / "tension.csv", ("s", "sigma"),
+                np.column_stack((grid.nodes, profile.values)))
+    write_json(directory / "config.json", {"config": cfg})
     print(f"wrote {directory}  sigma(1) = {profile.at_end:.6g}")
     return EXIT_OK
 
@@ -374,14 +367,9 @@ def cmd_counterexample(cfg) -> int:
         rows.append((eps, value, bound, value / bound))
     directory = Path(cfg["out"]) / f"counterexample_alpha{_slug(alpha0)}"
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "counterexample.csv", "w") as fh:
-        fh.write("eps,varsigma_1,bound,ratio\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
-    (directory / "config.json").write_text(
-        json.dumps({"schema_version": "1", "config": cfg}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    write_table(directory / "counterexample.csv",
+                ("eps", "varsigma_1", "bound", "ratio"), rows)
+    write_json(directory / "config.json", {"config": cfg})
     print(f"{'eps':>10} {'varsigma(1)':>14} {'bound':>14} {'ratio':>8}")
     for eps, value, bound, ratio in rows:
         print(f"{eps:>10g} {value:>14.8g} {bound:>14.8g} {ratio:>8.5f}")
@@ -400,15 +388,12 @@ def cmd_nonuniqueness(cfg) -> int:
     )
     write_trajectory(pair.falling, directory / "falling")
     write_trajectory(pair.stationary, directory / "stationary")
-    doc = {
-        "schema_version": "1",
+    write_json(directory / "summary.json", {
         "config": cfg,
         "separation_L2_at_T": pair.separation,
         "falling_residual": dataclasses.asdict(pair.falling_residual),
         "stationary_residual": dataclasses.asdict(pair.stationary_residual),
-    }
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "summary.json").write_text(json.dumps(doc, indent=2) + "\n")
+    })
     print(f"wrote {directory}  separation at T = {pair.separation:.6g}")
     return EXIT_OK
 

@@ -262,9 +262,14 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     res_norm = np.abs(res).max()
     history = [res_norm]
 
-    for iteration in range(cfg.newton_max_iter):
+    for iteration in range(cfg.newton_max_iter + 1):
         if res_norm <= tol:
             return ArcState(grid=grid, positions=pos, time=prev.time + dt), iteration
+        if iteration == cfg.newton_max_iter:
+            raise StepRejected(
+                f"Newton did not converge in {cfg.newton_max_iter} iterations "
+                f"(residual {res_norm:.3e})"
+            )
         if len(history) > 5 and history[-1] > 0.9 * history[-6]:
             raise StepRejected(
                 f"Newton stalled at residual {res_norm:.3e} after "
@@ -309,18 +314,18 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
                 raise StepRejected(
                     f"line search failed at residual {res_norm:.3e}"
                 )
+        if np.array_equal(trial, pos):
+            # every later iteration would repeat this residual, solve and
+            # trial, so the step can only end rejected
+            raise StepRejected(
+                f"Newton update {iteration + 1} left the positions unchanged "
+                f"at residual {res_norm:.3e}"
+            )
         pos = trial
         phi = phi_trial
         res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
         res_norm = np.abs(res).max()
         history.append(res_norm)
-
-    if res_norm <= tol:
-        return ArcState(grid=grid, positions=pos, time=prev.time + dt), cfg.newton_max_iter
-    raise StepRejected(
-        f"Newton did not converge in {cfg.newton_max_iter} iterations "
-        f"(residual {res_norm:.3e})"
-    )
 
 
 def step(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,

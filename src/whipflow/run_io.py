@@ -1,15 +1,22 @@
-"""Persistence of runs: config echo, time series, snapshots, summaries.
+"""Persistence: the one module that knows the formats of the files a run
+leaves on disk.
 
-A run directory holds
+A run directory (write_run, read_run) holds
 
-    config.json          resolved configuration, schema-versioned
+    config.json          resolved configuration
     timeseries.csv       one row per accepted step (plus the initial state)
     snapshot_t<t>.csv    node table (s, positions, tension) per requested time
     summary.json         decay fit, final distances, verdicts, solver stats
 
-CSV floats are written with 17 significant digits and JSON floats with
-Python's shortest round-trip representation, so both read back exactly;
-write_run followed by read_run reproduces the record bit for bit.
+and a trajectory directory (write_trajectory) holds one snapshot_t<t>.csv
+for each of at most 50 evenly spaced states plus index.json (their times
+and the gravity).
+
+Every CSV table goes through write_table: a header line, then one row of
+floats with 17 significant digits per line, CRLF line ends.  Every JSON
+document goes through write_json: schema-versioned, indented by 2, keys
+sorted, floats in Python's shortest round-trip form.  Both read back
+exactly; write_run followed by read_run reproduces the record bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ from .grid import Grid
 from .tension import TensionProfile
 
 SCHEMA_VERSION = "1"
+
+# states a trajectory directory keeps at most, evenly spaced, endpoints kept
+TRAJECTORY_SNAPSHOTS = 50
 
 TIMESERIES_COLUMNS = (
     "t", "E", "E_alt", "E_rel", "E_rel_back", "E_eps", "D",
@@ -90,6 +100,29 @@ def records_equal(a: RunRecord, b: RunRecord) -> bool:
     return True
 
 
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header line, then one row of ``%.17g`` floats
+    per line, every line ending in CRLF.  An integer column prints without
+    a decimal point."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` with the schema version added, indented by 2, keys
+    sorted."""
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_snapshot(directory: Path, t: float, state: ArcState,
+                    tension: TensionProfile) -> None:
+    header = ["s", *(f"x{c}" for c in range(state.dim)), "sigma"]
+    rows = np.column_stack((state.grid.nodes, state.positions, tension.values))
+    write_table(directory / f"snapshot_t{_fmt(t)}.csv", header, rows)
+
+
 def write_run(record: RunRecord, directory) -> None:
     """Persist a record; overwrites existing files of the same run."""
     directory = Path(directory)
@@ -99,80 +132,38 @@ def write_run(record: RunRecord, directory) -> None:
         raise RunFormatError(f"cannot create run directory: {exc}",
                              path=str(directory)) from exc
 
-    config_doc = {"schema_version": SCHEMA_VERSION, "config": record.config_echo}
-    (directory / "config.json").write_text(json.dumps(config_doc, indent=2,
-                                                      sort_keys=True) + "\n")
-
-    with open(directory / "timeseries.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMESERIES_COLUMNS)
-        for rep, dt, iters in zip(record.reports, record.step_dts,
-                                  record.step_newton_iters):
-            row = [_fmt(getattr(rep, name)) for name in EnergyReport.FIELDS]
-            row.append(_fmt(dt))
-            row.append(str(int(iters)))
-            writer.writerow(row)
-
+    write_json(directory / "config.json", {"config": record.config_echo})
+    rows = [[*(getattr(rep, name) for name in EnergyReport.FIELDS), dt, iters]
+            for rep, dt, iters in zip(record.reports, record.step_dts,
+                                      record.step_newton_iters)]
+    write_table(directory / "timeseries.csv", TIMESERIES_COLUMNS, rows)
     for snap in record.snapshots:
-        d = snap.state.dim
-        header = ["s"] + [f"x{c}" for c in range(d)] + ["sigma"]
-        with open(directory / f"snapshot_t{_fmt(snap.t)}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            grid = snap.state.grid
-            for i in range(grid.n_nodes):
-                row = [_fmt(grid.nodes[i])]
-                row += [_fmt(x) for x in snap.state.positions[i]]
-                row.append(_fmt(snap.tension.values[i]))
-                writer.writerow(row)
-
-    summary_doc = {
-        "schema_version": SCHEMA_VERSION,
+        _write_snapshot(directory, snap.t, snap.state, snap.tension)
+    write_json(directory / "summary.json", {
         "summary": record.summary,
         "solver_stats": record.solver_stats,
         "snapshot_times": [snap.t for snap in record.snapshots],
         "snapshot_state_times": [snap.state.time for snap in record.snapshots],
-    }
-    (directory / "summary.json").write_text(json.dumps(summary_doc, indent=2,
-                                                       sort_keys=True) + "\n")
+    })
 
 
-def write_trajectory(traj, directory, max_snapshots: int = 50) -> None:
+def write_trajectory(traj, directory) -> None:
     """Persist a trajectory as snapshot CSVs plus an index; thins long runs
-    to at most ``max_snapshots`` evenly spaced states (endpoints kept)."""
+    to 50 evenly spaced states (endpoints kept).  The trajectory must carry
+    tensions."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    count = len(traj.states)
-    if count <= max_snapshots:
-        indices = range(count)
-    else:
-        indices = sorted(set(
-            int(round(k * (count - 1) / (max_snapshots - 1)))
-            for k in range(max_snapshots)
-        ))
-    times = []
-    for idx in indices:
-        state = traj.states[idx]
-        tension = traj.tensions[idx] if traj.tensions is not None else None
-        times.append(state.time)
-        d = state.dim
-        header = ["s"] + [f"x{c}" for c in range(d)] + ["sigma"]
-        grid = state.grid
-        with open(directory / f"snapshot_t{_fmt(state.time)}.csv", "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(grid.n_nodes):
-                row = [_fmt(grid.nodes[i])]
-                row += [_fmt(x) for x in state.positions[i]]
-                row.append(_fmt(tension.values[i]) if tension is not None else "")
-                writer.writerow(row)
-    index = {
-        "schema_version": SCHEMA_VERSION,
-        "times": times,
+    pairs = traj.pairs()
+    count = len(pairs)
+    if count > TRAJECTORY_SNAPSHOTS:
+        last = TRAJECTORY_SNAPSHOTS - 1
+        pairs = [pairs[round(k * (count - 1) / last)] for k in range(last + 1)]
+    for state, tension in pairs:
+        _write_snapshot(directory, state.time, state, tension)
+    write_json(directory / "index.json", {
+        "times": [state.time for state, _ in pairs],
         "gravity": [float(x) for x in traj.gravity.direction],
-    }
-    (directory / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    })
 
 
 def _load_json(path: Path) -> dict:
@@ -200,64 +191,66 @@ def _parse_float(text: str, path: Path, line: int) -> float:
                              line=line) from exc
 
 
+def _parse_int(text: str, path: Path, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise RunFormatError(f"bad integer {text!r}", path=str(path),
+                             line=line) from exc
+
+
+def _read_table(path: Path, what: str, columns=None) -> tuple[list, list]:
+    """Header and parsed rows of a table written by write_table.
+
+    The header must equal ``columns`` when given, and every row must have
+    the header's width.  Cells parse as floats, except ``newton_iters``,
+    which must be a plain integer.  Errors name the file and the line.
+    """
+    if not path.exists():
+        raise RunFormatError(f"missing {what}", path=str(path))
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise RunFormatError(f"empty {what}", path=str(path), line=1)
+    header = lines[0]
+    if columns is not None and tuple(header) != columns:
+        raise RunFormatError(f"unexpected columns {header!r}", path=str(path),
+                             line=1)
+    parsers = [_parse_int if name == "newton_iters" else _parse_float
+               for name in header]
+    rows = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if len(row) != len(header):
+            raise RunFormatError(
+                f"expected {len(header)} fields, got {len(row)}",
+                path=str(path), line=lineno,
+            )
+        rows.append([parse(cell, path, lineno)
+                     for parse, cell in zip(parsers, row)])
+    return header, rows
+
+
 def read_run(directory) -> RunRecord:
     """Reconstruct a record written by write_run, exactly."""
     directory = Path(directory)
     config_doc = _load_json(directory / "config.json")
     summary_doc = _load_json(directory / "summary.json")
 
-    ts_path = directory / "timeseries.csv"
-    if not ts_path.exists():
-        raise RunFormatError("missing file", path=str(ts_path))
-    reports = []
-    step_dts = []
-    step_iters = []
-    with open(ts_path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if tuple(row) != TIMESERIES_COLUMNS:
-                    raise RunFormatError(
-                        f"unexpected columns {row!r}", path=str(ts_path), line=1
-                    )
-                continue
-            if len(row) != len(TIMESERIES_COLUMNS):
-                raise RunFormatError(
-                    f"expected {len(TIMESERIES_COLUMNS)} fields, got {len(row)}",
-                    path=str(ts_path), line=lineno,
-                )
-            values = [_parse_float(cell, ts_path, lineno) for cell in row[:-1]]
-            reports.append(EnergyReport(*values[:len(EnergyReport.FIELDS)]))
-            step_dts.append(values[-1])
-            try:
-                step_iters.append(int(row[-1]))
-            except ValueError as exc:
-                raise RunFormatError(f"bad integer {row[-1]!r}",
-                                     path=str(ts_path), line=lineno) from exc
+    n_fields = len(EnergyReport.FIELDS)
+    _, rows = _read_table(directory / "timeseries.csv", "file",
+                          TIMESERIES_COLUMNS)
+    reports = [EnergyReport(*row[:n_fields]) for row in rows]
+    step_dts = [row[n_fields] for row in rows]
+    step_iters = [row[n_fields + 1] for row in rows]
 
     snapshots = []
     snap_times = summary_doc.get("snapshot_times", [])
     snap_state_times = summary_doc.get("snapshot_state_times", snap_times)
     for t, state_time in zip(snap_times, snap_state_times):
-        snap_path = directory / f"snapshot_t{_fmt(t)}.csv"
-        if not snap_path.exists():
-            raise RunFormatError("missing snapshot file", path=str(snap_path))
-        with open(snap_path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-        if not rows:
-            raise RunFormatError("empty snapshot file", path=str(snap_path), line=1)
-        header = rows[0]
+        header, rows = _read_table(directory / f"snapshot_t{_fmt(t)}.csv",
+                                   "snapshot file")
+        data = np.array(rows)
         d = len(header) - 2
-        data = []
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != len(header):
-                raise RunFormatError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    path=str(snap_path), line=lineno,
-                )
-            data.append([_parse_float(cell, snap_path, lineno) for cell in row])
-        data = np.array(data)
         grid = Grid(len(data) - 1)
         state = ArcState(grid=grid, positions=data[:, 1:1 + d], time=state_time)
         tension = TensionProfile(grid=grid, values=data[:, 1 + d])

@@ -5,7 +5,7 @@ from whipflow import (ArcState, GravitySpec, Grid, RegParams, RegularizedMap,
                       ScenarioSpec, StepperConfig, Trajectory, build,
                       constitutive_tension, discrete_energy, evolve, mollify,
                       report, residual, step)
-from whipflow.errors import ShapeError, SolverFailure
+from whipflow.errors import ShapeError, SolverFailure, StepRejected
 
 
 def make_map(eps, dim=2):
@@ -335,3 +335,20 @@ def test_trajectory_validation(gravity2):
         Trajectory(states=(s1, s0), gravity=gravity2)
     with pytest.raises(ValueError):
         traj.pairs()
+
+
+def test_no_progress_newton_update_rejects_the_step_at_once(monkeypatch,
+                                                            gravity2):
+    solves = []
+
+    def zero_solve(l_and_u, ab, rhs):
+        solves.append(rhs.size)
+        return np.zeros_like(rhs)
+
+    monkeypatch.setattr("whipflow.flow.solve_banded", zero_solve)
+    grid = Grid(16)
+    init = build(ScenarioSpec(kind="quarter_circle"), grid, gravity2)
+    cfg = StepperConfig(dt_init=1e-2, dt_min=1e-6, dt_max=1e-2)
+    with pytest.raises(StepRejected, match="update 1 left the positions"):
+        step(init, 1e-2, make_map(0.1), gravity2, cfg)
+    assert len(solves) == 1

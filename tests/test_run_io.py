@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, EnergyReport, Grid, RunRecord, Snapshot,
-                      TensionProfile, read_run, write_run)
+from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RunRecord,
+                      Snapshot, TensionProfile, Trajectory, read_run,
+                      write_run)
 from whipflow.errors import RunFormatError, SchemaVersionError
-from whipflow.run_io import TIMESERIES_COLUMNS, records_equal
+from whipflow.run_io import (TIMESERIES_COLUMNS, records_equal,
+                             write_trajectory)
 
 
 def random_record(rng, tag=0):
@@ -128,6 +132,110 @@ def test_unknown_schema_version_rejected(tmp_path):
                                              '"schema_version": "99"'))
     with pytest.raises(SchemaVersionError):
         read_run(tmp_path)
+
+
+def test_empty_timeseries_file_rejected(tmp_path):
+    write_run(RunRecord(config_echo={}), tmp_path)
+    (tmp_path / "timeseries.csv").write_text("")
+    with pytest.raises(RunFormatError) as err:
+        read_run(tmp_path)
+    assert err.value.line == 1
+
+
+def test_fractional_newton_iters_rejected(tmp_path):
+    record = RunRecord(config_echo={}, reports=[EnergyReport(*[0.5] * 11)],
+                       step_dts=[0.1], step_newton_iters=[3])
+    write_run(record, tmp_path)
+    path = tmp_path / "timeseries.csv"
+    path.write_bytes(path.read_bytes().replace(b",3\r\n", b",3.5\r\n"))
+    with pytest.raises(RunFormatError, match="bad integer '3.5'") as err:
+        read_run(tmp_path)
+    assert err.value.line == 2
+
+
+def test_table_bytes_are_crlf_17_digit_floats(tmp_path):
+    grid = Grid(2)
+    positions = np.array([[-0.0, 0.1], [5e-324, -2.5], [0.0, 0.0]])
+    record = RunRecord(
+        config_echo={},
+        reports=[EnergyReport(0.0, -0.0, 5e-324, 0.1, 1.0, -1.5, 2.0, 1e300,
+                              float("nan"), 3.0, 1.0 / 3.0)],
+        step_dts=[0.25],
+        step_newton_iters=[12],
+        snapshots=[Snapshot(t=0.5, state=ArcState(grid=grid,
+                                                  positions=positions,
+                                                  time=0.5),
+                            tension=TensionProfile(grid=grid,
+                                                   values=[0.0, -0.0, 1.0]))],
+    )
+    write_run(record, tmp_path)
+    assert (tmp_path / "timeseries.csv").read_bytes() == (
+        b"t,E,E_alt,E_rel,E_rel_back,E_eps,D,cos_alpha,max_stretch,"
+        b"constraint_L1,sigma_at_1,dt,newton_iters\r\n"
+        b"0,-0,4.9406564584124654e-324,0.10000000000000001,1,-1.5,2,"
+        b"1.0000000000000001e+300,nan,3,0.33333333333333331,0.25,12\r\n"
+    )
+    assert (tmp_path / "snapshot_t0.5.csv").read_bytes() == (
+        b"s,x0,x1,sigma\r\n"
+        b"0,-0,0.10000000000000001,0\r\n"
+        b"0.5,4.9406564584124654e-324,-2.5,-0\r\n"
+        b"1,0,0,1\r\n"
+    )
+
+
+def _trajectory(count, tensions=True):
+    grid = Grid(3)
+    rng = np.random.default_rng(count)
+    states, profiles = [], []
+    for k in range(count):
+        positions = rng.normal(size=(4, 2))
+        positions[-1] = 0.0
+        states.append(ArcState(grid=grid, positions=positions, time=0.1 * k))
+        sigma = rng.normal(size=4)
+        sigma[0] = 0.0
+        profiles.append(TensionProfile(grid=grid, values=sigma))
+    return Trajectory(states=states, gravity=GravitySpec.down(2),
+                      tensions=profiles if tensions else None)
+
+
+def _check_trajectory_files(traj, directory, kept):
+    index = json.loads((directory / "index.json").read_text())
+    assert index["schema_version"] == "1"
+    assert index["gravity"] == [0.0, -1.0]
+    assert index["times"] == [traj.states[k].time for k in kept]
+    names = sorted(p.name for p in directory.glob("snapshot_t*.csv"))
+    assert names == sorted(f"snapshot_t{'%.17g' % t}.csv"
+                           for t in index["times"])
+    for k in kept:
+        state, tension = traj.states[k], traj.tensions[k]
+        data = np.loadtxt(directory / f"snapshot_t{'%.17g' % state.time}.csv",
+                          delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], state.grid.nodes)
+        assert np.array_equal(data[:, 1:3], state.positions)
+        assert np.array_equal(data[:, 3], tension.values)
+
+
+def test_write_trajectory_thins_to_50_states_with_endpoints(tmp_path):
+    traj = _trajectory(120)
+    write_trajectory(traj, tmp_path)
+    index = json.loads((tmp_path / "index.json").read_text())
+    kept = [round(t / 0.1) for t in index["times"]]
+    assert kept == [round(k * 119 / 49) for k in range(50)]
+    assert len(set(kept)) == 50 and kept[0] == 0 and kept[-1] == 119
+    assert len(list(tmp_path.glob("snapshot_t*.csv"))) == 50
+    _check_trajectory_files(traj, tmp_path, kept)
+
+
+@pytest.mark.parametrize("count", [1, 7, 50])
+def test_write_trajectory_keeps_every_state_of_a_short_run(tmp_path, count):
+    traj = _trajectory(count)
+    write_trajectory(traj, tmp_path)
+    _check_trajectory_files(traj, tmp_path, range(count))
+
+
+def test_write_trajectory_needs_tensions(tmp_path):
+    with pytest.raises(ValueError):
+        write_trajectory(_trajectory(3, tensions=False), tmp_path)
 
 
 def test_missing_files_reported(tmp_path):
