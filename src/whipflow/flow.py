@@ -19,6 +19,11 @@ Backward Euler rather than an explicit scheme: the largest eigenvalue of
 the flux Jacobian scales like 1/eps, which would force dt of order
 eps * h^2 on the explicit side, hopeless at the eps = 1e-4 runs the
 constraint-recovery study needs.
+
+Each Newton system is the Hessian of that strictly convex functional, so it
+is symmetric positive definite and block tridiagonal: it is solved by
+banded Cholesky (LAPACK ``pbsv``) on its lower band alone, and a failed
+factorization rejects the step as a loss of convexity.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericDomainError, ShapeError, SolverFailure, StepRejected
 from .grid import Grid
 from .regmap import RegularizedMap
+
+_PBSV, = get_lapack_funcs(("pbsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -209,17 +216,36 @@ def _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec):
     return out
 
 
-def _banded_from_blocks(diag, upper, lower, d):
-    """Pack block-tridiagonal (d x d blocks) into LAPACK banded storage."""
+def _banded_from_blocks(diag, lower, d):
+    """Pack a symmetric block-tridiagonal matrix (d x d blocks) into LAPACK
+    lower band storage: ``ab[i - j, j] = A[i, j]`` for the 2d - 1
+    subdiagonals and the diagonal."""
     n_blocks = diag.shape[0]
-    band = 2 * d - 1
-    ab = np.zeros((2 * band + 1, n_blocks * d))
+    ab = np.zeros((2 * d, n_blocks * d))
     for p in range(d):
         for q in range(d):
-            ab[band + p - q, q::d] = diag[:, p, q]
-            ab[band + p - q - d, d + q::d] = upper[:, p, q]
-            ab[band + p - q + d, q::d][: n_blocks - 1] = lower[:, p, q]
+            if p >= q:
+                ab[p - q, q::d] = diag[:, p, q]
+            ab[d + p - q, q::d][: n_blocks - 1] = lower[:, p, q]
     return ab
+
+
+def solve_banded(ab, rhs):
+    """Solve the symmetric positive definite system whose lower band
+    ``_banded_from_blocks`` packed, by banded Cholesky.  Both arguments are
+    overwritten.
+
+    A factorization that fails certifies that the matrix is not positive
+    definite; for the Newton Hessian of the convex incremental functional
+    that rejects the step, naming the (0-based) row where it failed.
+    """
+    _, x, info = _PBSV(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise StepRejected(
+            f"Newton Hessian not positive definite at row {info - 1}")
+    if info < 0:
+        raise ValueError(f"pbsv rejected argument {-info}")
+    return x
 
 
 def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
@@ -279,14 +305,8 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
         blocks = jac / (h * h)
         diag = blocks + eye_dt
         diag[1:] += blocks[:-1]
-        upper = -blocks[:-1]
-        lower = -blocks[:-1]
-        ab = _banded_from_blocks(diag, upper, lower, d)
-        rhs = -res[:-1].reshape(-1)
-        try:
-            delta = solve_banded((2 * d - 1, 2 * d - 1), ab, rhs).reshape(n, d)
-        except np.linalg.LinAlgError as exc:
-            raise StepRejected(f"singular Newton system: {exc}") from exc
+        ab = _banded_from_blocks(diag, -blocks[:-1], d)
+        delta = solve_banded(ab, -res[:-1].reshape(-1)).reshape(n, d)
 
         # Armijo backtracking on the incremental objective.  Near the
         # minimum the required decrease falls below the float resolution

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import EnergyReport
-from .errors import RunFormatError, SchemaVersionError
+from .errors import RunFormatError, SchemaVersionError, ShapeError
 from .flow import ArcState
 from .grid import Grid
 from .tension import TensionProfile
@@ -230,6 +230,36 @@ def _read_table(path: Path, what: str, columns=None) -> tuple[list, list]:
     return header, rows
 
 
+def _read_snapshot(path: Path, t: float, state_time: float) -> Snapshot:
+    """Read one snapshot table.  A table that parses but is not a pinned
+    state with its tension fails as RunFormatError, naming the line the
+    violated condition is about."""
+    header, rows = _read_table(path, "snapshot file")
+    last = len(rows) + 1
+    try:
+        grid = Grid(len(rows) - 1)
+    except ValueError as exc:
+        raise RunFormatError(f"{len(rows)} node rows, need at least 2",
+                             path=str(path), line=last) from exc
+    data = np.array(rows)
+    d = len(header) - 2
+    positions = data[:, 1:1 + d]
+    try:
+        state = ArcState(grid=grid, positions=positions, time=state_time)
+    except ShapeError as exc:
+        raise RunFormatError(str(exc), path=str(path), line=1) from exc
+    except ValueError as exc:
+        # a non-finite row, else the last row off the origin
+        finite = np.isfinite(positions).all(axis=1)
+        line = last if finite.all() else 2 + int(np.argmin(finite))
+        raise RunFormatError(str(exc), path=str(path), line=line) from exc
+    try:
+        tension = TensionProfile(grid=grid, values=data[:, 1 + d])
+    except ValueError as exc:
+        raise RunFormatError(str(exc), path=str(path), line=2) from exc
+    return Snapshot(t=t, state=state, tension=tension)
+
+
 def read_run(directory) -> RunRecord:
     """Reconstruct a record written by write_run, exactly."""
     directory = Path(directory)
@@ -243,18 +273,11 @@ def read_run(directory) -> RunRecord:
     step_dts = [row[n_fields] for row in rows]
     step_iters = [row[n_fields + 1] for row in rows]
 
-    snapshots = []
     snap_times = summary_doc.get("snapshot_times", [])
     snap_state_times = summary_doc.get("snapshot_state_times", snap_times)
-    for t, state_time in zip(snap_times, snap_state_times):
-        header, rows = _read_table(directory / f"snapshot_t{_fmt(t)}.csv",
-                                   "snapshot file")
-        data = np.array(rows)
-        d = len(header) - 2
-        grid = Grid(len(data) - 1)
-        state = ArcState(grid=grid, positions=data[:, 1:1 + d], time=state_time)
-        tension = TensionProfile(grid=grid, values=data[:, 1 + d])
-        snapshots.append(Snapshot(t=t, state=state, tension=tension))
+    snapshots = [_read_snapshot(directory / f"snapshot_t{_fmt(t)}.csv", t,
+                                state_time)
+                 for t, state_time in zip(snap_times, snap_state_times)]
 
     return RunRecord(
         config_echo=config_doc["config"],

@@ -9,7 +9,9 @@ f = |v'|^2, nu = 0 for the geodesic tension of an initial velocity field v.
 Both are second-order central-difference discretizations with the Neumann
 row closed by ghost-node elimination, which keeps the system tridiagonal
 and preserves O(h^2) accuracy at s = 1 where the dissipation-controlling
-value sigma(1) lives.
+value sigma(1) lives.  Negated, and with the Neumann row halved, the
+system is symmetric positive definite for c >= 0 and is solved by
+tridiagonal Cholesky (LAPACK ``ptsv``).
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ShapeError, TensionSolveError, UnderResolvedError
 from .flow import ArcState, GravitySpec
 from .grid import Grid
+
+_PTSV, = get_lapack_funcs(("ptsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,10 @@ def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
 
         (2/h^2) sigma_{N-1} - (2/h^2 + c_N) sigma_N = -f_N - 2 nu / h.
 
-    Affine solutions of the c = f = 0 problem are reproduced exactly.
+    Negating every row and halving the last one makes the system symmetric
+    positive definite: diagonal 2/h^2 + c, off-diagonal -1/h^2, last
+    diagonal 1/h^2 + c_N/2 with right-hand side f_N/2 + nu/h.  Affine
+    solutions of the c = f = 0 problem are reproduced exactly.
     """
     grid = problem.grid
     n = grid.n_cells
@@ -99,21 +106,18 @@ def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
     inv_h2 = 1.0 / (h * h)
 
     # the Dirichlet unknown is eliminated up front: solve for sigma_1..sigma_N
-    ab = np.zeros((3, n))
-    rhs = np.empty(n)
-    ab[0, 1:] = inv_h2                      # super-diagonal
-    ab[1, :n - 1] = -2.0 * inv_h2 - c[1:n]  # diagonal, interior rows
-    ab[2, :n - 1] = inv_h2                  # sub-diagonal
-    rhs[:n - 1] = -f[1:n]
-    # last row: ghost-eliminated Neumann at s = 1
-    ab[2, n - 2] = 2.0 * inv_h2
-    ab[1, n - 1] = -2.0 * inv_h2 - c[n]
-    rhs[n - 1] = -f[n] - 2.0 * nu / h
+    diag = 2.0 * inv_h2 + c[1:]
+    diag[-1] = inv_h2 + 0.5 * c[n]
+    # the LAPACK wrapper wants one off-diagonal entry even when n = 1
+    off = np.full(max(n - 1, 1), -inv_h2)
+    rhs = f[1:].copy()
+    rhs[-1] = 0.5 * f[n] + nu / h
 
-    try:
-        solved = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # cannot occur for c >= 0; guarded
-        raise TensionSolveError(f"tridiagonal tension solve failed: {exc}") from exc
+    _, _, solved, info = _PTSV(diag, off, rhs, overwrite_d=1, overwrite_e=1,
+                               overwrite_b=1)
+    if info != 0:
+        raise TensionSolveError(
+            f"tridiagonal tension solve failed (LAPACK ptsv info {info})")
     if not np.all(np.isfinite(solved)):
         raise TensionSolveError("tension solve produced non-finite values")
     values = np.empty(n + 1)

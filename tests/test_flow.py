@@ -287,11 +287,10 @@ def test_hard_failure_reports_diagnostics(gravity2):
 
 
 def test_banded_packing_matches_dense_solve():
-    # the block-tridiagonal banded packing against a dense reference, for
-    # both ambient dimensions
+    # the lower-band packing and the banded Cholesky solve against a dense
+    # reference, for both ambient dimensions
     rng = np.random.default_rng(33)
-    from whipflow.flow import _banded_from_blocks
-    from scipy.linalg import solve_banded
+    from whipflow.flow import _banded_from_blocks, solve_banded
     for d in (2, 3):
         n = 7
         base = rng.normal(size=(n, d, d))
@@ -305,10 +304,24 @@ def test_banded_packing_matches_dense_solve():
                 dense[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = -blocks[i]
                 dense[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = -blocks[i]
         rhs = rng.normal(size=n * d)
-        ab = _banded_from_blocks(diag, -blocks[:-1], -blocks[:-1], d)
-        got = solve_banded((2 * d - 1, 2 * d - 1), ab, rhs)
         expected = np.linalg.solve(dense, rhs)
+        ab = _banded_from_blocks(diag, -blocks[:-1], d)
+        got = solve_banded(ab, rhs.copy())
         assert np.abs(got - expected).max() <= 1e-10
+
+
+def test_indefinite_newton_band_rejects_the_step_naming_the_row():
+    # Cholesky certifies convexity: a band whose leading 3 x 3 minor is
+    # positive definite but whose 4 x 4 minor is not fails at row 3
+    from whipflow.flow import _banded_from_blocks, solve_banded
+    d, n = 2, 4
+    diag = np.tile(2.0 * np.eye(d), (n, 1, 1))
+    lower = np.tile(-0.5 * np.eye(d), (n - 1, 1, 1))
+    diag[1, 1, 1] = -1.0
+    ab = _banded_from_blocks(diag, lower, d)
+    with pytest.raises(StepRejected,
+                       match="Newton Hessian not positive definite at row 3"):
+        solve_banded(ab, np.ones(n * d))
 
 
 def test_three_dimensional_evolution(gravity3):
@@ -341,7 +354,7 @@ def test_no_progress_newton_update_rejects_the_step_at_once(monkeypatch,
                                                             gravity2):
     solves = []
 
-    def zero_solve(l_and_u, ab, rhs):
+    def zero_solve(ab, rhs):
         solves.append(rhs.size)
         return np.zeros_like(rhs)
 

@@ -85,6 +85,31 @@ def test_snapshot_of_equilibrium_has_pinned_last_row(tmp_path):
     assert float(last[1]) == 0.0 and float(last[2]) == 0.0
 
 
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda lines: lines[:1], 1, "0 node rows"),
+    (lambda lines: lines[:-1] + ["1,0.25,0,0.5"], 6,
+     "pinned exactly at the origin"),
+    (lambda lines: lines[:2] + ["0.25,nan,-0.75,0.25"] + lines[3:], 3,
+     "non-finite"),
+    (lambda lines: [lines[0], "0,0,-1,0.125"] + lines[2:], 2,
+     "vanish at s = 0"),
+], ids=["header_only", "off_origin", "nan_row", "loose_sigma"])
+def test_invalid_snapshot_state_names_file_and_line(tmp_path, edit, line,
+                                                    message):
+    grid = Grid(4)
+    positions = np.zeros((5, 2))
+    positions[:, 1] = -(1.0 - grid.nodes)
+    write_run(RunRecord(config_echo={}, snapshots=[Snapshot(
+        t=0.5, state=ArcState(grid=grid, positions=positions, time=0.5),
+        tension=TensionProfile(grid=grid, values=grid.nodes))]), tmp_path)
+    path = tmp_path / "snapshot_t0.5.csv"
+    path.write_text("\r\n".join(edit(path.read_text().splitlines())) + "\r\n")
+    with pytest.raises(RunFormatError, match=message) as err:
+        read_run(tmp_path)
+    assert err.value.path == str(path)
+    assert err.value.line == line
+
+
 def test_timeseries_columns_exact_order():
     assert TIMESERIES_COLUMNS == (
         "t", "E", "E_alt", "E_rel", "E_rel_back", "E_eps", "D",

@@ -5,7 +5,7 @@ from whipflow import (ArcState, GeodesicTensionProblem, Grid,
                       ScenarioSpec, TensionProfile, build,
                       counterexample_tension, solve_tension,
                       tension_for_state)
-from whipflow.errors import ShapeError, UnderResolvedError
+from whipflow.errors import ShapeError, TensionSolveError, UnderResolvedError
 
 
 def constant_problem(grid, c, f, nu):
@@ -75,6 +75,46 @@ def test_discrete_system_residual_is_tiny():
     assert np.abs(interior).max() <= 1e-12 * scale
     assert abs(end_row) <= 1e-12 * scale
     assert sigma[0] == 0.0
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 200, 4000])
+def test_symmetrized_solve_matches_dense_documented_rows(n_cells):
+    # the documented rows as they stand, unsymmetrized: row 0 pins
+    # sigma(0), interior rows are central differences, the last row is
+    # the ghost-eliminated Neumann row.  Row 0 is scaled like its
+    # neighbours; as a unit row, partial pivoting swaps it with row 1 and
+    # the dense reference itself loses 1e-9 at n = 4000.
+    rng = np.random.default_rng(n_cells)
+    grid = Grid(n_cells)
+    n, h = n_cells, grid.h
+    c = rng.uniform(0.0, 50.0, size=n + 1)
+    f = rng.uniform(0.0, 2.0, size=n + 1)
+    nu = float(rng.normal())
+    dense = np.zeros((n + 1, n + 1))
+    rhs = np.zeros(n + 1)
+    dense[0, 0] = 2.0 / h ** 2
+    for i in range(1, n):
+        dense[i, i - 1:i + 2] = [1.0 / h ** 2, -2.0 / h ** 2 - c[i],
+                                 1.0 / h ** 2]
+        rhs[i] = -f[i]
+    dense[n, n - 1] = 2.0 / h ** 2
+    dense[n, n] = -2.0 / h ** 2 - c[n]
+    rhs[n] = -f[n] - 2.0 * nu / h
+    expected = np.linalg.solve(dense, rhs)
+    got = solve_tension(GeodesicTensionProblem(
+        grid=grid, curvature_sq=c, speed_sq=f, neumann_value=nu)).values
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_indefinite_tension_system_raises():
+    # the problem validator forbids c < 0, so the field is overwritten to
+    # reach the solver's own guard: c = -4/h^2 makes the system indefinite
+    grid = Grid(8)
+    problem = constant_problem(grid, 0.0, 0.0, 1.0)
+    object.__setattr__(problem, "curvature_sq",
+                       np.full(grid.n_nodes, -4.0 / grid.h ** 2))
+    with pytest.raises(TensionSolveError, match="ptsv info 1"):
+        solve_tension(problem)
 
 
 def test_tension_for_vertical_states(gravity2):
