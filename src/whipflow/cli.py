@@ -1,10 +1,13 @@
 """Command-line orchestration of the experiments.
 
 Subcommands: ``simulate``, ``sweep-eps``, ``tension``, ``counterexample``,
-``nonuniqueness``, ``validate``.  Every run resolves its configuration
-fully (defaults, then an optional JSON config file, then flags), echoes it
-to disk, and emits deterministic files for offline plotting; re-running an
-echoed config reproduces the outputs byte for byte.
+``nonuniqueness``, ``validate``.  One table, ``SETTINGS``, lists every
+setting with its type, its default and the subcommands that read it; a
+subcommand accepts exactly the flags and config keys of its own rows.
+Every run resolves those rows fully (defaults, then an optional JSON config
+file, then flags), echoes them to disk, and emits deterministic files for
+offline plotting; re-running an echoed config reproduces the outputs byte
+for byte.
 
 Exit codes: 0 success, 1 bad usage or invalid input, 2 numeric failure.
 """
@@ -14,9 +17,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .regmap import RegParams, RegularizedMap
 from .run_io import (RunRecord, Snapshot, _fmt, write_json, write_run,
                      write_table, write_trajectory)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
-                        eps_equilibrium, mollify)
+                        eps_equilibrium, mollify, mollify_scales)
 from .tension import counterexample_tension, tension_for_state
 
 EXIT_OK = 0
@@ -42,28 +48,96 @@ EXIT_NUMERIC = 2
 # relaxed-constraint defect shows its square-root scaling in eps
 SWEEP_DEFAULT_HORIZON = 0.1
 
-DEFAULTS = {
-    "scenario": None,
-    "eps": [1e-2],
-    "cells": 200,
-    "T": 1.0,
-    "dt_init": 1e-3,
-    "dt_min": 1e-9,
-    "dt_max": 0.02,
-    "tol": 1e-10,
-    "out": None,
-    "snapshots": [],
-    "seed": 0,
-    "alpha0": float(np.pi / 2),
-    "dim": 2,
-    "geom_eps": 0.1,
-    "mollify_radius": None,
-    "taper_width": None,
-}
-
 
 class UsageError(Exception):
     pass
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               list: "a finite number or a list of them"}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of the settings table.
+
+    ``name`` is the config key and, with dashes for underscores, the flag.
+    ``kind`` is the type of the value: int, float, str, or list (of floats,
+    written as a comma list on the command line).  A default of None means
+    unset; ``commands`` are the subcommands that read the setting.
+    """
+
+    name: str
+    kind: type
+    default: object
+    commands: tuple[str, ...]
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+    def convert(self, value):
+        """Check a value from a flag or a config file and return it in the
+        setting's type; raises UsageError."""
+        if value is None and self.default is None:
+            return None
+        if self.kind is list:
+            if isinstance(value, str):
+                value = _parse_float_list(value)
+            elif _is_real(value):
+                value = [value]
+            valid = isinstance(value, list) and all(map(_is_real, value))
+        elif self.kind is float:
+            valid = _is_real(value)
+        else:
+            valid = isinstance(value, self.kind) and not isinstance(value, bool)
+        if not valid:
+            raise UsageError(f"{self.name} must be {_KIND_NAMES[self.kind]}, "
+                             f"got {value!r}")
+        if self.kind is list:
+            value = [float(v) for v in value]
+        elif self.kind is float:
+            value = float(value)
+        if self.choices is not None and value not in self.choices:
+            raise UsageError(f"{self.name} must be one of {self.choices}, "
+                             f"got {value!r}")
+        return value
+
+
+# the two runs of the scenario pipeline, the commands that evolve a state,
+# and the commands that build a scenario's curve
+_RUNS = ("simulate", "sweep-eps")
+_EVOLVE = (*_RUNS, "nonuniqueness")
+_BUILD = (*_RUNS, "tension")
+
+SETTINGS = (
+    Setting("scenario", str, None, _BUILD, choices=KINDS),
+    Setting("eps", list, [1e-2], (*_EVOLVE, "counterexample"),
+            help="regularization strength (scalar or comma list)"),
+    Setting("cells", int, 200, (*_EVOLVE, "tension", "counterexample")),
+    Setting("T", float, 1.0, _EVOLVE),
+    Setting("dt_init", float, 1e-3, _EVOLVE),
+    Setting("dt_min", float, 1e-9, _EVOLVE),
+    Setting("dt_max", float, 0.02, _EVOLVE),
+    Setting("tol", float, 1e-10, _EVOLVE),
+    Setting("out", str, None, (*_EVOLVE, "tension", "counterexample")),
+    Setting("snapshots", list, [], _RUNS, help="comma list of snapshot times"),
+    Setting("seed", int, 0, _BUILD),
+    Setting("alpha0", float, float(np.pi / 2), (*_BUILD, "counterexample")),
+    Setting("dim", int, 2, (*_BUILD, "nonuniqueness"), choices=(2, 3)),
+    Setting("geom_eps", float, 0.1, _BUILD),
+    Setting("mollify_radius", float, None, _RUNS),
+    Setting("taper_width", float, None, _RUNS),
+)
+
+
+def settings_of(command: str) -> tuple[Setting, ...]:
+    """The rows of SETTINGS that ``command`` reads."""
+    return tuple(s for s in SETTINGS if command in s.commands)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,41 +157,26 @@ def _parse_float_list(text: str) -> list[float]:
         raise UsageError(f"cannot parse float list {text!r}: {exc}") from exc
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--scenario", choices=KINDS)
-    parser.add_argument("--eps", help="regularization strength (scalar or comma list)")
-    parser.add_argument("--cells", type=int)
-    parser.add_argument("--T", type=float, dest="T")
-    parser.add_argument("--dt-init", type=float, dest="dt_init")
-    parser.add_argument("--dt-min", type=float, dest="dt_min")
-    parser.add_argument("--dt-max", type=float, dest="dt_max")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--out")
-    parser.add_argument("--snapshots", help="comma list of snapshot times")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--alpha0", type=float)
-    parser.add_argument("--dim", type=int, choices=(2, 3))
-    parser.add_argument("--geom-eps", type=float, dest="geom_eps")
-    parser.add_argument("--mollify-radius", type=float, dest="mollify_radius")
-    parser.add_argument("--taper-width", type=float, dest="taper_width")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="whipflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in ("simulate", "sweep-eps", "tension", "counterexample",
-                 "nonuniqueness", "validate"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common_flags(p)
+        rows = settings_of(name)
+        for s in rows:
+            p.add_argument("--" + s.name.replace("_", "-"), dest=s.name, choices=s.choices, help=s.help,
+                           type=s.kind if s.kind in (int, float) else None)
+        if rows:
+            p.add_argument("--config", help="JSON config file (flags override it)")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, every key materialized."""
-    cfg = dict(DEFAULTS)
-    provided = set()
-    if args.config is not None:
+    """The command's rows of SETTINGS, every one materialized: defaults <
+    config file < explicit flags, each value through its row's converter."""
+    rows = {s.name: s for s in settings_of(args.command)}
+    given = {}
+    if getattr(args, "config", None) is not None:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
@@ -125,52 +184,41 @@ def resolve_config(args: argparse.Namespace) -> dict:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid config JSON: {exc}") from exc
-        if "config" in doc and isinstance(doc["config"], dict):
-            doc = doc["config"]  # accept a run's echoed config.json
+        if not isinstance(doc, dict):
+            raise UsageError("a config file must hold a JSON object")
+        if isinstance(doc.get("config"), dict):
+            doc = doc["config"]  # accept a run's echoed config
         for key, value in doc.items():
-            if key in ("command",):
+            if key == "command":
                 continue
-            if key not in cfg:
-                raise UsageError(f"unknown config key {key!r}")
-            cfg[key] = value
-            provided.add(key)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+            if key not in rows:
+                raise UsageError(f"unknown config key {key!r} for {args.command}")
+            given[key] = value
+    for key in rows:
+        value = getattr(args, key)
         if value is not None:
-            cfg[key] = value
-            provided.add(key)
-    if args.command == "sweep-eps" and "T" not in provided:
+            given[key] = value
+    cfg = {key: s.convert(given.get(key, s.default)) for key, s in rows.items()}
+    if args.command == "sweep-eps" and "T" not in given:
         cfg["T"] = SWEEP_DEFAULT_HORIZON
-    if isinstance(cfg["eps"], str):
-        cfg["eps"] = _parse_float_list(cfg["eps"])
-    elif isinstance(cfg["eps"], (int, float)):
-        cfg["eps"] = [float(cfg["eps"])]
-    if isinstance(cfg["snapshots"], str):
-        cfg["snapshots"] = _parse_float_list(cfg["snapshots"])
-    if cfg["out"] is None:
+    if "out" in cfg and cfg["out"] is None:
         cfg["out"] = os.environ.get("WHIPFLOW_OUT", "runs")
-    if cfg["cells"] < 2:
+    if "cells" in cfg and cfg["cells"] < 2:
         raise UsageError("--cells must be at least 2")
-    # materialize the mollification scales
-    h = 1.0 / cfg["cells"]
-    if cfg["mollify_radius"] is None:
-        cfg["mollify_radius"] = max(0.02, 2.0 * h)
-    if cfg["taper_width"] is None:
-        cfg["taper_width"] = max(0.04, 2.0 * h)
+    if "mollify_radius" in cfg:
+        radius, width = mollify_scales(1.0 / cfg["cells"])
+        if cfg["mollify_radius"] is None:
+            cfg["mollify_radius"] = radius
+        if cfg["taper_width"] is None:
+            cfg["taper_width"] = width
     cfg["command"] = args.command
     return cfg
 
 
 def _scenario_spec(cfg) -> ScenarioSpec:
-    return ScenarioSpec(
-        kind=cfg["scenario"],
-        angle=cfg["alpha0"],
-        geom_eps=cfg["geom_eps"],
-        alpha0=cfg["alpha0"],
-        seed=cfg["seed"],
-        mollify_radius=cfg["mollify_radius"],
-        taper_width=cfg["taper_width"],
-    )
+    """The unsmoothed curve of the configured scenario."""
+    return ScenarioSpec(kind=cfg["scenario"], geom_eps=cfg["geom_eps"],
+                        alpha0=cfg["alpha0"], seed=cfg["seed"])
 
 
 def _stepper(cfg) -> StepperConfig:
@@ -192,7 +240,9 @@ def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
     grid = Grid(cfg["cells"])
     g = GravitySpec.down(cfg["dim"])
     rmap = RegularizedMap(RegParams(eps), dim=cfg["dim"])
-    spec = _scenario_spec(cfg)
+    spec = dataclasses.replace(_scenario_spec(cfg),
+                               mollify_radius=cfg["mollify_radius"],
+                               taper_width=cfg["taper_width"])
     init = mollify(build(spec, grid, g), spec)
 
     reports = [report(init, rmap, g)]

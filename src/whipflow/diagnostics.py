@@ -9,15 +9,16 @@ evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 from .flow import ArcState, GravitySpec, Trajectory, discrete_energy
 from .regmap import RegularizedMap
-from .tension import TensionProfile, tension_for_state
+from .tension import (TensionProfile, end_cos_alpha, second_differences,
+                      tension_for_state)
 
 # Energy of the downward vertical equilibrium, hard-coded as the reference
 # point of the relative energy.  The test suite re-derives it by trapezoid
@@ -50,10 +51,11 @@ class EnergyReport:
     constraint_L1: float
     sigma_at_1: float
 
-    FIELDS = (
-        "t", "E", "E_alt", "E_rel", "E_rel_back", "E_eps", "D",
-        "cos_alpha", "max_stretch", "constraint_L1", "sigma_at_1",
-    )
+    # the field names in declaration order: the timeseries.csv columns
+    FIELDS: ClassVar[tuple[str, ...]]
+
+
+EnergyReport.FIELDS = tuple(f.name for f in fields(EnergyReport))
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyRepor
     E = potential_energy(state, g)
     E_alt = grid.quad_midpoint(s_mid * (u @ g_vec))
     tension = tension_for_state(state, g)
-    cos_alpha = -float(np.dot(g_vec, u[-1]))
+    cos_alpha = end_cos_alpha(state, g)
     sigma_at_1 = tension.at_end
 
     speeds = np.linalg.norm(u, axis=1)
@@ -151,8 +153,7 @@ def _tension_flux_divergence(state: ArcState, tension: TensionProfile) -> np.nda
     """
     grid = state.grid
     u = state.tangents
-    sigma_mid = 0.5 * (tension.values[:-1] + tension.values[1:])
-    flux = sigma_mid[:, None] * u
+    flux = tension.at_midpoints[:, None] * u
     div = np.empty((grid.n_cells, state.dim))
     div[0] = 2.0 * flux[0] / grid.h
     div[1:] = (flux[1:] - flux[:-1]) / grid.h
@@ -203,8 +204,7 @@ def generalized_residual(
         pde_sq += dt * h * float(np.sum(pde_rows ** 2))
 
         u = state.tangents
-        sigma_mid = 0.5 * (tension.values[:-1] + tension.values[1:])
-        product = sigma_mid * (np.sum(u * u, axis=1) - 1.0)
+        product = tension.at_midpoints * (np.sum(u * u, axis=1) - 1.0)
         constraint_sq += dt * h * float(np.sum(product ** 2))
 
         vel_rows = velocity[:-1]
@@ -338,8 +338,8 @@ def sigma_decay_check(
     times = traj.times
     weights = np.empty(len(times))
     for k, tension in enumerate(traj.tensions):
-        sigma_mid = 0.5 * (tension.values[:-1] + tension.values[1:])
-        weights[k] = grid.quad_midpoint((sigma_mid - s_mid) ** 2 / s_mid)
+        weights[k] = grid.quad_midpoint(
+            (tension.at_midpoints - s_mid) ** 2 / s_mid)
 
     entries = []
     for t in t_grid:
@@ -363,15 +363,10 @@ def compatibility_predicate(
     evolution.  Returns (holds, lhs, rhs); the equilibria give
     lhs = rhs = 0, where the strict inequality correctly fails.
     """
-    grid = state.grid
-    if grid.n_nodes < 3:
+    if state.grid.n_nodes < 3:
         raise ShapeError("need at least 3 nodes for the end curvature")
-    eta = state.positions
-    h = grid.h
-    cos_alpha = -float(np.dot(g.direction, (eta[-1] - eta[-2]) / h))
-    curvature_end = float(
-        np.linalg.norm((eta[-1] - 2.0 * eta[-2] + eta[-3]) / (h * h))
-    )
+    cos_alpha = end_cos_alpha(state, g)
+    curvature_end = float(np.linalg.norm(second_differences(state)[-1]))
     lhs = abs(cos_alpha) * curvature_end
     rhs = 1.0 - abs(cos_alpha)
     return lhs < rhs, lhs, rhs

@@ -39,6 +39,7 @@ from .grid import Grid
 from .regmap import RegularizedMap
 
 _PBSV, = get_lapack_funcs(("pbsv",), (np.empty(0),))
+_MACH = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ class StepperConfig:
     dt_max: float
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
-    scheme: str = "implicit_euler"
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -123,8 +123,6 @@ class StepperConfig:
                 "need 0 < dt_min <= dt_init <= dt_max, got "
                 f"{self.dt_min}, {self.dt_init}, {self.dt_max}"
             )
-        if self.scheme != "implicit_euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +166,12 @@ def _check_compatible(state: ArcState, rmap: RegularizedMap, g: GravitySpec):
         )
 
 
+def _energy(pos, pot, h, g_vec):
+    """h times the cell sum of the flux potential ``pot`` plus h times the
+    sum of the gravity heights of the n free nodes of ``pos``."""
+    return h * pot.sum() + h * (pos[:-1] @ (-g_vec)).sum()
+
+
 def discrete_energy(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> float:
     """The Lyapunov functional of the scheme: midpoint quadrature of the
     flux potential plus the cell sum of the gravity potential.
@@ -177,10 +181,8 @@ def discrete_energy(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> fl
     the uniform lumped mass h per non-pinned node.
     """
     _check_compatible(state, rmap, g)
-    u = state.tangents
-    elastic = state.grid.quad_midpoint(rmap.potential(u))
-    heights = state.positions @ (-g.direction)
-    return float(elastic + state.grid.h * heights[:-1].sum())
+    return float(_energy(state.positions, rmap.potential(state.tangents),
+                         state.grid.h, g.direction))
 
 
 def residual(
@@ -268,20 +270,18 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     # floor the residual cannot be driven by any iteration, so the
     # effective tolerance is the requested one or the floor, whichever is
     # larger.
-    mach = np.finfo(float).eps
+    u = grid.diff_forward(prev_pos)
     pos_scale = max(1.0, float(np.abs(prev_pos).max()))
-    u_scale = 1.0 + float(np.linalg.norm(grid.diff_forward(prev_pos), axis=1).max())
-    floor = 64.0 * mach * (pos_scale / dt + u_scale / (rmap.eps * h))
+    u_scale = 1.0 + float(np.linalg.norm(u, axis=1).max())
+    floor = 64.0 * _MACH * (pos_scale / dt + u_scale / (rmap.eps * h))
     tol = max(cfg.newton_tol, floor)
 
     def incremental(pos_trial, pot_density):
-        # strictly convex objective whose critical point is the new state
-        energy = h * pot_density.sum()
-        energy += h * (pos_trial[:-1] @ (-g_vec)).sum()
+        # strictly convex objective whose critical point is the new state:
+        # the scheme's energy plus the proximal term of the step
         prox = (h / (2.0 * dt)) * np.sum((pos_trial[:-1] - prev_pos[:-1]) ** 2)
-        return energy + prox
+        return _energy(pos_trial, pot_density, h, g_vec) + prox
 
-    u = grid.diff_forward(pos)
     flux, jac, pot = rmap.local_calculus(u)
     phi = incremental(pos, pot)
     res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
@@ -313,7 +313,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
         # of the objective itself; the rounding allowance keeps the search
         # from thrashing there.
         slope = h * float(np.sum(res[:-1] * delta))
-        rounding = 16.0 * mach * (abs(phi) + 1.0)
+        rounding = 16.0 * _MACH * (abs(phi) + 1.0)
         alpha = 1.0
         while True:
             trial = pos.copy()

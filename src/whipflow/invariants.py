@@ -233,7 +233,7 @@ def check_tension_bound_along_run():
     grid = Grid(100)
     g = GravitySpec.down(2)
     rmap = RegularizedMap(RegParams(1e-2), dim=2)
-    spec = ScenarioSpec(kind="straight_angle", angle=0.9,
+    spec = ScenarioSpec(kind="straight_angle", alpha0=0.9,
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, g), spec)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)

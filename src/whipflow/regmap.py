@@ -77,6 +77,7 @@ class RegularizedMap:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         self.params = params
         self.dim = dim
+        self._eye = np.eye(dim)
         # (tau copy, r, rho) of the last inversion, see _flux
         self._memo = None
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
@@ -218,7 +219,7 @@ class RegularizedMap:
         c3 = w ** 3
         outer = kappa[..., :, None] * kappa[..., None, :]
         radial_gain = c3 / (c1 * (c1 - c3 * rho_sq))
-        jac = np.eye(self.dim) / c1[..., None, None] + outer * radial_gain[..., None, None]
+        jac = self._eye / c1[..., None, None] + outer * radial_gain[..., None, None]
         return jac, w
 
     def spectral_bounds(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

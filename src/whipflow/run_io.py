@@ -38,11 +38,7 @@ SCHEMA_VERSION = "1"
 # states a trajectory directory keeps at most, evenly spaced, endpoints kept
 TRAJECTORY_SNAPSHOTS = 50
 
-TIMESERIES_COLUMNS = (
-    "t", "E", "E_alt", "E_rel", "E_rel_back", "E_eps", "D",
-    "cos_alpha", "max_stretch", "constraint_L1", "sigma_at_1",
-    "dt", "newton_iters",
-)
+TIMESERIES_COLUMNS = (*EnergyReport.FIELDS, "dt", "newton_iters")
 
 
 def _fmt(x: float) -> str:

@@ -38,13 +38,15 @@ KINDS = (
 class ScenarioSpec:
     """Which curve to build and how to smooth it.
 
-    ``angle`` is the pin angle of the straight scenario, ``geom_eps`` and
-    ``alpha0`` parameterize the helix (radius geom_eps*sin(alpha0), pitch
-    angle alpha0), ``seed`` drives the random unit-tangent field.
+    ``alpha0`` is the pin angle, cos(alpha0) = -g . eta'(1): the direction
+    of the straight scenario and the pitch angle of the helix.
+    ``geom_eps`` is the helix scale (radius geom_eps*sin(alpha0)), ``seed``
+    drives the random unit-tangent field, and ``mollify_radius`` and
+    ``taper_width`` are the scales of :func:`mollify`
+    (:func:`mollify_scales` gives their defaults).
     """
 
     kind: str
-    angle: float = np.pi / 4
     geom_eps: float = 0.1
     alpha0: float = np.pi / 2
     seed: int = 0
@@ -104,7 +106,7 @@ def build(spec: ScenarioSpec, grid: Grid, g: GravitySpec) -> ArcState:
         positions = np.outer(s - 1.0, g_vec)
     elif spec.kind == "straight_angle":
         p1 = _perp_frame(g_vec)[0]
-        direction = np.cos(spec.angle) * g_vec + np.sin(spec.angle) * p1
+        direction = np.cos(spec.alpha0) * g_vec + np.sin(spec.alpha0) * p1
         positions = np.outer(1.0 - s, direction)
     elif spec.kind == "quarter_circle":
         # unit-speed arc, pinned end tangent orthogonal to gravity
@@ -149,6 +151,13 @@ def build(spec: ScenarioSpec, grid: Grid, g: GravitySpec) -> ArcState:
 def _smoothstep(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
     return x ** 3 * (10.0 + x * (-15.0 + 6.0 * x))
+
+
+def mollify_scales(h: float) -> tuple[float, float]:
+    """Default (mollify_radius, taper_width) on a grid of spacing h: 0.02
+    and 0.04, widened to 2h on coarse grids, the least :func:`mollify`
+    accepts."""
+    return max(0.02, 2.0 * h), max(0.04, 2.0 * h)
 
 
 def mollify(state: ArcState, spec: ScenarioSpec) -> ArcState:
@@ -264,12 +273,9 @@ def branching_pair(
     if cfg is None:
         cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02)
     rmap = RegularizedMap(RegParams(eps), dim=g.dim)
-    h = grid.h
-    spec = ScenarioSpec(
-        kind="vertical_up",
-        mollify_radius=max(0.02, 2.0 * h),
-        taper_width=max(0.04, 2.0 * h),
-    )
+    radius, width = mollify_scales(grid.h)
+    spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,
+                        taper_width=width)
     init = mollify(build(spec, grid, g), spec)
 
     # the falling run pairs with the multiplier it actually realizes,

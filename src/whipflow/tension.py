@@ -52,6 +52,11 @@ class TensionProfile:
         """sigma(1)."""
         return float(self.values[-1])
 
+    @property
+    def at_midpoints(self) -> np.ndarray:
+        """sigma at the cell midpoints, the mean of the two end nodes."""
+        return 0.5 * (self.values[:-1] + self.values[1:])
+
 
 @dataclass(frozen=True)
 class GeodesicTensionProblem:
@@ -126,6 +131,26 @@ def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
     return TensionProfile(grid=grid, values=values)
 
 
+def end_cos_alpha(state: ArcState, g: GravitySpec) -> float:
+    """The end slope cos(alpha) = -g . eta'(1), with eta'(1) the last
+    forward difference (eta_N - eta_{N-1})/h."""
+    eta = state.positions
+    return -float(np.dot(g.direction, (eta[-1] - eta[-2]) / state.grid.h))
+
+
+def second_differences(state: ArcState) -> np.ndarray:
+    """eta'' at every node: central second differences inside, one-sided
+    ones (the same stencil as the neighbour's) at the two boundary nodes.
+    Needs at least 3 nodes."""
+    eta = state.positions
+    h = state.grid.h
+    second = np.empty_like(eta)
+    second[1:-1] = (eta[2:] - 2.0 * eta[1:-1] + eta[:-2]) / (h * h)
+    second[0] = (eta[0] - 2.0 * eta[1] + eta[2]) / (h * h)
+    second[-1] = (eta[-1] - 2.0 * eta[-2] + eta[-3]) / (h * h)
+    return second
+
+
 def tension_for_state(state: ArcState, g: GravitySpec) -> TensionProfile:
     """Tension of a sampled curve: assemble |eta''|^2 and the end slope
     cos(alpha) = -g . eta'(1) from the positions, then solve with zero
@@ -137,20 +162,12 @@ def tension_for_state(state: ArcState, g: GravitySpec) -> TensionProfile:
     grid = state.grid
     if grid.n_nodes < 3:
         raise ShapeError("tension_for_state needs at least 3 nodes")
-    eta = state.positions
-    h = grid.h
-    second = np.empty_like(eta)
-    second[1:-1] = (eta[2:] - 2.0 * eta[1:-1] + eta[:-2]) / (h * h)
-    second[0] = (eta[0] - 2.0 * eta[1] + eta[2]) / (h * h)
-    second[-1] = (eta[-1] - 2.0 * eta[-2] + eta[-3]) / (h * h)
-    curvature_sq = np.sum(second * second, axis=-1)
-
-    cos_alpha = -float(np.dot(g.direction, (eta[-1] - eta[-2]) / h))
+    second = second_differences(state)
     problem = GeodesicTensionProblem(
         grid=grid,
-        curvature_sq=curvature_sq,
+        curvature_sq=np.sum(second * second, axis=-1),
         speed_sq=np.zeros(grid.n_nodes),
-        neumann_value=cos_alpha,
+        neumann_value=end_cos_alpha(state, g),
     )
     return solve_tension(problem)
 

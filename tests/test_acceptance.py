@@ -339,7 +339,7 @@ def test_criterion_12_backward_transform(gravity2):
     g_minus = gravity2.flipped()
     grid = Grid(100)
     rmap = RegularizedMap(RegParams(1e-2), dim=2)
-    spec = ScenarioSpec(kind="straight_angle", angle=np.pi / 4,
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, g_minus), spec)
     states = [init]

@@ -1,9 +1,11 @@
+import argparse
 import json
+import shutil
 
 import pytest
 
 from whipflow import read_run
-from whipflow.cli import main
+from whipflow.cli import build_parser, main, settings_of
 
 
 def run_cli(*argv):
@@ -180,3 +182,88 @@ def test_simulate_hard_failure_writes_partial_record(out_env):
     record = read_run(out_env / "simulate_vertical_up_eps0.0001_n100_T20")
     assert record.summary["failed"] is not None
     assert "time" in record.summary["failed"]
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "vertical_down", "cells": "40", "T": 0.1},
+    {"scenario": "vertical_down", "cells": 40, "T": "0.1"},
+])
+def test_config_file_wrong_type_exits_one(out_env, tmp_path, config, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("simulate", "--config", str(path)) == 1
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--eps", "1"),
+    ("tension", "--scenario", "vertical_down", "--T", "1"),
+    ("counterexample", "--dt-max", "1"),
+    ("nonuniqueness", "--mollify-radius", "0.1"),
+])
+def test_flag_outside_the_commands_row_exits_one(out_env, argv):
+    assert run_cli(*argv) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T", "nan"),
+    ("nonuniqueness", "--cells", "20", "--T", "0.01", "--dt-max", "inf"),
+])
+def test_non_finite_value_exits_one(out_env, argv, capsys):
+    assert run_cli(*argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_config_key_outside_the_commands_row_exits_one(out_env, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "vertical_down", "T": 1.0}))
+    assert run_cli("tension", "--config", str(path)) == 1
+
+
+def test_each_subparser_takes_exactly_its_row():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help"}
+        row = {s.name for s in settings_of(command)}
+        assert dests == (row | {"config"} if row else set()), command
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("tension", "--scenario", "vertical_down", "--cells", "40"),
+     "tension_vertical_down_n40/config.json"),
+    (("counterexample", "--eps", "0.1", "--cells", "400"),
+     "counterexample_alpha1.5708/config.json"),
+    (("nonuniqueness", "--T", "0.2", "--eps", "1e-2", "--cells", "40"),
+     "nonuniqueness_eps0.01_n40_T0.2/summary.json"),
+])
+def test_echo_holds_exactly_the_commands_row(out_env, argv, echo):
+    assert run_cli(*argv) == 0
+    config = json.loads((out_env / echo).read_text())["config"]
+    assert set(config) == {s.name for s in settings_of(argv[0])} | {"command"}
+    assert config["command"] == argv[0]
+
+
+def _tree_bytes(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("tension", "--scenario", "helix", "--dim", "3", "--cells", "60",
+      "--alpha0", "1.2", "--geom-eps", "0.2"),
+     "tension_helix_n60/config.json"),
+    (("nonuniqueness", "--T", "0.2", "--eps", "1e-2", "--cells", "40",
+      "--dt-max", "0.01"),
+     "nonuniqueness_eps0.01_n40_T0.2/summary.json"),
+])
+def test_replaying_an_echo_reproduces_the_bytes(out_env, argv, echo):
+    assert run_cli(*argv) == 0
+    directory = (out_env / echo).parent
+    first = _tree_bytes(directory)
+    replay = out_env / "replay.json"
+    replay.write_bytes((out_env / echo).read_bytes())
+    shutil.rmtree(directory)
+    assert run_cli(argv[0], "--config", str(replay)) == 0
+    assert _tree_bytes(directory) == first

@@ -281,7 +281,7 @@ def test_compatibility_predicate_equilibrium(gravity2):
 
 def test_compatibility_predicate_straight_whip(gravity2):
     grid = Grid(100)
-    state = build(ScenarioSpec(kind="straight_angle", angle=np.pi / 4),
+    state = build(ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4),
                   grid, gravity2)
     holds, lhs, rhs = compatibility_predicate(state, gravity2)
     assert holds
@@ -291,7 +291,7 @@ def test_compatibility_predicate_straight_whip(gravity2):
 
 def test_compatibility_predicate_right_angle(gravity2):
     grid = Grid(100)
-    state = build(ScenarioSpec(kind="straight_angle", angle=np.pi / 2),
+    state = build(ScenarioSpec(kind="straight_angle", alpha0=np.pi / 2),
                   grid, gravity2)
     holds, lhs, rhs = compatibility_predicate(state, gravity2)
     assert holds
@@ -371,7 +371,7 @@ def test_time_reversed_run_keeps_residual_scale(gravity2):
     g_minus = gravity2.flipped()
     grid = Grid(80)
     rmap = RegularizedMap(RegParams(1e-2), dim=2)
-    spec = ScenarioSpec(kind="straight_angle", angle=np.pi / 4,
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
     states = [init]

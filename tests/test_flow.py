@@ -46,8 +46,6 @@ def test_state_validation():
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt_init=1e-3, dt_min=1e-2, dt_max=1.0)
-    with pytest.raises(ValueError):
-        StepperConfig(dt_init=1e-3, dt_min=1e-4, dt_max=1.0, scheme="rk4")
 
 
 def test_residual_vanishes_at_discrete_steady_state(gravity2):
@@ -106,7 +104,7 @@ def test_step_fixed_point_returns_same_state(gravity2):
 def test_step_decreases_energy_away_from_equilibrium(gravity2):
     grid = Grid(80)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="straight_angle", angle=1.1,
+    spec = ScenarioSpec(kind="straight_angle", alpha0=1.1,
                         mollify_radius=0.03, taper_width=0.05)
     state = mollify(build(spec, grid, gravity2), spec)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.1)

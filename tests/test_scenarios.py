@@ -36,7 +36,7 @@ def test_vertical_up_is_mirrored(gravity2):
 def test_straight_angle_pin_angle(gravity2):
     grid = Grid(100)
     for angle in (0.3, np.pi / 4, 2.0):
-        state = build(ScenarioSpec(kind="straight_angle", angle=angle),
+        state = build(ScenarioSpec(kind="straight_angle", alpha0=angle),
                       grid, gravity2)
         cos_alpha = -float(gravity2.direction @ state.tangents[-1])
         assert cos_alpha == pytest.approx(np.cos(angle), abs=1e-12)
@@ -158,7 +158,7 @@ def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
     """A short run under reversed gravity, with its realized tensions."""
     grid = Grid(n)
     rmap = RegularizedMap(RegParams(eps), dim=2)
-    spec = ScenarioSpec(kind="straight_angle", angle=np.pi / 4,
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
     states = [init]
