@@ -5,11 +5,13 @@ Subcommands: ``simulate``, ``sweep-eps``, ``tension``, ``counterexample``,
 setting with its type, its default and the subcommands that read it; a
 subcommand accepts exactly the flags and config keys of its own rows.
 Every run resolves those rows fully (defaults, then an optional JSON config
-file, then flags), echoes them to disk, and emits deterministic files for
-offline plotting; re-running an echoed config reproduces the outputs byte
-for byte.
+file, then flags) and writes deterministic files for offline plotting into
+the one directory ``run_io.run_directory`` names after the command and the
+resolved settings, with the settings echoed to its config.json; re-running
+an echoed config reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 1 bad usage or invalid input, 2 numeric failure.
+Exit codes: 0 success, 1 bad usage or invalid input (an unusable output
+root or config path included), 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import decay_fit, potential_energy, report
-from .errors import (ContractError, InversionError, RunFormatError,
-                     SolverFailure, StepRejected, TensionSolveError,
-                     UnderResolvedError)
+from .errors import (ContractError, InversionError, SolverFailure,
+                     StepRejected, TensionSolveError, UnderResolvedError)
 from .flow import GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegParams, RegularizedMap
-from .run_io import (RunRecord, Snapshot, _fmt, write_json, write_run,
-                     write_table, write_trajectory)
+from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
+                     write_json, write_run, write_table, write_trajectory)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
                         eps_equilibrium, mollify, mollify_scales)
 from .tension import counterexample_tension, tension_for_state
@@ -177,11 +178,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     rows = {s.name: s for s in settings_of(args.command)}
     given = {}
     if getattr(args, "config", None) is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid config JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -275,9 +273,9 @@ def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
     for _, state in nearest:
         if state.time not in seen:
             seen.add(state.time)
-            snapshots.append(Snapshot(t=state.time, state=state,
+            snapshots.append(Snapshot(state=state,
                                       tension=tension_for_state(state, g)))
-    snapshots.sort(key=lambda s: s.t)
+    snapshots.sort(key=lambda s: s.state.time)
 
     summary = _summarize(reports, grid, g, rmap, sup_u, eps)
     summary["failed"] = failure
@@ -338,19 +336,12 @@ def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
     }
 
 
-def _slug(value: float) -> str:
-    return ("%g" % value).replace("-", "m").replace("+", "")
-
-
 def cmd_simulate(cfg) -> int:
     _require_scenario(cfg)
     if len(cfg["eps"]) != 1:
         raise UsageError("simulate takes exactly one --eps value")
-    eps = cfg["eps"][0]
-    directory = Path(cfg["out"]) / (
-        f"simulate_{cfg['scenario']}_eps{_slug(eps)}_n{cfg['cells']}_T{_slug(cfg['T'])}"
-    )
-    record = run_simulation(cfg, eps, directory)
+    directory = run_directory(cfg)
+    record = run_simulation(cfg, cfg["eps"][0], directory)
     print(f"wrote {directory}")
     if record.summary["failed"] is not None:
         print(f"solver failed: {record.summary['failed']['reason']}", file=sys.stderr)
@@ -363,11 +354,11 @@ def cmd_sweep_eps(cfg) -> int:
     eps_list = cfg["eps"]
     if len(eps_list) < 2:
         raise UsageError("sweep-eps needs at least two --eps values")
-    base = Path(cfg["out"]) / f"sweep_{cfg['scenario']}_n{cfg['cells']}_T{_slug(cfg['T'])}"
+    base = run_directory(cfg)
     entries = []
     failed = False
     for eps in eps_list:
-        directory = base / f"eps_{_fmt(eps)}"
+        directory = eps_directory(base, eps)
         record = run_simulation(cfg, eps, directory)
         if record.summary["failed"] is not None:
             failed = True
@@ -400,26 +391,21 @@ def cmd_tension(cfg) -> int:
     g = GravitySpec.down(cfg["dim"])
     state = build(_scenario_spec(cfg), grid, g)
     profile = tension_for_state(state, g)
-    directory = Path(cfg["out"]) / f"tension_{cfg['scenario']}_n{cfg['cells']}"
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = run_directory(cfg)
     write_table(directory / "tension.csv", ("s", "sigma"),
                 np.column_stack((grid.nodes, profile.values)))
-    write_json(directory / "config.json", {"config": cfg})
     print(f"wrote {directory}  sigma(1) = {profile.at_end:.6g}")
     return EXIT_OK
 
 
 def cmd_counterexample(cfg) -> int:
-    alpha0 = cfg["alpha0"]
     rows = []
     for eps in cfg["eps"]:
-        value, bound = counterexample_tension(eps, alpha0, n_cells=cfg["cells"])
+        value, bound = counterexample_tension(eps, cfg["alpha0"],
+                                              n_cells=cfg["cells"])
         rows.append((eps, value, bound, value / bound))
-    directory = Path(cfg["out"]) / f"counterexample_alpha{_slug(alpha0)}"
-    directory.mkdir(parents=True, exist_ok=True)
-    write_table(directory / "counterexample.csv",
+    write_table(run_directory(cfg) / "counterexample.csv",
                 ("eps", "varsigma_1", "bound", "ratio"), rows)
-    write_json(directory / "config.json", {"config": cfg})
     print(f"{'eps':>10} {'varsigma(1)':>14} {'bound':>14} {'ratio':>8}")
     for eps, value, bound, ratio in rows:
         print(f"{eps:>10g} {value:>14.8g} {bound:>14.8g} {ratio:>8.5f}")
@@ -431,15 +417,11 @@ def cmd_nonuniqueness(cfg) -> int:
     g = GravitySpec.down(cfg["dim"])
     if len(cfg["eps"]) != 1:
         raise UsageError("nonuniqueness takes exactly one --eps value")
-    eps = cfg["eps"][0]
-    pair = branching_pair(cfg["T"], eps, grid, g, cfg=_stepper(cfg))
-    directory = Path(cfg["out"]) / (
-        f"nonuniqueness_eps{_slug(eps)}_n{cfg['cells']}_T{_slug(cfg['T'])}"
-    )
+    pair = branching_pair(cfg["T"], cfg["eps"][0], grid, g, _stepper(cfg))
+    directory = run_directory(cfg)
     write_trajectory(pair.falling, directory / "falling")
     write_trajectory(pair.stationary, directory / "stationary")
     write_json(directory / "summary.json", {
-        "config": cfg,
         "separation_L2_at_T": pair.separation,
         "falling_residual": dataclasses.asdict(pair.falling_residual),
         "stationary_residual": dataclasses.asdict(pair.stationary_residual),
@@ -487,7 +469,7 @@ def main(argv=None) -> int:
             UnderResolvedError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, ContractError, RunFormatError) as exc:
+    except (ValueError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

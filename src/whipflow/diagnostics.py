@@ -320,8 +320,6 @@ def sigma_decay_check(
     its initial value.  Violations are flagged, not asserted; the stated
     bound holds for the universal constant, not a fitted rate.
     """
-    if traj.tensions is None:
-        raise ValueError("sigma_decay_check needs tensions along the trajectory")
     g = traj.gravity
     first, last = traj.states[0], traj.states[-1]
     e_rel0 = potential_energy(first, g) - EQUILIBRIUM_ENERGY

@@ -127,12 +127,12 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A completed run: states (and optionally tensions) at increasing
-    times, under a fixed gravity."""
+    """A completed run: states and their tensions at increasing times,
+    under a fixed gravity."""
 
     states: tuple
     gravity: GravitySpec
-    tensions: Optional[tuple] = None
+    tensions: tuple
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -142,20 +142,17 @@ class Trajectory:
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
         object.__setattr__(self, "states", states)
-        if self.tensions is not None:
-            tensions = tuple(self.tensions)
-            if len(tensions) != len(states):
-                raise ShapeError("one tension profile per state is required")
-            object.__setattr__(self, "tensions", tensions)
+        tensions = tuple(self.tensions)
+        if len(tensions) != len(states):
+            raise ShapeError("one tension profile per state is required")
+        object.__setattr__(self, "tensions", tensions)
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
 
     def pairs(self):
-        """Iterate (state, tension) pairs; requires tensions."""
-        if self.tensions is None:
-            raise ValueError("trajectory carries no tensions")
+        """The (state, tension) pairs."""
         return list(zip(self.states, self.tensions))
 
 

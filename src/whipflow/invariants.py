@@ -309,7 +309,6 @@ def check_run_io_round_trip():
             sig = rng.normal(size=grid.n_nodes)
             sig[0] = 0.0
             snap = Snapshot(
-                t=float(rng.uniform(0, 5)),
                 state=ArcState(grid=grid, positions=pos, time=float(k)),
                 tension=TensionProfile(grid=grid, values=sig),
             )

@@ -1,11 +1,18 @@
-"""Persistence: the one module that knows the formats of the files a run
-leaves on disk.
+"""Persistence: the one module that knows the names and the formats of the
+files a run leaves on disk.
 
-A run directory (write_run, read_run) holds
+Every subcommand that writes gets one directory from run_directory:
+``<out>/<command>-<h>``, where ``h`` is the first 12 hex digits of the
+sha256 of the resolved settings without ``out``, so two runs share a
+directory exactly when they resolve to the same settings.  Its
+config.json echoes those settings.
+
+A simulate run directory (write_run, read_run) holds
 
     config.json          resolved configuration
     timeseries.csv       one row per accepted step (plus the initial state)
-    snapshot_t<t>.csv    node table (s, positions, tension) per requested time
+    snapshot_t<t>.csv    node table (s, positions, tension) per snapshot,
+                         named by the time of its state
     summary.json         decay fit, final distances, verdicts, solver stats
 
 and a trajectory directory (write_trajectory) holds one snapshot_t<t>.csv
@@ -22,6 +29,7 @@ exactly; write_run followed by read_run reproduces the record bit for bit.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,9 +55,9 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One persisted instant: time, state, and its tension profile."""
+    """One persisted instant: a state (which carries its time) and its
+    tension profile."""
 
-    t: float
     state: ArcState
     tension: TensionProfile
 
@@ -87,7 +95,7 @@ def records_equal(a: RunRecord, b: RunRecord) -> bool:
     if len(a.snapshots) != len(b.snapshots):
         return False
     for sa, sb in zip(a.snapshots, b.snapshots):
-        if sa.t != sb.t or sa.state.time != sb.state.time:
+        if sa.state.time != sb.state.time:
             return False
         if not np.array_equal(sa.state.positions, sb.state.positions):
             return False
@@ -112,41 +120,60 @@ def write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_snapshot(directory: Path, t: float, state: ArcState,
+def run_name(settings: dict) -> str:
+    """``<command>-<h>``: ``h`` is the first 12 hex digits of the sha256 of
+    the settings without ``out``, serialized with sorted keys."""
+    key = {name: value for name, value in settings.items() if name != "out"}
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode())
+    return f"{settings['command']}-{digest.hexdigest()[:12]}"
+
+
+def run_directory(settings: dict) -> Path:
+    """Create the directory of a run with these resolved settings under
+    ``settings["out"]``, echo them to its config.json and return it."""
+    directory = Path(settings["out"]) / run_name(settings)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_json(directory / "config.json", {"config": settings})
+    return directory
+
+
+def eps_directory(sweep: Path, eps: float) -> Path:
+    """The subdirectory of a sweep that holds its run at ``eps``."""
+    return sweep / f"eps_{_fmt(eps)}"
+
+
+def _snapshot_path(directory: Path, t: float) -> Path:
+    return directory / f"snapshot_t{_fmt(t)}.csv"
+
+
+def _write_snapshot(directory: Path, state: ArcState,
                     tension: TensionProfile) -> None:
     header = ["s", *(f"x{c}" for c in range(state.dim)), "sigma"]
     rows = np.column_stack((state.grid.nodes, state.positions, tension.values))
-    write_table(directory / f"snapshot_t{_fmt(t)}.csv", header, rows)
+    write_table(_snapshot_path(directory, state.time), header, rows)
 
 
 def write_run(record: RunRecord, directory) -> None:
     """Persist a record; overwrites existing files of the same run."""
     directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RunFormatError(f"cannot create run directory: {exc}",
-                             path=str(directory)) from exc
-
+    directory.mkdir(parents=True, exist_ok=True)
     write_json(directory / "config.json", {"config": record.config_echo})
     rows = [[*(getattr(rep, name) for name in EnergyReport.FIELDS), dt, iters]
             for rep, dt, iters in zip(record.reports, record.step_dts,
                                       record.step_newton_iters)]
     write_table(directory / "timeseries.csv", TIMESERIES_COLUMNS, rows)
     for snap in record.snapshots:
-        _write_snapshot(directory, snap.t, snap.state, snap.tension)
+        _write_snapshot(directory, snap.state, snap.tension)
     write_json(directory / "summary.json", {
         "summary": record.summary,
         "solver_stats": record.solver_stats,
-        "snapshot_times": [snap.t for snap in record.snapshots],
-        "snapshot_state_times": [snap.state.time for snap in record.snapshots],
+        "snapshot_times": [snap.state.time for snap in record.snapshots],
     })
 
 
 def write_trajectory(traj, directory) -> None:
     """Persist a trajectory as snapshot CSVs plus an index; thins long runs
-    to 50 evenly spaced states (endpoints kept).  The trajectory must carry
-    tensions."""
+    to 50 evenly spaced states (endpoints kept)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     pairs = traj.pairs()
@@ -155,7 +182,7 @@ def write_trajectory(traj, directory) -> None:
         last = TRAJECTORY_SNAPSHOTS - 1
         pairs = [pairs[round(k * (count - 1) / last)] for k in range(last + 1)]
     for state, tension in pairs:
-        _write_snapshot(directory, state.time, state, tension)
+        _write_snapshot(directory, state, tension)
     write_json(directory / "index.json", {
         "times": [state.time for state, _ in pairs],
         "gravity": [float(x) for x in traj.gravity.direction],
@@ -226,7 +253,7 @@ def _read_table(path: Path, what: str, columns=None) -> tuple[list, list]:
     return header, rows
 
 
-def _read_snapshot(path: Path, t: float, state_time: float) -> Snapshot:
+def _read_snapshot(path: Path, t: float) -> Snapshot:
     """Read one snapshot table.  A table that parses but is not a pinned
     state with its tension fails as RunFormatError, naming the line the
     violated condition is about."""
@@ -241,7 +268,7 @@ def _read_snapshot(path: Path, t: float, state_time: float) -> Snapshot:
     d = len(header) - 2
     positions = data[:, 1:1 + d]
     try:
-        state = ArcState(grid=grid, positions=positions, time=state_time)
+        state = ArcState(grid=grid, positions=positions, time=t)
     except ShapeError as exc:
         raise RunFormatError(str(exc), path=str(path), line=1) from exc
     except ValueError as exc:
@@ -253,7 +280,7 @@ def _read_snapshot(path: Path, t: float, state_time: float) -> Snapshot:
         tension = TensionProfile(grid=grid, values=data[:, 1 + d])
     except ValueError as exc:
         raise RunFormatError(str(exc), path=str(path), line=2) from exc
-    return Snapshot(t=t, state=state, tension=tension)
+    return Snapshot(state=state, tension=tension)
 
 
 def read_run(directory) -> RunRecord:
@@ -269,11 +296,8 @@ def read_run(directory) -> RunRecord:
     step_dts = [row[n_fields] for row in rows]
     step_iters = [row[n_fields + 1] for row in rows]
 
-    snap_times = summary_doc.get("snapshot_times", [])
-    snap_state_times = summary_doc.get("snapshot_state_times", snap_times)
-    snapshots = [_read_snapshot(directory / f"snapshot_t{_fmt(t)}.csv", t,
-                                state_time)
-                 for t, state_time in zip(snap_times, snap_state_times)]
+    snapshots = [_read_snapshot(_snapshot_path(directory, t), t)
+                 for t in summary_doc.get("snapshot_times", [])]
 
     return RunRecord(
         config_echo=config_doc["config"],

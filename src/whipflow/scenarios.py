@@ -12,7 +12,6 @@ pinned tail at the fixed end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -217,8 +216,6 @@ def backward_transform(traj: Trajectory, g: GravitySpec) -> Trajectory:
 
     Applying the transform twice restores the input bitwise.
     """
-    if traj.tensions is None:
-        raise ContractError("backward_transform needs tensions along the run")
     if not np.array_equal(traj.gravity.direction, -g.direction):
         raise ContractError(
             "trajectory gravity must be the exact opposite of the target gravity"
@@ -257,7 +254,7 @@ def branching_pair(
     eps: float,
     grid: Grid,
     g: GravitySpec,
-    cfg: Optional[StepperConfig] = None,
+    cfg: StepperConfig,
 ) -> BranchingPair:
     """Demonstrate non-uniqueness from the upright state.
 
@@ -270,8 +267,6 @@ def branching_pair(
     """
     if not (horizon > 0.0):
         raise ValueError("horizon must be positive")
-    if cfg is None:
-        cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02)
     rmap = RegularizedMap(RegParams(eps), dim=g.dim)
     radius, width = mollify_scales(grid.h)
     spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,

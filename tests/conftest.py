@@ -8,6 +8,18 @@ from whipflow import (GravitySpec, Grid, RegParams, RegularizedMap,
                       evolve, mollify, report)
 
 
+def _only_run_dir(root):
+    dirs = [p for p in root.iterdir() if p.is_dir()]
+    assert len(dirs) == 1, f"expected one run directory, found {dirs}"
+    return dirs[0]
+
+
+@pytest.fixture(scope="session")
+def only_run_dir():
+    """A function returning the single directory under an output root."""
+    return _only_run_dir
+
+
 @pytest.fixture(scope="session")
 def gravity2():
     return GravitySpec.down(2)

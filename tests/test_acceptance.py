@@ -307,7 +307,8 @@ def test_criterion_10_hardy_sampling():
 def test_criterion_11_non_uniqueness(gravity2):
     start = time.perf_counter()
     grid = Grid(200)
-    pair = branching_pair(5.0, 1e-2, grid, gravity2)
+    pair = branching_pair(5.0, 1e-2, grid, gravity2,
+                          StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02))
     stat = pair.stationary_residual
     fall = pair.falling_residual
     # frozen scheme tolerances for the falling eps-run, calibrated once on
@@ -376,13 +377,14 @@ def test_criterion_12_backward_transform(gravity2):
                             f"in {elapsed:.1f}s")
 
 
-def test_criterion_13_determinism_and_persistence(tmp_path, monkeypatch):
+def test_criterion_13_determinism_and_persistence(tmp_path, monkeypatch,
+                                                  only_run_dir):
     start = time.perf_counter()
     monkeypatch.setenv("WHIPFLOW_OUT", str(tmp_path / "runs"))
     args = ["simulate", "--scenario", "quarter_circle", "--eps", "1e-2",
             "--cells", "60", "--T", "0.3"]
     assert cli_main(list(args)) == 0
-    run_dir = tmp_path / "runs" / "simulate_quarter_circle_eps0.01_n60_T0.3"
+    run_dir = only_run_dir(tmp_path / "runs")
     first = (run_dir / "timeseries.csv").read_bytes()
     assert cli_main(list(args)) == 0
     identical = (run_dir / "timeseries.csv").read_bytes() == first

@@ -1,11 +1,13 @@
 import argparse
 import json
+import re
 import shutil
 
 import pytest
 
 from whipflow import read_run
-from whipflow.cli import build_parser, main, settings_of
+from whipflow.cli import build_parser, main, resolve_config, settings_of
+from whipflow.run_io import run_directory, run_name
 
 
 def run_cli(*argv):
@@ -18,11 +20,11 @@ def out_env(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_simulate_writes_run_and_decays(out_env):
+def test_simulate_writes_run_and_decays(out_env, only_run_dir):
     code = run_cli("simulate", "--scenario", "vertical_down", "--eps", "1e-2",
                    "--cells", "80", "--T", "0.5")
     assert code == 0
-    run_dir = out_env / "simulate_vertical_down_eps0.01_n80_T0.5"
+    run_dir = only_run_dir(out_env)
     record = read_run(run_dir)
     assert record.summary["E_rel_final"] < record.summary["E_rel_initial"]
     assert record.summary["failed"] is None
@@ -42,29 +44,37 @@ def test_unknown_scenario_exits_one(out_env):
     assert run_cli("simulate", "--scenario", "moebius") == 1
 
 
-def test_simulate_deterministic_and_echo_reproducible(out_env):
+def test_simulate_deterministic_and_echo_reproducible(out_env, only_run_dir):
     args = ("simulate", "--scenario", "quarter_circle", "--eps", "1e-2",
             "--cells", "60", "--T", "0.3")
     assert run_cli(*args) == 0
-    run_dir = out_env / "simulate_quarter_circle_eps0.01_n60_T0.3"
+    run_dir = only_run_dir(out_env)
     first = (run_dir / "timeseries.csv").read_bytes()
     assert run_cli(*args) == 0
     assert (run_dir / "timeseries.csv").read_bytes() == first
-    # replaying the echoed config reproduces the identical series
+    # replaying the echoed config reproduces the identical series in the
+    # same directory
     assert run_cli("simulate", "--config", str(run_dir / "config.json")) == 0
+    assert only_run_dir(out_env) == run_dir
     assert (run_dir / "timeseries.csv").read_bytes() == first
 
 
-def test_simulate_snapshots_nearest_steps(out_env):
+def test_simulate_snapshots_nearest_steps(out_env, only_run_dir):
     code = run_cli("simulate", "--scenario", "vertical_down", "--eps", "1e-2",
                    "--cells", "50", "--T", "0.2", "--snapshots", "0,0.1")
     assert code == 0
-    run_dir = out_env / "simulate_vertical_down_eps0.01_n50_T0.2"
+    run_dir = only_run_dir(out_env)
     record = read_run(run_dir)
     assert len(record.snapshots) == 2
-    times = [s.t for s in record.snapshots]
+    times = [s.state.time for s in record.snapshots]
     assert times[0] == 0.0
     assert abs(times[1] - 0.1) <= 0.02  # within one step of the request
+    # each file is named by the time of its state, not the requested time
+    assert sorted(p.name for p in run_dir.glob("snapshot_t*.csv")) == \
+        sorted(f"snapshot_t{'%.17g' % t}.csv" for t in times)
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["snapshot_times"] == times
+    assert "snapshot_state_times" not in summary
 
 
 def test_sweep_needs_two_values(out_env):
@@ -72,46 +82,50 @@ def test_sweep_needs_two_values(out_env):
                    "--eps", "1e-2") == 1
 
 
-def test_sweep_writes_summary_and_slope(out_env):
+def test_sweep_writes_summary_and_slope(out_env, only_run_dir):
     code = run_cli("sweep-eps", "--scenario", "quarter_circle",
                    "--eps", "1e-2,1e-3", "--cells", "60")
     assert code == 0
-    base = out_env / "sweep_quarter_circle_n60_T0.1"
+    base = only_run_dir(out_env)
     doc = json.loads((base / "sweep_summary.json").read_text())
     assert len(doc["entries"]) == 2
+    # each run keeps its eps_<%.17g>/ subdirectory and its own echo
+    for entry in doc["entries"]:
+        assert entry["dir"] == f"eps_{'%.17g' % entry['eps']}"
+        echo = json.loads((base / entry["dir"] / "config.json").read_text())
+        assert echo["config"]["eps"] == [entry["eps"]]
     assert doc["strictly_decreasing"] is True
     assert doc["loglog_slope"] > 0.0
 
 
-def test_sweep_identical_eps_identical_records(out_env):
+def test_sweep_identical_eps_identical_records(out_env, only_run_dir):
     code = run_cli("sweep-eps", "--scenario", "vertical_down",
                    "--eps", "1e-2,1e-2", "--cells", "40", "--T", "0.1")
     assert code == 0
-    base = out_env / "sweep_vertical_down_n40_T0.1"
+    base = only_run_dir(out_env)
     doc = json.loads((base / "sweep_summary.json").read_text())
     assert doc["entries"][0]["avg_constraint_L1"] == \
         doc["entries"][1]["avg_constraint_L1"]
     assert doc["loglog_slope"] is None
 
 
-def test_tension_vertical_down_profile(out_env):
+def test_tension_vertical_down_profile(out_env, only_run_dir):
     assert run_cli("tension", "--scenario", "vertical_down",
                    "--cells", "100") == 0
-    lines = (out_env / "tension_vertical_down_n100" /
-             "tension.csv").read_text().splitlines()
+    lines = (only_run_dir(out_env) / "tension.csv").read_text().splitlines()
     assert lines[0] == "s,sigma"
     for line in lines[1:]:
         s, sigma = map(float, line.split(","))
         assert abs(sigma - s) <= 1e-12
 
 
-def test_counterexample_table(out_env, capsys):
+def test_counterexample_table(out_env, capsys, only_run_dir):
     code = run_cli("counterexample", "--alpha0", "1.5707963267948966",
                    "--eps", "0.1,0.05,0.025", "--cells", "2000")
     assert code == 0
     out = capsys.readouterr().out
     assert "ratio" in out
-    csv_lines = (out_env / "counterexample_alpha1.5708" /
+    csv_lines = (only_run_dir(out_env) /
                  "counterexample.csv").read_text().splitlines()
     assert csv_lines[0] == "eps,varsigma_1,bound,ratio"
     ratios = [float(line.split(",")[3]) for line in csv_lines[1:]]
@@ -123,16 +137,16 @@ def test_counterexample_unresolved_exits_two(out_env):
     assert run_cli("counterexample", "--eps", "1e-8", "--cells", "10") == 2
 
 
-def test_nonuniqueness_reports_separation(out_env):
+def test_nonuniqueness_reports_separation(out_env, only_run_dir):
     code = run_cli("nonuniqueness", "--T", "2.5", "--eps", "1e-2",
                    "--cells", "80")
     assert code == 0
-    doc = json.loads((out_env / "nonuniqueness_eps0.01_n80_T2.5" /
-                      "summary.json").read_text())
+    run_dir = only_run_dir(out_env)
+    doc = json.loads((run_dir / "summary.json").read_text())
     assert doc["separation_L2_at_T"] > 0.5
     assert doc["stationary_residual"]["pde_residual_L2"] <= 1e-10
-    assert (out_env / "nonuniqueness_eps0.01_n80_T2.5" / "falling" /
-            "index.json").exists()
+    assert "config" not in doc  # the echo is in config.json
+    assert (run_dir / "falling" / "index.json").exists()
 
 
 def test_config_file_roundtrip(out_env, tmp_path):
@@ -143,7 +157,9 @@ def test_config_file_roundtrip(out_env, tmp_path):
     assert run_cli("simulate", "--config", str(path)) == 0
     # flags override the file
     assert run_cli("simulate", "--config", str(path), "--cells", "30") == 0
-    assert (out_env / "simulate_vertical_down_eps0.01_n30_T0.1").exists()
+    cells = sorted(json.loads((d / "config.json").read_text())["config"]["cells"]
+                   for d in out_env.iterdir() if d.is_dir())
+    assert cells == [30, 40]
 
 
 def test_config_file_unknown_key(out_env, tmp_path):
@@ -152,11 +168,11 @@ def test_config_file_unknown_key(out_env, tmp_path):
     assert run_cli("simulate", "--config", str(path)) == 1
 
 
-def test_simulate_pendulum_summary_has_positive_rate(out_env):
+def test_simulate_pendulum_summary_has_positive_rate(out_env, only_run_dir):
     code = run_cli("simulate", "--scenario", "quarter_circle", "--eps",
                    "1e-2", "--cells", "100", "--T", "2")
     assert code == 0
-    record = read_run(out_env / "simulate_quarter_circle_eps0.01_n100_T2")
+    record = read_run(only_run_dir(out_env))
     fit = record.summary["decay_fit"]
     assert fit is not None and fit["rate"] > 0.0
     assert record.summary["verdicts"]["energy_monotone"]
@@ -170,7 +186,7 @@ def test_validate_command_passes(out_env, capsys):
     assert "invariants hold" in out
 
 
-def test_simulate_hard_failure_writes_partial_record(out_env):
+def test_simulate_hard_failure_writes_partial_record(out_env, only_run_dir):
     # a single inadmissible giant step cannot be halved below dt_min, so
     # the run fails hard; the partial record with its failure marker must
     # still land on disk
@@ -179,7 +195,7 @@ def test_simulate_hard_failure_writes_partial_record(out_env):
                    "--dt-min", "10", "--dt-max", "10",
                    "--mollify-radius", "0.05", "--taper-width", "0.08")
     assert code == 2
-    record = read_run(out_env / "simulate_vertical_up_eps0.0001_n100_T20")
+    record = read_run(only_run_dir(out_env))
     assert record.summary["failed"] is not None
     assert "time" in record.summary["failed"]
 
@@ -230,19 +246,111 @@ def test_each_subparser_takes_exactly_its_row():
         assert dests == (row | {"config"} if row else set()), command
 
 
-@pytest.mark.parametrize("argv, echo", [
-    (("tension", "--scenario", "vertical_down", "--cells", "40"),
-     "tension_vertical_down_n40/config.json"),
-    (("counterexample", "--eps", "0.1", "--cells", "400"),
-     "counterexample_alpha1.5708/config.json"),
-    (("nonuniqueness", "--T", "0.2", "--eps", "1e-2", "--cells", "40"),
-     "nonuniqueness_eps0.01_n40_T0.2/summary.json"),
-])
-def test_echo_holds_exactly_the_commands_row(out_env, argv, echo):
+# a small run of each subcommand that writes a directory
+WRITING_RUNS = {
+    "simulate": ("simulate", "--scenario", "vertical_down", "--cells", "20",
+                 "--T", "0.05"),
+    "sweep-eps": ("sweep-eps", "--scenario", "vertical_down",
+                  "--eps", "1e-2,1e-3", "--cells", "20", "--T", "0.02"),
+    "tension": ("tension", "--scenario", "vertical_down", "--cells", "40"),
+    "counterexample": ("counterexample", "--eps", "0.1", "--cells", "400"),
+    "nonuniqueness": ("nonuniqueness", "--T", "0.2", "--eps", "1e-2",
+                      "--cells", "40"),
+}
+
+
+@pytest.mark.parametrize("command", WRITING_RUNS)
+def test_echo_holds_exactly_the_commands_row(out_env, command, only_run_dir):
+    argv = WRITING_RUNS[command]
     assert run_cli(*argv) == 0
-    config = json.loads((out_env / echo).read_text())["config"]
-    assert set(config) == {s.name for s in settings_of(argv[0])} | {"command"}
-    assert config["command"] == argv[0]
+    run_dir = only_run_dir(out_env)
+    assert re.fullmatch(f"{command}-[0-9a-f]{{12}}", run_dir.name)
+    config = json.loads((run_dir / "config.json").read_text())["config"]
+    assert set(config) == {s.name for s in settings_of(command)} | {"command"}
+    assert config["command"] == command
+    assert run_dir.name == run_name(config)
+
+
+@pytest.mark.parametrize("command", WRITING_RUNS)
+def test_unusable_out_root_exits_one(tmp_path, command, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    argv = (*WRITING_RUNS[command], "--out", str(blocker / "sub"))
+    assert run_cli(*argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "nonuniqueness"])
+def test_config_path_that_is_a_directory_exits_one(out_env, command, capsys):
+    assert run_cli(command, "--config", str(out_env)) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def _resolve(*argv):
+    return resolve_config(build_parser().parse_args(list(argv)))
+
+
+def _other_value(setting, value) -> str:
+    """A flag value for ``setting`` that differs from ``value``."""
+    if setting.choices is not None:
+        return str(next(c for c in setting.choices if c != value))
+    if setting.kind is list:
+        return "0.5,0.25"
+    return repr(value + 1)
+
+
+@pytest.mark.parametrize("command", WRITING_RUNS)
+def test_each_setting_changes_the_run_name(out_env, command):
+    base = [command]
+    if "scenario" in {s.name for s in settings_of(command)}:
+        base += ["--scenario", "quarter_circle"]
+    cfg = _resolve(*base)
+    names = {run_name(cfg)}
+    rows = [s for s in settings_of(command) if s.name != "out"]
+    for s in rows:
+        flag = "--" + s.name.replace("_", "-")
+        changed = _resolve(*base, flag, _other_value(s, cfg[s.name]))
+        assert changed[s.name] != cfg[s.name], s.name
+        names.add(run_name(changed))
+    assert len(names) == len(rows) + 1
+    # the output root is where the directory goes, not part of its name
+    assert run_name(_resolve(*base, "--out", "elsewhere")) == run_name(cfg)
+
+
+def test_flags_config_file_and_echo_name_one_directory(out_env):
+    flags = _resolve("simulate", "--scenario", "quarter_circle", "--T", "8",
+                     "--eps", "1e-2")
+    path = out_env / "cfg.json"
+    path.write_text(json.dumps({"scenario": "quarter_circle", "T": 8,
+                                "eps": 0.01}))
+    from_file = _resolve("simulate", "--config", str(path))
+    echo = run_directory(flags) / "config.json"
+    replayed = _resolve("simulate", "--config", str(echo))
+    assert from_file == flags == replayed
+    assert run_name(from_file) == run_name(replayed) == echo.parent.name
+
+
+def test_runs_differing_in_alpha0_keep_both_tensions(out_env):
+    for alpha0 in ("0.5", "1.0"):
+        assert run_cli("tension", "--scenario", "straight_angle",
+                       "--cells", "50", "--alpha0", alpha0) == 0
+    ends = sorted(
+        "%.6g" % float((d / "tension.csv").read_text().split()[-1]
+                       .split(",")[1])
+        for d in out_env.iterdir())
+    assert ends == ["0.540302", "0.877583"]
+
+
+def test_runs_differing_in_seed_keep_their_own_snapshots(out_env):
+    common = ("simulate", "--scenario", "random_lipschitz", "--eps", "1e-2",
+              "--cells", "40", "--T", "0.03")
+    assert run_cli(*common, "--seed", "0", "--snapshots", "0.01,0.02") == 0
+    assert run_cli(*common, "--seed", "1") == 0
+    by_seed = {json.loads((d / "config.json").read_text())["config"]["seed"]: d
+               for d in out_env.iterdir()}
+    assert sorted(by_seed) == [0, 1]
+    assert len(list(by_seed[0].glob("snapshot_t*.csv"))) == 2
+    assert not list(by_seed[1].glob("snapshot_t*.csv"))
 
 
 def _tree_bytes(directory):
@@ -250,20 +358,19 @@ def _tree_bytes(directory):
             for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
-@pytest.mark.parametrize("argv, echo", [
-    (("tension", "--scenario", "helix", "--dim", "3", "--cells", "60",
-      "--alpha0", "1.2", "--geom-eps", "0.2"),
-     "tension_helix_n60/config.json"),
-    (("nonuniqueness", "--T", "0.2", "--eps", "1e-2", "--cells", "40",
-      "--dt-max", "0.01"),
-     "nonuniqueness_eps0.01_n40_T0.2/summary.json"),
-])
-def test_replaying_an_echo_reproduces_the_bytes(out_env, argv, echo):
+@pytest.mark.parametrize("argv", [
+    ("tension", "--scenario", "helix", "--dim", "3", "--cells", "60",
+     "--alpha0", "1.2", "--geom-eps", "0.2"),
+    ("nonuniqueness", "--T", "0.2", "--eps", "1e-2", "--cells", "40",
+     "--dt-max", "0.01"),
+], ids=("tension", "nonuniqueness"))
+def test_replaying_an_echo_reproduces_the_bytes(out_env, argv, only_run_dir):
     assert run_cli(*argv) == 0
-    directory = (out_env / echo).parent
+    directory = only_run_dir(out_env)
     first = _tree_bytes(directory)
     replay = out_env / "replay.json"
-    replay.write_bytes((out_env / echo).read_bytes())
+    replay.write_bytes((directory / "config.json").read_bytes())
     shutil.rmtree(directory)
     assert run_cli(argv[0], "--config", str(replay)) == 0
+    assert only_run_dir(out_env) == directory
     assert _tree_bytes(directory) == first

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from whipflow import (ArcState, GravitySpec, Grid, RegParams, RegularizedMap,
-                      ScenarioSpec, StepperConfig, Trajectory, build,
-                      constitutive_tension, discrete_energy, evolve, mollify,
-                      report, residual, step)
+                      ScenarioSpec, StepperConfig, TensionProfile, Trajectory,
+                      build, constitutive_tension, discrete_energy, evolve,
+                      mollify, report, residual, step)
 from whipflow.errors import ShapeError, SolverFailure, StepRejected
 
 
@@ -340,12 +340,14 @@ def test_trajectory_validation(gravity2):
     grid = Grid(10)
     s0 = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
     s1 = ArcState(grid=grid, positions=s0.positions, time=1.0)
-    traj = Trajectory(states=(s0, s1), gravity=gravity2)
+    tensions = (TensionProfile(grid=grid, values=grid.nodes),) * 2
+    traj = Trajectory(states=(s0, s1), gravity=gravity2, tensions=tensions)
     assert traj.times.tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
-        Trajectory(states=(s1, s0), gravity=gravity2)
-    with pytest.raises(ValueError):
-        traj.pairs()
+        Trajectory(states=(s1, s0), gravity=gravity2, tensions=tensions)
+    with pytest.raises(ShapeError):
+        Trajectory(states=(s0, s1), gravity=gravity2, tensions=tensions[:1])
+    assert traj.pairs() == list(zip((s0, s1), tensions))
 
 
 def test_no_progress_newton_update_rejects_the_step_at_once(monkeypatch,

@@ -31,12 +31,11 @@ def random_record(rng, tag=0):
         sigma = rng.normal(size=n + 1)
         sigma[0] = 0.0
         snapshots.append(Snapshot(
-            t=float(rng.uniform(0.0, 10.0)),
             state=ArcState(grid=grid, positions=positions,
                            time=float(rng.uniform(0.0, 10.0))),
             tension=TensionProfile(grid=grid, values=sigma),
         ))
-    snapshots.sort(key=lambda s: s.t)
+    snapshots.sort(key=lambda s: s.state.time)
     return RunRecord(
         config_echo={"tag": tag, "eps": [float(rng.uniform(1e-4, 1.0))],
                      "scenario": "quarter_circle"},
@@ -73,7 +72,6 @@ def test_snapshot_of_equilibrium_has_pinned_last_row(tmp_path):
     record = RunRecord(
         config_echo={},
         snapshots=[Snapshot(
-            t=0.0,
             state=ArcState(grid=grid, positions=positions),
             tension=TensionProfile(grid=grid, values=grid.nodes),
         )],
@@ -100,7 +98,7 @@ def test_invalid_snapshot_state_names_file_and_line(tmp_path, edit, line,
     positions = np.zeros((5, 2))
     positions[:, 1] = -(1.0 - grid.nodes)
     write_run(RunRecord(config_echo={}, snapshots=[Snapshot(
-        t=0.5, state=ArcState(grid=grid, positions=positions, time=0.5),
+        state=ArcState(grid=grid, positions=positions, time=0.5),
         tension=TensionProfile(grid=grid, values=grid.nodes))]), tmp_path)
     path = tmp_path / "snapshot_t0.5.csv"
     path.write_text("\r\n".join(edit(path.read_text().splitlines())) + "\r\n")
@@ -187,9 +185,8 @@ def test_table_bytes_are_crlf_17_digit_floats(tmp_path):
                               float("nan"), 3.0, 1.0 / 3.0)],
         step_dts=[0.25],
         step_newton_iters=[12],
-        snapshots=[Snapshot(t=0.5, state=ArcState(grid=grid,
-                                                  positions=positions,
-                                                  time=0.5),
+        snapshots=[Snapshot(state=ArcState(grid=grid, positions=positions,
+                                           time=0.5),
                             tension=TensionProfile(grid=grid,
                                                    values=[0.0, -0.0, 1.0]))],
     )
@@ -208,7 +205,7 @@ def test_table_bytes_are_crlf_17_digit_floats(tmp_path):
     )
 
 
-def _trajectory(count, tensions=True):
+def _trajectory(count):
     grid = Grid(3)
     rng = np.random.default_rng(count)
     states, profiles = [], []
@@ -220,7 +217,7 @@ def _trajectory(count, tensions=True):
         sigma[0] = 0.0
         profiles.append(TensionProfile(grid=grid, values=sigma))
     return Trajectory(states=states, gravity=GravitySpec.down(2),
-                      tensions=profiles if tensions else None)
+                      tensions=profiles)
 
 
 def _check_trajectory_files(traj, directory, kept):
@@ -256,11 +253,6 @@ def test_write_trajectory_keeps_every_state_of_a_short_run(tmp_path, count):
     traj = _trajectory(count)
     write_trajectory(traj, tmp_path)
     _check_trajectory_files(traj, tmp_path, range(count))
-
-
-def test_write_trajectory_needs_tensions(tmp_path):
-    with pytest.raises(ValueError):
-        write_trajectory(_trajectory(3, tensions=False), tmp_path)
 
 
 def test_missing_files_reported(tmp_path):

@@ -220,14 +220,12 @@ def test_backward_transform_gravity_contract(gravity2):
     forward = small_forward_run(gravity2.flipped())
     with pytest.raises(ContractError):
         backward_transform(forward, gravity2.flipped())
-    no_tension = Trajectory(states=forward.states, gravity=forward.gravity)
-    with pytest.raises(ContractError):
-        backward_transform(no_tension, gravity2)
 
 
 def test_branching_pair_quick(gravity2):
     grid = Grid(100)
-    pair = branching_pair(3.0, 1e-2, grid, gravity2)
+    pair = branching_pair(3.0, 1e-2, grid, gravity2,
+                          StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02))
     assert pair.separation >= 0.5
     # the frozen upright pair is an exact weak solution
     assert pair.stationary_residual.pde_residual_L2 <= 1e-10
