@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from whipflow import read_run
+from whipflow import read_run, write_run
 from whipflow.cli import build_parser, main, resolve_config, settings_of
 from whipflow.run_io import run_directory, run_name
 
@@ -374,3 +374,18 @@ def test_replaying_an_echo_reproduces_the_bytes(out_env, argv, only_run_dir):
     assert run_cli(argv[0], "--config", str(replay)) == 0
     assert only_run_dir(out_env) == directory
     assert _tree_bytes(directory) == first
+
+
+def test_summary_counts_which_newton_exit_accepted_each_step(out_env,
+                                                            only_run_dir):
+    # on 1500 cells this release accepts most steps by the residual test
+    # and a few by the Newton decrement
+    assert run_cli("simulate", "--scenario", "random_lipschitz", "--eps",
+                   "1e-2", "--cells", "1500", "--T", "0.1") == 0
+    run_dir = only_run_dir(out_env)
+    stats = json.loads((run_dir / "summary.json").read_text())["solver_stats"]
+    assert stats["residual_exits"] > 0 and stats["decrement_exits"] > 0
+    assert stats["residual_exits"] + stats["decrement_exits"] == stats["steps"]
+    copy = out_env / "copy"
+    write_run(read_run(run_dir), copy)
+    assert _tree_bytes(copy) == _tree_bytes(run_dir)

@@ -1,11 +1,16 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from whipflow import flow
 from whipflow import (ArcState, GravitySpec, Grid, RegParams, RegularizedMap,
                       ScenarioSpec, StepperConfig, TensionProfile, Trajectory,
                       build, constitutive_tension, discrete_energy, evolve,
                       mollify, report, residual, step)
 from whipflow.errors import ShapeError, SolverFailure, StepRejected
+from whipflow.scenarios import KINDS, mollify_scales
 
 
 def make_map(eps, dim=2):
@@ -365,3 +370,90 @@ def test_no_progress_newton_update_rejects_the_step_at_once(monkeypatch,
     with pytest.raises(StepRejected, match="update 1 left the positions"):
         step(init, 1e-2, make_map(0.1), gravity2, cfg)
     assert len(solves) == 1
+
+
+# the step controls of the simulate command's defaults
+CLI_STEPPER = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
+
+
+@contextmanager
+def wall_clock_budget(seconds):
+    """Fail the enclosed block with TimeoutError once it has run for
+    ``seconds`` of wall-clock time, so a crawl fails rather than hangs."""
+
+    def late(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def release(kind, eps, cells, dim):
+    """Initial state, map and gravity of ``simulate`` with its defaults."""
+    grid = Grid(cells)
+    g = GravitySpec.down(dim)
+    radius, width = mollify_scales(grid.h)
+    spec = ScenarioSpec(kind=kind, mollify_radius=radius, taper_width=width)
+    return mollify(build(spec, grid, g), spec), make_map(eps, dim), g
+
+
+@pytest.mark.parametrize("cells, eps", [(2000, 1e-3), (4000, 1e-2)])
+def test_large_grid_release_reaches_the_horizon_without_rejections(cells, eps):
+    # the residual floor misses the O(mach |eta| / (eps h^2)) rounding of
+    # the flux divergence on these grids; without the decrement exit each
+    # step stalled below it, was rejected and halved dt, and the run crawled
+    init, rmap, g = release("quarter_circle", eps, cells, 2)
+    stats = {}
+    with wall_clock_budget(20.0):
+        evolve(init, 1.0, rmap, g, CLI_STEPPER, stats=stats)
+    assert abs(stats["final_time"] - 1.0) <= 1e-12
+    assert stats["rejections"] == 0
+    assert stats["decrement_exits"] > 0
+    assert stats["residual_exits"] + stats["decrement_exits"] == stats["steps"]
+
+
+MATRIX = [(kind, dim, eps, cells)
+          for kind in KINDS for dim in (2, 3) if kind != "helix" or dim == 3
+          for eps in (1e-4, 1.0) for cells in (2, 2000)]
+
+
+@pytest.mark.parametrize("kind, dim, eps, cells", MATRIX)
+def test_every_scenario_finishes_or_fails_cleanly(kind, dim, eps, cells):
+    init, rmap, g = release(kind, eps, cells, dim)
+    stats = {}
+    with wall_clock_budget(20.0):
+        try:
+            evolve(init, 0.1, rmap, g, CLI_STEPPER, stats=stats)
+        except SolverFailure:
+            return
+    assert abs(stats["final_time"] - 0.1) <= 1e-12
+
+
+def test_decrement_exit_leaves_a_solve_error_below_1e_12(monkeypatch):
+    # one more Newton update from each state the decrement accepted
+    # measures the solve error that state carries
+    init, rmap, g = release("quarter_circle", 1e-3, 2000, 2)
+    accepted = []
+    step_core = flow._step_core
+
+    def recording_step_core(prev, dt, rmap, g, cfg):
+        state, iters, exit_test = step_core(prev, dt, rmap, g, cfg)
+        if exit_test == "decrement":
+            accepted.append((prev, dt, state))
+        return state, iters, exit_test
+
+    monkeypatch.setattr(flow, "_step_core", recording_step_core)
+    with wall_clock_budget(20.0):
+        evolve(init, 1.0, rmap, g, CLI_STEPPER)
+    assert len(accepted) > 10
+    h = init.grid.h
+    for prev, dt, state in accepted:
+        _, jac, _ = rmap.local_calculus(state.tangents)
+        res = residual(state, prev, dt, rmap, g)
+        update = flow._newton_update(jac, res, h, np.eye(2) / dt)
+        assert np.abs(update).max() <= 1e-12
