@@ -10,7 +10,7 @@ from .diagnostics import (DecayFit, EnergyReport, GeneralizedResidual,
 from .flow import (ArcState, GravitySpec, StepperConfig, Trajectory,
                    discrete_energy, evolve, residual, step)
 from .grid import Grid
-from .regmap import RegParams, RegularizedMap
+from .regmap import RegularizedMap
 from .run_io import RunRecord, Snapshot, read_run, write_run
 from .scenarios import (BranchingPair, ScenarioSpec, backward_transform,
                         branching_pair, build, mollify)
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcState", "BranchingPair", "DecayFit", "EnergyReport",
     "GeneralizedResidual", "GeodesicTensionProblem", "GravitySpec", "Grid",
-    "RegParams", "RegularizedMap", "RunRecord", "ScenarioSpec", "Snapshot",
-    "StepperConfig", "TensionProfile", "Trajectory", "backward_transform",
+    "RegularizedMap", "RunRecord", "ScenarioSpec", "Snapshot", "StepperConfig",
+    "TensionProfile", "Trajectory", "backward_transform",
     "branching_pair", "build", "compatibility_predicate",
     "constitutive_tension", "counterexample_tension", "decay_fit",
     "discrete_energy", "evolve", "generalized_residual", "hardy_check",

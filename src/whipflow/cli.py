@@ -33,7 +33,7 @@ from .errors import (ContractError, InversionError, SolverFailure,
                      StepRejected, TensionSolveError, UnderResolvedError)
 from .flow import GravitySpec, StepperConfig, evolve
 from .grid import Grid
-from .regmap import RegParams, RegularizedMap
+from .regmap import RegularizedMap
 from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
                      write_json, write_run, write_table, write_trajectory)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
@@ -124,13 +124,13 @@ SETTINGS = (
     Setting("dt_init", float, 1e-3, _EVOLVE),
     Setting("dt_min", float, 1e-9, _EVOLVE),
     Setting("dt_max", float, 0.02, _EVOLVE),
-    Setting("tol", float, 1e-10, _EVOLVE),
+    Setting("tol", float, StepperConfig.newton_tol, _EVOLVE),
     Setting("out", str, None, (*_EVOLVE, "tension", "counterexample")),
     Setting("snapshots", list, [], _RUNS, help="comma list of snapshot times"),
-    Setting("seed", int, 0, _BUILD),
-    Setting("alpha0", float, float(np.pi / 2), (*_BUILD, "counterexample")),
+    Setting("seed", int, ScenarioSpec.seed, _BUILD),
+    Setting("alpha0", float, ScenarioSpec.alpha0, (*_BUILD, "counterexample")),
     Setting("dim", int, 2, (*_BUILD, "nonuniqueness"), choices=(2, 3)),
-    Setting("geom_eps", float, 0.1, _BUILD),
+    Setting("geom_eps", float, ScenarioSpec.geom_eps, _BUILD),
     Setting("mollify_radius", float, None, _RUNS),
     Setting("taper_width", float, None, _RUNS),
 )
@@ -237,7 +237,7 @@ def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
     the solver fails hard (the caller decides the exit code)."""
     grid = Grid(cfg["cells"])
     g = GravitySpec.down(cfg["dim"])
-    rmap = RegularizedMap(RegParams(eps), dim=cfg["dim"])
+    rmap = RegularizedMap(eps, dim=cfg["dim"])
     spec = dataclasses.replace(_scenario_spec(cfg),
                                mollify_radius=cfg["mollify_radius"],
                                taper_width=cfg["taper_width"])
@@ -399,6 +399,8 @@ def cmd_tension(cfg) -> int:
 
 
 def cmd_counterexample(cfg) -> int:
+    if not cfg["eps"]:
+        raise UsageError("counterexample needs at least one --eps value")
     rows = []
     for eps in cfg["eps"]:
         value, bound = counterexample_tension(eps, cfg["alpha0"],

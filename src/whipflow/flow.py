@@ -61,6 +61,8 @@ from .regmap import RegularizedMap
 
 _PBSV, = get_lapack_funcs(("pbsv",), (np.empty(0),))
 _MACH = np.finfo(float).eps
+# Newton updates one step may take before it is rejected
+NEWTON_MAX_ITER = 25
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,6 @@ class StepperConfig:
     dt_min: float
     dt_max: float
     newton_tol: float = 1e-10
-    newton_max_iter: int = 25
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -320,13 +321,13 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     res_norm = np.abs(res).max()
     history = [res_norm]
 
-    for iteration in range(cfg.newton_max_iter + 1):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             return (ArcState(grid=grid, positions=pos, time=prev.time + dt),
                     iteration, "residual")
-        if iteration == cfg.newton_max_iter:
+        if iteration == NEWTON_MAX_ITER:
             raise StepRejected(
-                f"Newton did not converge in {cfg.newton_max_iter} iterations "
+                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {res_norm:.3e})"
             )
         if len(history) > 5 and history[-1] > 0.9 * history[-6]:
@@ -449,7 +450,6 @@ def evolve(
                             "time": state.time,
                             "dt": dt_step,
                             "rejections": rejections,
-                            "reason": str(exc),
                         },
                     ) from exc
                 dt = max(0.5 * dt_step, cfg.dt_min)

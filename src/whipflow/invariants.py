@@ -15,7 +15,7 @@ from .diagnostics import (EQUILIBRIUM_ENERGY, HARDY_RATIO_BOUND,
                           relative_energy_identity_check, report)
 from .flow import ArcState, GravitySpec, StepperConfig, discrete_energy, evolve
 from .grid import Grid
-from .regmap import RegParams, RegularizedMap
+from .regmap import RegularizedMap
 from .run_io import RunRecord, Snapshot, read_run, records_equal, write_run
 from .scenarios import ScenarioSpec, backward_transform, build, mollify
 from .tension import (GeodesicTensionProblem, TensionProfile,
@@ -55,7 +55,7 @@ def check_map_round_trip():
     for _ in range(200):
         eps = 10.0 ** rng.uniform(-4, 0)
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(eps), dim=d)
+        m = RegularizedMap(eps, dim=d)
         tau = rng.normal(size=d) * rng.uniform(0.0, 10.0)
         err = np.linalg.norm(m.forward(m.invert(tau)) - tau)
         worst = max(worst, err / (1.0 + np.linalg.norm(tau)))
@@ -67,7 +67,7 @@ def check_map_radiality():
     worst = 0.0
     for _ in range(50):
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(10.0 ** rng.uniform(-3, 0)), dim=d)
+        m = RegularizedMap(10.0 ** rng.uniform(-3, 0), dim=d)
         tau = rng.normal(size=d)
         rot = _rotation(rng, d)
         err = np.linalg.norm(m.invert(rot @ tau) - rot @ m.invert(tau))
@@ -77,7 +77,7 @@ def check_map_radiality():
 
 def check_map_monotone():
     rng = np.random.default_rng(3)
-    m = RegularizedMap(RegParams(0.05), dim=3)
+    m = RegularizedMap(0.05, dim=3)
     for _ in range(200):
         a, b = rng.normal(size=3), rng.normal(size=3)
         if np.allclose(a, b):
@@ -92,7 +92,7 @@ def check_map_spectral_sandwich():
     rng = np.random.default_rng(4)
     for _ in range(100):
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(10.0 ** rng.uniform(-3, 0)), dim=d)
+        m = RegularizedMap(10.0 ** rng.uniform(-3, 0), dim=d)
         tau = rng.normal(size=d) * rng.uniform(0, 3)
         lo, hi = m.spectral_bounds(tau)
         ev = np.linalg.eigvalsh(m.inverse_jacobian(tau))
@@ -103,7 +103,7 @@ def check_map_spectral_sandwich():
 
 def check_map_positivity():
     rng = np.random.default_rng(5)
-    m = RegularizedMap(RegParams(0.02), dim=2)
+    m = RegularizedMap(0.02, dim=2)
     taus = rng.normal(size=(500, 2)) * 2.0
     sig = np.sum(m.invert(taus) * taus, axis=1)
     ok = sig.min() >= 0.0
@@ -153,7 +153,7 @@ def check_tension_max_principle():
 def check_flow_energy_monotone():
     grid = Grid(100)
     g = GravitySpec.down(2)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.02,
                         taper_width=0.04)
     init = mollify(build(spec, grid, g), spec)
@@ -177,7 +177,7 @@ def check_flow_rotation_equivariance():
     rot = _rotation(rng, 2)
     g = GravitySpec.down(2)
     g_rot = GravitySpec(rot @ g.direction)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.04,
                         taper_width=0.06)
     init = mollify(build(spec, grid, g), spec)
@@ -192,7 +192,7 @@ def check_flow_rotation_equivariance():
 def check_equilibrium_reports():
     grid = Grid(1000)
     g = GravitySpec.down(2)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     down = build(ScenarioSpec(kind="vertical_down"), grid, g)
     rep = report(down, rmap, g)
     ok = abs(rep.E - EQUILIBRIUM_ENERGY) <= 1e-12 and abs(rep.D) <= 1e-10
@@ -232,7 +232,7 @@ def check_relative_energy_identity():
 def check_tension_bound_along_run():
     grid = Grid(100)
     g = GravitySpec.down(2)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     spec = ScenarioSpec(kind="straight_angle", alpha0=0.9,
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, g), spec)

@@ -29,36 +29,24 @@ once, from eps alone: f sampled at rho = sqrt(eps)*x for x = 0 and 256
 log-spaced x in [1e-3, 1e4*eps^(-3/2)].  Reading the table backwards starts
 every entry near its root; above the table (r - 1)/eps, a lower bound
 since f(rho) <= eps*rho + 1, is already accurate.  The start is clamped
-into the bracket that always holds the root, and from there Newton needs
-at most three updates for eps in [1e-4, 1], plus two polish updates; each
-update costs one square root.  The start depends on r and eps only, never
-on earlier calls, so an inversion is a pure function of its input.
+into the bracket that always holds the root, and from there Newton stops
+once |f(rho) - r| <= INVERT_TOL*(1 + r) in every entry.  That takes at most
+three updates for eps in [1e-4, 1], plus two polish updates; each update
+costs one square root, and InversionError is raised if INVERT_MAX_UPDATES
+updates do not suffice.  The start depends on r and eps only, never on
+earlier calls, so an inversion is a pure function of its input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InversionError, NumericDomainError
 
 
-@dataclass(frozen=True)
-class RegParams:
-    """Regularization strength and inversion tolerances."""
-
-    eps: float
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 100
-
-    def __post_init__(self):
-        if not (self.eps > 0.0 and np.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not (0.0 < self.newton_tol <= 1e-6):
-            raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+# stopping tolerance and update cap of the radial inversion
+INVERT_TOL = 1e-12
+INVERT_MAX_UPDATES = 100
 
 
 def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
@@ -72,22 +60,22 @@ class RegularizedMap:
     """Radial constitutive map at fixed regularization strength and ambient
     dimension (2 or 3; the helical counterexample needs 3)."""
 
-    def __init__(self, params: RegParams, dim: int = 2):
+    def __init__(self, eps: float, dim: int = 2):
+        if not (eps > 0.0 and np.isfinite(eps)):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        self.params = params
+        self.eps = eps
         self.dim = dim
         self._eye = np.eye(dim)
         # (tau copy, r, rho) of the last inversion, see _flux
         self._memo = None
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
-        x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * params.eps ** -1.5, 256)))
-        self._rho_tab = np.sqrt(params.eps) * x
+        x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * eps ** -1.5, 256)))
+        self._rho_tab = np.sqrt(eps) * x
         self._f_tab = self._radial(self._rho_tab)
-
-    @property
-    def eps(self) -> float:
-        return self.params.eps
+        # the root of f(rho) = r lies in [r/_slope_hi, r/eps], see _invert_radial
+        self._slope_hi = eps + eps ** -0.5
 
     # -- scalar radial profile -------------------------------------------
 
@@ -105,21 +93,21 @@ class RegularizedMap:
         The start is the start table read backwards, or (r - 1)/eps above
         it, clamped into the bracket [lo, hi] = [r/(eps + eps^(-1/2)), r/eps]
         (eps*rho <= f(rho) <= (eps + eps^(-1/2))*rho puts the root there).
-        Newton then updates until |f(rho) - r| <= newton_tol*(1 + r) in every
+        Newton then updates until |f(rho) - r| <= INVERT_TOL*(1 + r) in every
         entry, which takes at most three updates for eps in [1e-4, 1].  Each
         evaluation tightens the bracket, and an update that leaves it is
-        replaced by bisection.  Raises InversionError when newton_max_iter
+        replaced by bisection.  Raises InversionError when INVERT_MAX_UPDATES
         updates do not suffice.
         """
         eps = self.eps
         r = np.asarray(r, dtype=float)
-        lo = r / (eps + eps ** -0.5)
+        lo = r / self._slope_hi
         hi = r / eps
         rho = np.where(r > self._f_tab[-1], (r - 1.0) / eps,
                        np.interp(r, self._f_tab, self._rho_tab))
         rho = np.minimum(np.maximum(rho, lo), hi)
-        target = self.params.newton_tol * (1.0 + r)
-        for _ in range(self.params.newton_max_iter):
+        target = INVERT_TOL * (1.0 + r)
+        for _ in range(INVERT_MAX_UPDATES):
             resid, step = self._newton_step(rho, r)
             if not np.any(np.abs(resid) > target):
                 break
@@ -136,11 +124,11 @@ class RegularizedMap:
             if np.any(np.abs(resid) > target):
                 raise InversionError(
                     "radial inversion did not converge within "
-                    f"{self.params.newton_max_iter} iterations"
+                    f"{INVERT_MAX_UPDATES} iterations"
                 )
         # two unconditional updates drive the root to its floating point
         # fixed point (quadratic convergence from an already-converged
-        # iterate); without them the flux noise floor is set by newton_tol
+        # iterate); without them the flux noise floor is set by INVERT_TOL
         # divided by the radial slope, which ruins implicit-solver
         # residuals at small eps
         rho = np.maximum(rho - step, 0.0)

@@ -20,7 +20,7 @@ from .diagnostics import (GeneralizedResidual, constitutive_tension,
 from .errors import ContractError, ShapeError, UnderResolvedError
 from .flow import (ArcState, GravitySpec, StepperConfig, Trajectory, evolve)
 from .grid import Grid
-from .regmap import RegParams, RegularizedMap
+from .regmap import RegularizedMap
 from .tension import TensionProfile
 
 KINDS = (
@@ -267,7 +267,7 @@ def branching_pair(
     """
     if not (horizon > 0.0):
         raise ValueError("horizon must be positive")
-    rmap = RegularizedMap(RegParams(eps), dim=g.dim)
+    rmap = RegularizedMap(eps, dim=g.dim)
     radius, width = mollify_scales(grid.h)
     spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,
                         taper_width=width)

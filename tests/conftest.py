@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from whipflow import (GravitySpec, Grid, RegParams, RegularizedMap,
+from whipflow import (GravitySpec, Grid, RegularizedMap,
                       ScenarioSpec, StepperConfig, build, discrete_energy,
                       evolve, mollify, report)
 
@@ -38,7 +38,7 @@ class PendulumRun:
         self.eps = 1e-2
         self.grid = Grid(200)
         self.gravity = GravitySpec.down(2)
-        self.rmap = RegularizedMap(RegParams(self.eps), dim=2)
+        self.rmap = RegularizedMap(self.eps, dim=2)
         spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.02,
                             taper_width=0.04)
         self.init = mollify(build(spec, self.grid, self.gravity), spec)

@@ -21,7 +21,7 @@ import pytest
 from test_run_io import random_record
 
 from whipflow import (ArcState, GeodesicTensionProblem, Grid,
-                      RegParams, RegularizedMap, ScenarioSpec, StepperConfig,
+                      RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, Trajectory, branching_pair, build,
                       backward_transform, constitutive_tension,
                       counterexample_tension, decay_fit, evolve,
@@ -47,7 +47,7 @@ def test_criterion_01_inversion_round_trip():
     for _ in range(1000):
         eps = 10.0 ** rng.uniform(-4.0, 0.0)
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(eps), dim=d)
+        m = RegularizedMap(eps, dim=d)
         tau = rng.normal(size=d)
         tau *= rng.uniform(0.0, 10.0) / max(np.linalg.norm(tau), 1e-300)
         err = np.linalg.norm(m.forward(m.invert(tau)) - tau)
@@ -67,7 +67,7 @@ def test_criterion_02_spectral_bounds_and_jacobian():
     for _ in range(200):
         eps = 10.0 ** rng.uniform(-3.0, 0.0)
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(eps), dim=d)
+        m = RegularizedMap(eps, dim=d)
         tau = rng.normal(size=d) * rng.uniform(0.0, 3.0)
         lo, hi = m.spectral_bounds(tau)
         jac = m.inverse_jacobian(tau)
@@ -129,7 +129,7 @@ def test_criterion_04_counterexample_bound():
 def test_criterion_05_stationary_equilibria(gravity2):
     start = time.perf_counter()
     grid = Grid(1000)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
     up = build(ScenarioSpec(kind="vertical_up"), grid, gravity2)
     ok = True
@@ -186,7 +186,7 @@ def test_criterion_08_constraint_recovery(gravity2):
     averages = []
     eps_values = (1e-2, 1e-3, 1e-4)
     for eps in eps_values:
-        rmap = RegularizedMap(RegParams(eps), dim=2)
+        rmap = RegularizedMap(eps, dim=2)
         rows = []
         evolve(init, horizon, rmap, gravity2, cfg,
                observer=lambda s, dt, it: rows.append(
@@ -339,7 +339,7 @@ def test_criterion_12_backward_transform(gravity2):
     start = time.perf_counter()
     g_minus = gravity2.flipped()
     grid = Grid(100)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, g_minus), spec)

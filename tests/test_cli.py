@@ -198,11 +198,13 @@ def test_simulate_hard_failure_writes_partial_record(out_env, only_run_dir):
     record = read_run(only_run_dir(out_env))
     assert record.summary["failed"] is not None
     assert "time" in record.summary["failed"]
+    assert record.summary["failed"]["reason"].startswith("time step underflow")
 
 
 @pytest.mark.parametrize("config", [
     {"scenario": "vertical_down", "cells": "40", "T": 0.1},
     {"scenario": "vertical_down", "cells": 40, "T": "0.1"},
+    {"scenario": "vertical_down", "cells": 40, "T": 0.1, "dim": 4},
 ])
 def test_config_file_wrong_type_exits_one(out_env, tmp_path, config, capsys):
     path = tmp_path / "typed.json"
@@ -219,6 +221,32 @@ def test_config_file_wrong_type_exits_one(out_env, tmp_path, config, capsys):
 ])
 def test_flag_outside_the_commands_row_exits_one(out_env, argv):
     assert run_cli(*argv) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("counterexample", "--eps", "1e-2,abc"),
+    ("counterexample", "--eps", ","),
+    ("tension", "--scenario", "vertical_down", "--cells", "1"),
+    ("simulate", "--scenario", "vertical_down", "--eps", "1e-2,1e-3"),
+    ("nonuniqueness", "--eps", "1e-2,1e-3"),
+])
+def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
+                                                            capsys):
+    assert run_cli(*argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(out_env.iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"scenario": "vertical_down",', "invalid config JSON"),
+    ('["vertical_down"]', "must hold a JSON object"),
+], ids=["not_json", "top_level_list"])
+def test_unreadable_config_file_exits_one(out_env, tmp_path, text, message,
+                                          capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    assert run_cli("simulate", "--config", str(path)) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RegParams,
+from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, TensionProfile,
                       Trajectory, build, compatibility_predicate,
                       constitutive_tension, decay_fit, generalized_residual,
@@ -13,7 +13,7 @@ from whipflow.errors import ShapeError
 
 @pytest.fixture(scope="module")
 def rmap():
-    return RegularizedMap(RegParams(1e-2), dim=2)
+    return RegularizedMap(1e-2, dim=2)
 
 
 def stationary_pairs(grid, positions, sigma, times=(0.0, 1.0)):
@@ -365,12 +365,12 @@ def test_relative_energy_nonnegative_along_run(pendulum_run):
 def test_time_reversed_run_keeps_residual_scale(gravity2):
     # reversing a run (and negating its tension) changes the measured weak
     # residual only through the asymmetry of the time differences
-    from whipflow import (RegParams, RegularizedMap, ScenarioSpec,
+    from whipflow import (RegularizedMap, ScenarioSpec,
                           StepperConfig, Trajectory, backward_transform,
                           build, evolve, mollify)
     g_minus = gravity2.flipped()
     grid = Grid(80)
-    rmap = RegularizedMap(RegParams(1e-2), dim=2)
+    rmap = RegularizedMap(1e-2, dim=2)
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)

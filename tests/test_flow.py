@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from whipflow import flow
-from whipflow import (ArcState, GravitySpec, Grid, RegParams, RegularizedMap,
+from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
                       ScenarioSpec, StepperConfig, TensionProfile, Trajectory,
                       build, constitutive_tension, discrete_energy, evolve,
                       mollify, report, residual, step)
@@ -14,7 +14,7 @@ from whipflow.scenarios import KINDS, mollify_scales
 
 
 def make_map(eps, dim=2):
-    return RegularizedMap(RegParams(eps), dim=dim)
+    return RegularizedMap(eps, dim=dim)
 
 
 def positions_from_tangents(grid, tangents):
@@ -275,15 +275,15 @@ def test_rotation_equivariance(gravity2):
     assert np.abs(rotated.positions - plain.positions @ q.T).max() <= 1e-8
 
 
-def test_hard_failure_reports_diagnostics(gravity2):
+def test_hard_failure_reports_diagnostics(gravity2, monkeypatch):
     grid = Grid(40)
     rmap = make_map(1e-3)
     spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.06,
                         taper_width=0.1)
     init = mollify(build(spec, grid, gravity2), spec)
     # a single permitted dt with a one-iteration budget cannot converge
-    cfg = StepperConfig(dt_init=0.1, dt_min=0.1, dt_max=0.1,
-                        newton_max_iter=1)
+    monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
+    cfg = StepperConfig(dt_init=0.1, dt_min=0.1, dt_max=0.1)
     with pytest.raises(SolverFailure) as err:
         evolve(init, 1.0, rmap, gravity2, cfg)
     assert "time" in err.value.diagnostics

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whipflow import RegParams, RegularizedMap
+from whipflow import RegularizedMap, regmap
 from whipflow.errors import InversionError, NumericDomainError
 
 
@@ -14,22 +14,20 @@ def rotation(rng, d):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RegParams(eps=0.0)
+        RegularizedMap(0.0)
     with pytest.raises(ValueError):
-        RegParams(eps=-1.0)
+        RegularizedMap(-1.0)
     with pytest.raises(ValueError):
-        RegParams(eps=0.1, newton_tol=1e-3)
-    with pytest.raises(ValueError):
-        RegularizedMap(RegParams(0.1), dim=4)
+        RegularizedMap(0.1, dim=4)
 
 
 def test_forward_at_zero():
-    m = RegularizedMap(RegParams(0.37), dim=3)
+    m = RegularizedMap(0.37, dim=3)
     assert np.all(m.forward(np.zeros(3)) == 0.0)
 
 
 def test_forward_hand_value():
-    m = RegularizedMap(RegParams(1.0), dim=2)
+    m = RegularizedMap(1.0, dim=2)
     out = m.forward(np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [1.0 + 1.0 / np.sqrt(2.0), 0.0], atol=1e-15)
 
@@ -37,25 +35,25 @@ def test_forward_hand_value():
 def test_forward_stays_under_admissible_threshold():
     # the radial profile at radius 1/sqrt(eps) stays below 1 + sqrt(eps)
     eps = 0.01
-    m = RegularizedMap(RegParams(eps), dim=2)
+    m = RegularizedMap(eps, dim=2)
     out = m.forward(np.array([1.0 / np.sqrt(eps), 0.0]))
     assert np.linalg.norm(out) < 1.0 + np.sqrt(eps)
 
 
 def test_invert_at_zero():
-    m = RegularizedMap(RegParams(0.5), dim=2)
+    m = RegularizedMap(0.5, dim=2)
     assert np.all(m.invert(np.zeros(2)) == 0.0)
 
 
 def test_invert_undoes_forward_hand_value():
-    m = RegularizedMap(RegParams(1.0), dim=2)
+    m = RegularizedMap(1.0, dim=2)
     out = m.invert(np.array([1.0 + 1.0 / np.sqrt(2.0), 0.0]))
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
 
 def test_invert_large_input_large_output():
     # |invert| >= 1/sqrt(eps) once |tau| >= 1 + sqrt(eps)
-    m = RegularizedMap(RegParams(0.04), dim=2)
+    m = RegularizedMap(0.04, dim=2)
     out = m.invert(np.array([1.2, 0.0]))
     assert np.linalg.norm(out) >= 5.0
 
@@ -69,15 +67,17 @@ RADII = np.concatenate((
 
 
 @pytest.mark.parametrize("eps", np.geomspace(1e-4, 1.0, 9))
-def test_radial_inversion_converges_in_three_updates(eps):
-    m = RegularizedMap(RegParams(eps, newton_max_iter=3), dim=2)
+def test_radial_inversion_converges_in_three_updates(eps, monkeypatch):
+    monkeypatch.setattr(regmap, "INVERT_MAX_UPDATES", 3)
+    m = RegularizedMap(eps, dim=2)
     rho = m._invert_radial(RADII)
     assert np.all(rho >= 0.0)
     assert np.all(np.abs(m._radial(rho) - RADII) <= 1e-15 * (1.0 + RADII))
 
 
-def test_radial_inversion_raises_when_out_of_updates():
-    m = RegularizedMap(RegParams(1e-3, newton_max_iter=1), dim=2)
+def test_radial_inversion_raises_when_out_of_updates(monkeypatch):
+    monkeypatch.setattr(regmap, "INVERT_MAX_UPDATES", 1)
+    m = RegularizedMap(1e-3, dim=2)
     tau = np.stack([RADII, np.zeros_like(RADII)], axis=1)
     with pytest.raises(InversionError):
         m.invert(tau)
@@ -88,7 +88,7 @@ def test_round_trip_battery():
     for _ in range(1000):
         eps = 10.0 ** rng.uniform(-4.0, 0.0)
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(eps), dim=d)
+        m = RegularizedMap(eps, dim=d)
         tau = rng.normal(size=d)
         tau *= rng.uniform(0.0, 10.0) / max(np.linalg.norm(tau), 1e-12)
         err = np.linalg.norm(m.forward(m.invert(tau)) - tau)
@@ -99,7 +99,7 @@ def test_radial_equivariance():
     rng = np.random.default_rng(8)
     for _ in range(50):
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(10.0 ** rng.uniform(-3, 0)), dim=d)
+        m = RegularizedMap(10.0 ** rng.uniform(-3, 0), dim=d)
         tau = rng.normal(size=d)
         rot = rotation(rng, d)
         err = np.linalg.norm(m.invert(rot @ tau) - rot @ m.invert(tau))
@@ -108,7 +108,7 @@ def test_radial_equivariance():
 
 def test_strict_monotonicity():
     rng = np.random.default_rng(9)
-    m = RegularizedMap(RegParams(0.03), dim=3)
+    m = RegularizedMap(0.03, dim=3)
     for _ in range(300):
         a, b = rng.normal(size=3) * 2.0, rng.normal(size=3) * 2.0
         assert float(np.dot(m.forward(a) - m.forward(b), a - b)) > 0.0
@@ -116,7 +116,7 @@ def test_strict_monotonicity():
 
 def test_jacobian_isotropic_at_origin():
     eps = 0.2
-    m = RegularizedMap(RegParams(eps), dim=3)
+    m = RegularizedMap(eps, dim=3)
     expected = np.eye(3) / (eps + eps ** -0.5)
     np.testing.assert_allclose(m.inverse_jacobian(np.zeros(3)), expected,
                                atol=1e-14)
@@ -124,7 +124,7 @@ def test_jacobian_isotropic_at_origin():
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(10)
-    m = RegularizedMap(RegParams(0.1), dim=3)
+    m = RegularizedMap(0.1, dim=3)
     delta = 1e-6
     for _ in range(20):
         tau = rng.normal(size=3)
@@ -140,7 +140,7 @@ def test_eigenvalues_within_spectral_bounds():
     rng = np.random.default_rng(11)
     for _ in range(200):
         d = int(rng.choice([2, 3]))
-        m = RegularizedMap(RegParams(10.0 ** rng.uniform(-4, 0)), dim=d)
+        m = RegularizedMap(10.0 ** rng.uniform(-4, 0), dim=d)
         tau = rng.normal(size=d) * rng.uniform(0.0, 3.0)
         lo, hi = m.spectral_bounds(tau)
         assert 0.0 < lo <= hi
@@ -151,14 +151,14 @@ def test_eigenvalues_within_spectral_bounds():
 
 def test_spectral_bounds_at_origin():
     eps = 0.3
-    m = RegularizedMap(RegParams(eps), dim=2)
+    m = RegularizedMap(eps, dim=2)
     lo, hi = m.spectral_bounds(np.zeros(2))
     assert lo == pytest.approx(1.0 / (eps + eps ** -0.5), rel=1e-14)
     assert hi == pytest.approx((1.0 / eps) / (1.0 + eps ** -1.5), rel=1e-14)
 
 
 def test_transverse_eigenvalue_exceeds_one_past_threshold():
-    m = RegularizedMap(RegParams(0.04), dim=2)
+    m = RegularizedMap(0.04, dim=2)
     lo, _ = m.spectral_bounds(np.array([1.3, 0.0]))
     assert lo >= 1.0
 
@@ -167,7 +167,7 @@ def test_transverse_eigenvalue_lower_bound():
     rng = np.random.default_rng(12)
     for _ in range(100):
         eps = 10.0 ** rng.uniform(-3, 0)
-        m = RegularizedMap(RegParams(eps), dim=2)
+        m = RegularizedMap(eps, dim=2)
         tau = rng.normal(size=2) * rng.uniform(0, 4)
         lo, _ = m.spectral_bounds(tau)
         rho = np.linalg.norm(m.invert(tau))
@@ -176,28 +176,28 @@ def test_transverse_eigenvalue_lower_bound():
 
 def test_positivity_transfer():
     rng = np.random.default_rng(13)
-    m = RegularizedMap(RegParams(0.02), dim=3)
+    m = RegularizedMap(0.02, dim=3)
     taus = rng.normal(size=(400, 3)) * 2.0
     assert np.sum(m.invert(taus) * taus, axis=1).min() >= 0.0
 
 
 def test_potential_at_zero_is_minus_sqrt_eps():
     eps = 0.17
-    m = RegularizedMap(RegParams(eps), dim=2)
+    m = RegularizedMap(eps, dim=2)
     assert m.potential(np.zeros(2)) == pytest.approx(-np.sqrt(eps), rel=1e-14)
 
 
 def test_potential_lower_bound():
     rng = np.random.default_rng(14)
     for eps in (1e-4, 1e-2, 0.25, 1.0):
-        m = RegularizedMap(RegParams(eps), dim=2)
+        m = RegularizedMap(eps, dim=2)
         taus = rng.normal(size=(200, 2)) * 3.0
         assert m.potential(taus).min() >= -np.sqrt(eps) - 1e-15
 
 
 def test_potential_gradient_is_inverse_map():
     rng = np.random.default_rng(15)
-    m = RegularizedMap(RegParams(0.1), dim=2)
+    m = RegularizedMap(0.1, dim=2)
     delta = 1e-6
     for _ in range(20):
         u = rng.normal(size=2)
@@ -214,7 +214,7 @@ def test_bounded_tangents_give_bounded_energy_density():
     # initial data at 2 or less
     rng = np.random.default_rng(16)
     for eps in (1e-3, 1e-2, 0.25):
-        m = RegularizedMap(RegParams(eps), dim=2)
+        m = RegularizedMap(eps, dim=2)
         dirs = rng.normal(size=(200, 2))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         taus = dirs * (1.0 + np.sqrt(eps)) * rng.uniform(0, 1, size=(200,))[:, None]
@@ -224,7 +224,7 @@ def test_bounded_tangents_give_bounded_energy_density():
 
 def test_local_calculus_consistency():
     rng = np.random.default_rng(17)
-    m = RegularizedMap(RegParams(0.05), dim=3)
+    m = RegularizedMap(0.05, dim=3)
     taus = rng.normal(size=(50, 3))
     kappa, jac, pot = m.local_calculus(taus)
     np.testing.assert_allclose(kappa, m.invert(taus), atol=1e-14)
@@ -233,7 +233,7 @@ def test_local_calculus_consistency():
 
 
 def test_non_finite_inputs_rejected():
-    m = RegularizedMap(RegParams(0.1), dim=2)
+    m = RegularizedMap(0.1, dim=2)
     bad = np.array([np.nan, 0.0])
     for op in (m.forward, m.invert, m.inverse_jacobian, m.potential):
         with pytest.raises(NumericDomainError):
@@ -247,7 +247,7 @@ def test_non_finite_inputs_rejected():
 # -- the one-entry inversion memo -----------------------------------------
 
 def fresh(m):
-    return RegularizedMap(m.params, dim=m.dim)
+    return RegularizedMap(m.eps, dim=m.dim)
 
 
 def count_inversions(monkeypatch, m):
@@ -265,7 +265,7 @@ def count_inversions(monkeypatch, m):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_memo_sees_in_place_mutation(dim):
     rng = np.random.default_rng(20 + dim)
-    m = RegularizedMap(RegParams(0.01), dim=dim)
+    m = RegularizedMap(0.01, dim=dim)
     tau = rng.normal(size=(40, dim))
     before = m.invert(tau)
     tau[7] *= 3.0
@@ -278,7 +278,7 @@ def test_memo_sees_in_place_mutation(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_memo_survives_caller_mutating_the_result(dim):
     rng = np.random.default_rng(30 + dim)
-    m = RegularizedMap(RegParams(0.05), dim=dim)
+    m = RegularizedMap(0.05, dim=dim)
     tau = rng.normal(size=(25, dim))
     kappa = m.invert(tau)
     kappa[:] = 0.0
@@ -288,7 +288,7 @@ def test_memo_survives_caller_mutating_the_result(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_memo_keys_on_shape(dim):
     rng = np.random.default_rng(40 + dim)
-    m = RegularizedMap(RegParams(0.02), dim=dim)
+    m = RegularizedMap(0.02, dim=dim)
     tau = rng.normal(size=(12, dim))
     m.invert(tau)
     head = tau[:5]
@@ -309,7 +309,7 @@ def test_memo_keys_on_shape(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_memo_keeps_signed_zeros(dim):
-    m = RegularizedMap(RegParams(0.1), dim=dim)
+    m = RegularizedMap(0.1, dim=dim)
     plus = np.zeros((4, dim))
     plus[2, 0] = 0.7
     minus = plus.copy()
@@ -331,8 +331,8 @@ def test_memo_keeps_signed_zeros(dim):
 def test_memo_not_shared_between_maps(dim):
     rng = np.random.default_rng(50 + dim)
     tau = rng.normal(size=(30, dim))
-    stiff = RegularizedMap(RegParams(1e-3), dim=dim)
-    soft = RegularizedMap(RegParams(0.5), dim=dim)
+    stiff = RegularizedMap(1e-3, dim=dim)
+    soft = RegularizedMap(0.5, dim=dim)
     a = stiff.invert(tau)
     b = soft.invert(tau)
     assert not np.array_equal(a, b)
@@ -354,7 +354,7 @@ def _results_equal(x, y):
 )
 def test_memo_hit_is_bitwise_fresh(monkeypatch, dim, method):
     rng = np.random.default_rng(60 + dim)
-    m = RegularizedMap(RegParams(3e-3), dim=dim)
+    m = RegularizedMap(3e-3, dim=dim)
     tau = rng.normal(size=(50, dim)) * 1.5
     tau[4] = 0.0
     m.local_calculus(tau)

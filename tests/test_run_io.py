@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,53 @@ def test_round_trip_100_randomized_records(tmp_path):
         assert records_equal(record, read_run(directory))
 
 
+def _first_snapshot_moved(record, dt=0.0, dx=0.0, dsigma=0.0):
+    snap = record.snapshots[0]
+    grid = snap.state.grid
+    positions = snap.state.positions.copy()
+    positions[0, 0] += dx
+    values = snap.tension.values.copy()
+    values[1] += dsigma
+    moved = Snapshot(
+        state=ArcState(grid=grid, positions=positions,
+                       time=snap.state.time + dt),
+        tension=TensionProfile(grid=grid, values=values),
+    )
+    return replace(record, snapshots=[moved, *record.snapshots[1:]])
+
+
+PERTURBATIONS = {
+    "config_echo": lambda r: replace(r, config_echo={**r.config_echo,
+                                                     "tag": -1}),
+    "summary": lambda r: replace(r, summary={**r.summary, "value":
+                                             r.summary["value"] + 1.0}),
+    "solver_stats": lambda r: replace(r, solver_stats={
+        **r.solver_stats, "steps": r.solver_stats["steps"] + 1}),
+    "report_field": lambda r: replace(r, reports=[
+        replace(r.reports[0], E=r.reports[0].E + 1.0), *r.reports[1:]]),
+    "step_dts": lambda r: replace(r, step_dts=[
+        2.0 * r.step_dts[0], *r.step_dts[1:]]),
+    "step_newton_iters": lambda r: replace(r, step_newton_iters=[
+        r.step_newton_iters[0] + 1, *r.step_newton_iters[1:]]),
+    "snapshot_count": lambda r: replace(r, snapshots=r.snapshots[:-1]),
+    "snapshot_time": lambda r: _first_snapshot_moved(r, dt=1.0),
+    "position": lambda r: _first_snapshot_moved(r, dx=1.0),
+    "tension": lambda r: _first_snapshot_moved(r, dsigma=1.0),
+}
+
+
+@pytest.mark.parametrize("field", PERTURBATIONS)
+def test_records_equal_sees_each_compared_field(tmp_path, field):
+    rng = np.random.default_rng(11)
+    record = random_record(rng)
+    while not (record.reports and record.snapshots):
+        record = random_record(rng)
+    write_run(record, tmp_path)
+    back = read_run(tmp_path)
+    assert records_equal(record, back)
+    assert not records_equal(record, PERTURBATIONS[field](back))
+
+
 def test_empty_reports_header_only(tmp_path):
     record = RunRecord(config_echo={"eps": [0.1]})
     write_run(record, tmp_path)
@@ -91,7 +139,10 @@ def test_snapshot_of_equilibrium_has_pinned_last_row(tmp_path):
      "non-finite"),
     (lambda lines: [lines[0], "0,0,-1,0.125"] + lines[2:], 2,
      "vanish at s = 0"),
-], ids=["header_only", "off_origin", "nan_row", "loose_sigma"])
+    (lambda lines: [line.rsplit(",", 2)[0] + "," + line.rsplit(",", 1)[1]
+                    for line in lines], 1, "ambient dimension"),
+], ids=["header_only", "off_origin", "nan_row", "loose_sigma",
+        "missing_column"])
 def test_invalid_snapshot_state_names_file_and_line(tmp_path, edit, line,
                                                     message):
     grid = Grid(4)
@@ -145,6 +196,29 @@ def test_corrupt_float_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RunFormatError):
         read_run(tmp_path)
+
+
+def _swap_first_two_columns(text):
+    lines = text.splitlines()
+    names = lines[0].split(",")
+    names[:2] = names[1::-1]
+    return "\r\n".join([",".join(names), *lines[1:]]) + "\r\n"
+
+
+@pytest.mark.parametrize("name, edit, line, message", [
+    ("summary.json", lambda text: text[:-2], 6, "invalid JSON"),
+    ("timeseries.csv", _swap_first_two_columns, 1, "unexpected columns"),
+], ids=["summary_not_json", "timeseries_columns_out_of_order"])
+def test_corrupt_file_names_file_and_line(tmp_path, name, edit, line,
+                                          message):
+    write_run(RunRecord(config_echo={}, reports=[EnergyReport(*[0.5] * 11)],
+                        step_dts=[0.1], step_newton_iters=[3]), tmp_path)
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(RunFormatError, match=message) as err:
+        read_run(tmp_path)
+    assert err.value.path == str(path)
+    assert err.value.line == line
 
 
 def test_unknown_schema_version_rejected(tmp_path):

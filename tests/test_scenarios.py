@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, Grid, RegParams, RegularizedMap,
+from whipflow import (ArcState, Grid, RegularizedMap,
                       ScenarioSpec, StepperConfig, Trajectory,
                       backward_transform, branching_pair, build,
                       constitutive_tension, evolve, mollify, potential_energy)
@@ -157,7 +157,7 @@ def test_mollify_under_resolved(gravity2):
 def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
     """A short run under reversed gravity, with its realized tensions."""
     grid = Grid(n)
-    rmap = RegularizedMap(RegParams(eps), dim=2)
+    rmap = RegularizedMap(eps, dim=2)
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
