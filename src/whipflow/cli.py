@@ -88,7 +88,7 @@ class Setting:
             return None
         if self.kind is list:
             if isinstance(value, str):
-                value = _parse_float_list(value)
+                value = _parse_float_list(self.name, value)
             elif _is_real(value):
                 value = [value]
             valid = isinstance(value, list) and all(map(_is_real, value))
@@ -151,11 +151,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_float_list(name: str, text: str) -> list[float]:
+    """The floats of a comma list; an empty item is an error, not skipped."""
+    parts = text.split(",")
+    if any(part.strip() == "" for part in parts):
+        raise UsageError(f"{name}: empty item in float list {text!r}")
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in parts]
     except ValueError as exc:
-        raise UsageError(f"cannot parse float list {text!r}: {exc}") from exc
+        raise UsageError(f"{name}: cannot parse float list {text!r}: {exc}") \
+            from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,11 @@ iterative kernel on the hot path, and every public method reaches it
 through a one-entry memo keyed on the exact values of the last tangent
 field: the stepper's final evaluation, the energy report, the discrete
 energy and the next step's first evaluation all see the same field, so
-only the first of them pays for the inversion.  A hit returns the very
-arrays a fresh inversion would, so results are bitwise unchanged.
+only the first of them pays for the inversion.  The memo also keeps the
+field's inverse Jacobian once it is first asked for, so the next step's
+first local_calculus reuses the one its last line-search trial built.  A
+hit returns the very arrays a fresh inversion would, so results are
+bitwise unchanged; the kept Jacobian is read-only.
 
 The radial inversion solves f(rho) = r for the radial profile
 f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
@@ -68,7 +71,8 @@ class RegularizedMap:
         self.eps = eps
         self.dim = dim
         self._eye = np.eye(dim)
-        # (tau copy, r, rho) of the last inversion, see _flux
+        # [tau copy, r, rho, (jac, w) or None] of the last inversion, see
+        # _flux and _memo_jacobian
         self._memo = None
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
         x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * eps ** -1.5, 256)))
@@ -164,11 +168,11 @@ class RegularizedMap:
         memo = self._memo
         if memo is not None and memo[0].shape == tau.shape \
                 and np.array_equal(memo[0], tau):
-            _, r, rho = memo
+            _, r, rho, _ = memo
         else:
             r = np.sqrt(np.sum(tau * tau, axis=-1))
             rho = self._invert_radial(r)
-            self._memo = (tau.copy(), r, rho)
+            self._memo = [tau.copy(), r, rho, None]
         scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
         return tau * scale[..., None], rho
 
@@ -193,9 +197,27 @@ class RegularizedMap:
         k = invert(tau) and c1 = eps + (eps+|k|^2)^(-1/2),
         c3 = (eps+|k|^2)^(-3/2), the forward Jacobian is c1*I - c3*k k^T
         and its inverse follows from Sherman-Morrison.  Symmetric positive
-        definite for every tau.
+        definite for every tau.  The array is read-only, as in
+        :meth:`local_calculus`.
         """
-        return self._jacobian(*self._flux(tau))[0]
+        return self._memo_jacobian(*self._flux(tau))[0]
+
+    def _memo_jacobian(self, kappa, rho):
+        """(inverse_jacobian, w) of the tangent field _flux saw last, built
+        once per memo entry; jac is read-only, so no caller can write into
+        the memo.
+
+        A hit's kappa can differ from the one the entry was built from only
+        in the signs of zeros.  Every entry of jac is eye/c1 + outer*gain,
+        and adding a zero of either sign to eye/c1 gives the same bits, so
+        the kept jac is bitwise the one a fresh build would give.
+        """
+        memo = self._memo
+        if memo[3] is None:
+            jac, w = self._jacobian(kappa, rho)
+            jac.flags.writeable = False
+            memo[3] = jac, w
+        return memo[3]
 
     def _jacobian(self, kappa, rho):
         """(inverse_jacobian, w) at kappa with |kappa| = rho, where
@@ -240,7 +262,9 @@ class RegularizedMap:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (invert(tau), inverse_jacobian(tau), potential(tau)) from a
         single radial inversion.  Used by the implicit stepper, where all
-        three are needed at the same points."""
+        three are needed at the same points.  The Jacobian is read-only: it
+        is the memo's own, shared with every later call on the same
+        field."""
         kappa, rho = self._flux(tau)
-        jac, w = self._jacobian(kappa, rho)
+        jac, w = self._memo_jacobian(kappa, rho)
         return kappa, jac, self.eps * (0.5 * (rho * rho) - w)

@@ -20,10 +20,13 @@ for each of at most 50 evenly spaced states plus index.json (their times
 and the gravity).
 
 Every CSV table goes through write_table: a header line, then one row of
-floats with 17 significant digits per line, CRLF line ends.  Every JSON
-document goes through write_json: schema-versioned, indented by 2, keys
-sorted, floats in Python's shortest round-trip form.  Both read back
-exactly; write_run followed by read_run reproduces the record bit for bit.
+floats with 17 significant digits per line, CRLF line ends.  The rows are
+formatted by one ``%`` over the whole table, which writes exactly the bytes
+of a row-by-row ``"%.17g"`` writer, so the files the determinism contract
+compares are unchanged.  Every JSON document goes through write_json:
+schema-versioned, indented by 2, keys sorted, floats in Python's shortest
+round-trip form.  Both read back exactly; write_run followed by read_run
+reproduces the record bit for bit.
 """
 
 from __future__ import annotations
@@ -106,11 +109,22 @@ def records_equal(a: RunRecord, b: RunRecord) -> bool:
 
 def write_table(path, header, rows) -> None:
     """Write a CSV table: the header line, then one row of ``%.17g`` floats
-    per line, every line ending in CRLF.  An integer column prints without
-    a decimal point."""
+    per line, every line ending in CRLF.  ``rows`` is a 2-D table of
+    ``len(header)`` columns (an empty sequence is a table with no rows, and
+    writes the header alone); any other shape raises ValueError.  An
+    integer column prints without a decimal point, and ``-0``, ``nan``,
+    ``inf`` and subnormals print as ``"%.17g"`` prints them."""
+    ncols = len(header)
+    table = np.asarray(rows, dtype=float)
+    if table.shape == (0,):
+        table = table.reshape(0, ncols)
+    if table.ndim != 2 or table.shape[1] != ncols:
+        raise ValueError(f"table of shape {table.shape} does not match "
+                         f"{ncols} header columns")
+    line = ",".join(["%.17g"] * ncols) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n")
+        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_json(path, doc: dict) -> None:

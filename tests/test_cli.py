@@ -229,6 +229,9 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
     ("tension", "--scenario", "vertical_down", "--cells", "1"),
     ("simulate", "--scenario", "vertical_down", "--eps", "1e-2,1e-3"),
     ("nonuniqueness", "--eps", "1e-2,1e-3"),
+    ("counterexample", "--eps", "0.1,,0.05"),
+    ("counterexample", "--eps", "0.1,"),
+    ("simulate", "--scenario", "vertical_down", "--snapshots", ","),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

@@ -362,3 +362,38 @@ def test_memo_hit_is_bitwise_fresh(monkeypatch, dim, method):
     hit = getattr(m, method)(tau.copy())
     assert calls == []
     assert _results_equal(hit, getattr(fresh(m), method)(tau))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_memo_builds_each_fields_jacobian_once(monkeypatch, dim):
+    rng = np.random.default_rng(70 + dim)
+    m = RegularizedMap(1e-3, dim=dim)
+    plus = rng.normal(size=(30, dim))
+    plus[3] = 0.0
+    plus[5, 0] = 0.0
+    minus = plus.copy()
+    minus[3] = -0.0
+    minus[5, 0] = -0.0
+    calls = []
+    inner = m._jacobian
+
+    def counted(kappa, rho):
+        calls.append(1)
+        return inner(kappa, rho)
+
+    monkeypatch.setattr(m, "_jacobian", counted)
+    _, jac, _ = m.local_calculus(plus)
+    _, again, _ = m.local_calculus(minus)  # equal values: a memo hit
+    assert len(calls) == 1
+    # bitwise, signs of zeros included, and equal to a fresh build
+    assert again.tobytes() == jac.tobytes()
+    assert again.tobytes() == fresh(m).local_calculus(minus)[1].tobytes()
+    with pytest.raises(ValueError):
+        jac[0] = 0.0
+    assert m.inverse_jacobian(plus).tobytes() == \
+        fresh(m).inverse_jacobian(plus).tobytes()
+    assert len(calls) == 1
+    other = 1.5 * plus
+    _, jac_other, _ = m.local_calculus(other)
+    assert len(calls) == 2
+    assert jac_other.tobytes() == fresh(m).inverse_jacobian(other).tobytes()

@@ -8,7 +8,7 @@ from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RunRecord,
                       Snapshot, TensionProfile, Trajectory, read_run,
                       write_run)
 from whipflow.errors import RunFormatError, SchemaVersionError
-from whipflow.run_io import (TIMESERIES_COLUMNS, records_equal,
+from whipflow.run_io import (TIMESERIES_COLUMNS, records_equal, write_table,
                              write_trajectory)
 
 
@@ -277,6 +277,60 @@ def test_table_bytes_are_crlf_17_digit_floats(tmp_path):
         b"0.5,4.9406564584124654e-324,-2.5,-0\r\n"
         b"1,0,0,1\r\n"
     )
+
+
+SPECIAL_VALUES = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"),
+                  5e-324, -5e-324, 1e300, -1e-300, 1.0 / 3.0, 0.1, 2.0 ** 53,
+                  12.0, -2.5e-8]
+
+
+def _savetxt_bytes(path, header, rows):
+    # the reference writer: numpy's per-row loop with the same format
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+def _special_table(rng, n_rows, n_cols):
+    table = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(
+        -20, 20, size=(n_rows, n_cols))
+    picks = rng.random(size=(n_rows, n_cols)) < 0.2
+    table[picks] = rng.choice(SPECIAL_VALUES, size=int(picks.sum()))
+    return table
+
+
+def _timeseries_rows(rng, n_rows):
+    # as write_run builds them: floats, then an int newton_iters column
+    table = _special_table(rng, n_rows, len(TIMESERIES_COLUMNS) - 1)
+    iters = rng.integers(0, 40, size=n_rows)
+    return [[*row, int(k)] for row, k in zip(table.tolist(), iters)]
+
+
+@pytest.mark.parametrize("header, make_rows", [
+    (["s", "x0", "x1", "sigma"], lambda rng: np.empty((0, 4))),
+    (TIMESERIES_COLUMNS, lambda rng: []),
+    (["a"], lambda rng: np.array([[-0.0]])),
+    (["s", "x0", "x1", "sigma"], lambda rng: _special_table(rng, 1001, 4)),
+    (TIMESERIES_COLUMNS, lambda rng: _timeseries_rows(rng, 414)),
+], ids=["0x4", "no_rows", "1x1", "1001x4", "414x13_int_column"])
+def test_write_table_bytes_match_savetxt(tmp_path, header, make_rows):
+    rows = make_rows(np.random.default_rng(11))
+    write_table(tmp_path / "table.csv", header, rows)
+    expected = _savetxt_bytes(tmp_path / "reference.csv", header, rows)
+    assert (tmp_path / "table.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((3, 5)),
+    np.zeros((3, 3)),
+    np.zeros(4),
+    np.zeros((2, 2, 4)),
+    [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]],
+], ids=["too_wide", "too_narrow", "one_dim", "three_dim", "ragged"])
+def test_write_table_rejects_a_width_other_than_the_headers(tmp_path, rows):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "table.csv", ["s", "x0", "x1", "sigma"], rows)
 
 
 def _trajectory(count):
