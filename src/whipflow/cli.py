@@ -1,7 +1,7 @@
 """Command-line orchestration of the experiments.
 
 Subcommands: ``simulate``, ``sweep-eps``, ``tension``, ``counterexample``,
-``nonuniqueness``, ``validate``.  One table, ``SETTINGS``, lists every
+``nonuniqueness``.  One table, ``SETTINGS``, lists every
 setting with its type, its default and the subcommands that read it; a
 subcommand accepts exactly the flags and config keys of its own rows.
 Every run resolves those rows fully (defaults, then an optional JSON config
@@ -168,12 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        rows = settings_of(name)
-        for s in rows:
+        for s in settings_of(name):
             p.add_argument("--" + s.name.replace("_", "-"), dest=s.name, choices=s.choices, help=s.help,
                            type=s.kind if s.kind in (int, float) else None)
-        if rows:
-            p.add_argument("--config", help="JSON config file (flags override it)")
+        p.add_argument("--config", help="JSON config file (flags override it)")
     return parser
 
 
@@ -182,7 +180,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     config file < explicit flags, each value through its row's converter."""
     rows = {s.name: s for s in settings_of(args.command)}
     given = {}
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         try:
             doc = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
@@ -359,6 +357,8 @@ def cmd_sweep_eps(cfg) -> int:
     eps_list = cfg["eps"]
     if len(eps_list) < 2:
         raise UsageError("sweep-eps needs at least two --eps values")
+    if len(set(eps_list)) < len(eps_list):
+        raise UsageError(f"sweep-eps: repeated --eps value in {eps_list}")
     base = run_directory(cfg)
     entries = []
     failed = False
@@ -372,15 +372,11 @@ def cmd_sweep_eps(cfg) -> int:
         avg = float(np.sum(dts * values) / np.sum(dts)) if dts.sum() > 0 else float("nan")
         entries.append({"eps": eps, "avg_constraint_L1": avg,
                         "dir": directory.name})
-    distinct = sorted({e["eps"] for e in entries})
-    slope = None
-    decreasing = None
-    if len(distinct) >= 2:
-        by_eps = sorted(entries, key=lambda e: -e["eps"])
-        avgs = [e["avg_constraint_L1"] for e in by_eps]
-        eps_v = [e["eps"] for e in by_eps]
-        slope = float(np.polyfit(np.log(eps_v), np.log(avgs), 1)[0])
-        decreasing = bool(all(a > b for a, b in zip(avgs, avgs[1:])))
+    by_eps = sorted(entries, key=lambda e: -e["eps"])
+    avgs = [e["avg_constraint_L1"] for e in by_eps]
+    eps_v = [e["eps"] for e in by_eps]
+    slope = float(np.polyfit(np.log(eps_v), np.log(avgs), 1)[0])
+    decreasing = bool(all(a > b for a, b in zip(avgs, avgs[1:])))
     write_json(base / "sweep_summary.json", {
         "entries": entries,
         "loglog_slope": slope,
@@ -437,26 +433,12 @@ def cmd_nonuniqueness(cfg) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg) -> int:
-    from .invariants import run_all
-
-    results = run_all()
-    all_ok = True
-    for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        all_ok &= passed
-        print(f"{status}  {name}: {detail}")
-    print(f"{sum(1 for _, p, _ in results if p)}/{len(results)} invariants hold")
-    return EXIT_OK if all_ok else EXIT_NUMERIC
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "sweep-eps": cmd_sweep_eps,
     "tension": cmd_tension,
     "counterexample": cmd_counterexample,
     "nonuniqueness": cmd_nonuniqueness,
-    "validate": cmd_validate,
 }
 
 

@@ -2,12 +2,16 @@ import argparse
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
 from whipflow import read_run, write_run
-from whipflow.cli import build_parser, main, resolve_config, settings_of
+from whipflow.cli import (_COMMANDS, build_parser, main, resolve_config,
+                          settings_of)
 from whipflow.run_io import run_directory, run_name
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -38,6 +42,11 @@ def test_simulate_missing_scenario_is_usage_error(out_env, capsys):
 
 def test_unknown_flag_exits_one(out_env):
     assert run_cli("simulate", "--no-such-flag") == 1
+
+
+def test_unknown_subcommand_exits_one(out_env):
+    assert run_cli("validate") == 1
+    assert not any(out_env.iterdir())
 
 
 def test_unknown_scenario_exits_one(out_env):
@@ -98,15 +107,14 @@ def test_sweep_writes_summary_and_slope(out_env, only_run_dir):
     assert doc["loglog_slope"] > 0.0
 
 
-def test_sweep_identical_eps_identical_records(out_env, only_run_dir):
+def test_sweep_identical_eps_identical_records(out_env, capsys):
+    # a repeated eps would run twice into one eps_<eps>/ directory and
+    # leave the slope undefined, so it is refused before anything is written
     code = run_cli("sweep-eps", "--scenario", "vertical_down",
                    "--eps", "1e-2,1e-2", "--cells", "40", "--T", "0.1")
-    assert code == 0
-    base = only_run_dir(out_env)
-    doc = json.loads((base / "sweep_summary.json").read_text())
-    assert doc["entries"][0]["avg_constraint_L1"] == \
-        doc["entries"][1]["avg_constraint_L1"]
-    assert doc["loglog_slope"] is None
+    assert code == 1
+    assert "repeated --eps" in capsys.readouterr().err
+    assert not any(out_env.iterdir())
 
 
 def test_tension_vertical_down_profile(out_env, only_run_dir):
@@ -179,13 +187,6 @@ def test_simulate_pendulum_summary_has_positive_rate(out_env, only_run_dir):
     assert record.summary["verdicts"]["stretch_bounded"]
 
 
-def test_validate_command_passes(out_env, capsys):
-    assert run_cli("validate") == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "invariants hold" in out
-
-
 def test_simulate_hard_failure_writes_partial_record(out_env, only_run_dir):
     # a single inadmissible giant step cannot be halved below dt_min, so
     # the run fails hard; the partial record with its failure marker must
@@ -214,7 +215,6 @@ def test_config_file_wrong_type_exits_one(out_env, tmp_path, config, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("validate", "--eps", "1"),
     ("tension", "--scenario", "vertical_down", "--T", "1"),
     ("counterexample", "--dt-max", "1"),
     ("nonuniqueness", "--mollify-radius", "0.1"),
@@ -274,7 +274,25 @@ def test_each_subparser_takes_exactly_its_row():
     for command, sub in subparsers.choices.items():
         dests = {a.dest for a in sub._actions} - {"help"}
         row = {s.name for s in settings_of(command)}
-        assert dests == (row | {"config"} if row else set()), command
+        assert dests == row | {"config"}, command
+
+
+def test_readme_command_line_section_matches_the_parser():
+    section = README.read_text().split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    block = section.split("```sh\n")[1].split("```")[0]
+    listed = [line.split()[1] for line in block.splitlines()]
+    assert sorted(listed) == sorted(_COMMANDS)
+    documented = {}
+    for names, text in re.findall(r"^- (`[^:]*`): (.*?)(?=^- |^$)", section,
+                                  re.M | re.S):
+        for command in re.findall(r"`([\w-]+)`", names):
+            documented[command] = set(re.findall(r"--([\w-]+)", text))
+    assert documented == {
+        command: {s.name.replace("_", "-") for s in settings_of(command)}
+        | {"config"}
+        for command in _COMMANDS
+    }
 
 
 # a small run of each subcommand that writes a directory

@@ -176,9 +176,10 @@ def test_transverse_eigenvalue_lower_bound():
 
 def test_positivity_transfer():
     rng = np.random.default_rng(13)
-    m = RegularizedMap(0.02, dim=3)
-    taus = rng.normal(size=(400, 3)) * 2.0
-    assert np.sum(m.invert(taus) * taus, axis=1).min() >= 0.0
+    for dim in (3, 2):
+        m = RegularizedMap(0.02, dim=dim)
+        taus = rng.normal(size=(400, dim)) * 2.0
+        assert np.sum(m.invert(taus) * taus, axis=1).min() >= 0.0
 
 
 def test_potential_at_zero_is_minus_sqrt_eps():

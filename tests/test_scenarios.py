@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, Grid, RegularizedMap,
+from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
                       ScenarioSpec, StepperConfig, Trajectory,
                       backward_transform, branching_pair, build,
                       constitutive_tension, evolve, mollify, potential_energy)
@@ -79,19 +79,22 @@ def test_helix_pin_angle(gravity3):
     assert cos_alpha == pytest.approx(np.cos(alpha0), abs=0.05)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS_2D)
-def test_built_states_admissible(kind, gravity2):
+@pytest.mark.parametrize("kind", (*ALL_KINDS_2D, "helix"))
+def test_built_states_admissible(kind, gravity2, gravity3):
     grid = Grid(400)
-    state = build(ScenarioSpec(kind=kind, seed=9), grid, gravity2)
+    g = gravity3 if kind == "helix" else gravity2
+    state = build(ScenarioSpec(kind=kind, seed=9), grid, g)
     assert np.all(state.positions[-1] == 0.0)
     assert np.linalg.norm(state.tangents, axis=1).max() <= 1.0 + 1e-12
 
 
-def test_random_lipschitz_deterministic(gravity2):
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_lipschitz_deterministic(dim):
     grid = Grid(150)
-    a = build(ScenarioSpec(kind="random_lipschitz", seed=31), grid, gravity2)
-    b = build(ScenarioSpec(kind="random_lipschitz", seed=31), grid, gravity2)
-    c = build(ScenarioSpec(kind="random_lipschitz", seed=32), grid, gravity2)
+    g = GravitySpec.down(dim)
+    a = build(ScenarioSpec(kind="random_lipschitz", seed=31), grid, g)
+    b = build(ScenarioSpec(kind="random_lipschitz", seed=31), grid, g)
+    c = build(ScenarioSpec(kind="random_lipschitz", seed=32), grid, g)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
 

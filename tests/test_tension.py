@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from whipflow import (ArcState, GeodesicTensionProblem, Grid,
-                      ScenarioSpec, TensionProfile, build,
-                      counterexample_tension, solve_tension,
-                      tension_for_state)
+                      RegularizedMap, ScenarioSpec, StepperConfig,
+                      TensionProfile, build, counterexample_tension, evolve,
+                      mollify, solve_tension, tension_for_state)
 from whipflow.errors import ShapeError, TensionSolveError, UnderResolvedError
 
 
@@ -33,9 +33,9 @@ def test_profile_requires_pinned_origin():
 def test_affine_solutions_exact():
     grid = Grid(113)
     up = solve_tension(constant_problem(grid, 0.0, 0.0, 1.0))
-    np.testing.assert_allclose(up.values, grid.nodes, atol=1e-12)
+    np.testing.assert_allclose(up.values, grid.nodes, rtol=0, atol=1e-12)
     down = solve_tension(constant_problem(grid, 0.0, 0.0, -1.0))
-    np.testing.assert_allclose(down.values, -grid.nodes, atol=1e-12)
+    np.testing.assert_allclose(down.values, -grid.nodes, rtol=0, atol=1e-12)
 
 
 def test_constant_coefficient_closed_form():
@@ -229,6 +229,25 @@ def test_slope_and_value_bounds():
             neumann_value=nu)).values
         assert np.all(np.abs(sigma) <= grid.nodes * abs(nu) + 1e-10)
         assert np.abs(np.diff(sigma) / grid.h).max() <= abs(nu) + 1e-10
+
+
+def test_tension_bounded_by_arclength_along_run(gravity2):
+    # |sigma(s)| <= s at every accepted state of a released straight whip
+    grid = Grid(100)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=0.9,
+                        mollify_radius=0.02, taper_width=0.04)
+    init = mollify(build(spec, grid, gravity2), spec)
+    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
+    excess = []
+
+    def observer(state, dt, iters):
+        sigma = tension_for_state(state, gravity2).values
+        excess.append(float((np.abs(sigma) - grid.nodes).max()))
+
+    evolve(init, 0.5, RegularizedMap(1e-2, dim=2), gravity2, cfg,
+           observer=observer)
+    assert len(excess) >= 25  # T / dt_max accepted steps at least
+    assert max(excess) <= 1e-8
 
 
 def test_nonnegative_with_source():
