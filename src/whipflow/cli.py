@@ -206,6 +206,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["out"] = os.environ.get("WHIPFLOW_OUT", "runs")
     if "cells" in cfg and cfg["cells"] < 2:
         raise UsageError("--cells must be at least 2")
+    if any(eps <= 0.0 for eps in cfg.get("eps", ())):
+        raise UsageError(f"--eps must be positive, got {cfg['eps']}")
     if "mollify_radius" in cfg:
         radius, width = mollify_scales(1.0 / cfg["cells"])
         if cfg["mollify_radius"] is None:

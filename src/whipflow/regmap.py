@@ -31,13 +31,14 @@ f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
 once, from eps alone: f sampled at rho = sqrt(eps)*x for x = 0 and 256
 log-spaced x in [1e-3, 1e4*eps^(-3/2)].  Reading the table backwards starts
 every entry near its root; above the table (r - 1)/eps, a lower bound
-since f(rho) <= eps*rho + 1, is already accurate.  The start is clamped
-into the bracket that always holds the root, and from there Newton stops
-once |f(rho) - r| <= INVERT_TOL*(1 + r) in every entry.  That takes at most
-three updates for eps in [1e-4, 1], plus two polish updates; each update
-costs one square root, and InversionError is raised if INVERT_MAX_UPDATES
-updates do not suffice.  The start depends on r and eps only, never on
-earlier calls, so an inversion is a pure function of its input.
+since f(rho) <= eps*rho + 1, is already accurate.  From that start the
+kernel applies exactly INVERT_UPDATES = 5 Newton updates, each clamped at
+rho >= 0, with no bracket and no early exit.  Three updates reach
+|f(rho) - r| <= INVERT_TOL*(1 + r) for eps in [1e-4, 1]; that is checked
+once, on the iterate after them, and InversionError is raised if it fails.
+The last two updates polish the root to its floating point fixed point.
+Each update costs one square root, so an inversion costs the same work on
+every call, and it depends on r and eps only, never on earlier calls.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ import numpy as np
 from .errors import InversionError, NumericDomainError
 
 
-# stopping tolerance and update cap of the radial inversion
+# residual tolerance and number of Newton updates of the radial inversion
 INVERT_TOL = 1e-12
-INVERT_MAX_UPDATES = 100
+INVERT_UPDATES = 5
 
 
 def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
@@ -78,8 +79,6 @@ class RegularizedMap:
         x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * eps ** -1.5, 256)))
         self._rho_tab = np.sqrt(eps) * x
         self._f_tab = self._radial(self._rho_tab)
-        # the root of f(rho) = r lies in [r/_slope_hi, r/eps], see _invert_radial
-        self._slope_hi = eps + eps ** -0.5
 
     # -- scalar radial profile -------------------------------------------
 
@@ -95,48 +94,30 @@ class RegularizedMap:
         """Solve f(rho) = r for rho >= 0, elementwise.
 
         The start is the start table read backwards, or (r - 1)/eps above
-        it, clamped into the bracket [lo, hi] = [r/(eps + eps^(-1/2)), r/eps]
-        (eps*rho <= f(rho) <= (eps + eps^(-1/2))*rho puts the root there).
-        Newton then updates until |f(rho) - r| <= INVERT_TOL*(1 + r) in every
-        entry, which takes at most three updates for eps in [1e-4, 1].  Each
-        evaluation tightens the bracket, and an update that leaves it is
-        replaced by bisection.  Raises InversionError when INVERT_MAX_UPDATES
-        updates do not suffice.
+        it.  Exactly INVERT_UPDATES Newton updates follow, each clamped at
+        rho >= 0; there is no bracket and no early exit.  The iterate
+        before the last two updates must meet |f(rho) - r| <=
+        INVERT_TOL*(1 + r) in every entry, else InversionError is raised;
+        from the table start three updates do that for eps in [1e-4, 1].
+        The last two updates drive the root to its floating point fixed
+        point (quadratic convergence from an already-converged iterate);
+        without them the flux noise floor is set by INVERT_TOL divided by
+        the radial slope, which ruins implicit-solver residuals at small
+        eps.
         """
-        eps = self.eps
         r = np.asarray(r, dtype=float)
-        lo = r / self._slope_hi
-        hi = r / eps
-        rho = np.where(r > self._f_tab[-1], (r - 1.0) / eps,
+        rho = np.where(r > self._f_tab[-1], (r - 1.0) / self.eps,
                        np.interp(r, self._f_tab, self._rho_tab))
-        rho = np.minimum(np.maximum(rho, lo), hi)
-        target = INVERT_TOL * (1.0 + r)
-        for _ in range(INVERT_MAX_UPDATES):
+        for k in range(INVERT_UPDATES):
             resid, step = self._newton_step(rho, r)
-            if not np.any(np.abs(resid) > target):
-                break
-            # converged entries take a null step, so the bracket is tested
-            # strictly: a step onto its own end is no reason to bisect
-            lo = np.where(resid <= 0.0, rho, lo)
-            hi = np.where(resid > 0.0, rho, hi)
-            rho = rho - step
-            outside = (rho < lo) | (rho > hi)
-            if outside.any():
-                rho = np.where(outside, 0.5 * (lo + hi), rho)
-        else:
-            resid, step = self._newton_step(rho, r)
-            if np.any(np.abs(resid) > target):
+            if k == INVERT_UPDATES - 2 and \
+                    not np.all(np.abs(resid) <= INVERT_TOL * (1.0 + r)):
                 raise InversionError(
                     "radial inversion did not converge within "
-                    f"{INVERT_MAX_UPDATES} iterations"
+                    f"{INVERT_UPDATES - 2} updates"
                 )
-        # two unconditional updates drive the root to its floating point
-        # fixed point (quadratic convergence from an already-converged
-        # iterate); without them the flux noise floor is set by INVERT_TOL
-        # divided by the radial slope, which ruins implicit-solver
-        # residuals at small eps
-        rho = np.maximum(rho - step, 0.0)
-        return np.maximum(rho - self._newton_step(rho, r)[1], 0.0)
+            rho = np.maximum(rho - step, 0.0)
+        return rho
 
     def _newton_step(self, rho, r):
         """(f(rho) - r, the Newton update (f(rho) - r)/f'(rho)) from one

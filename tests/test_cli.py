@@ -232,6 +232,11 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
     ("counterexample", "--eps", "0.1,,0.05"),
     ("counterexample", "--eps", "0.1,"),
     ("simulate", "--scenario", "vertical_down", "--snapshots", ","),
+    ("simulate", "--scenario", "quarter_circle", "--eps", "-1", "--cells",
+     "20", "--T", "0.05"),
+    ("sweep-eps", "--scenario", "quarter_circle", "--eps", "0,1e-2",
+     "--cells", "20", "--T", "0.05"),
+    ("nonuniqueness", "--eps", "0"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

@@ -66,17 +66,44 @@ RADII = np.concatenate((
 ))
 
 
+def record_newton_steps(m):
+    """Make m record the residual of each Newton evaluation."""
+    residuals = []
+    inner = m._newton_step
+
+    def recorded(rho, r):
+        resid, step = inner(rho, r)
+        residuals.append(resid)
+        return resid, step
+
+    m._newton_step = recorded
+    return residuals
+
+
 @pytest.mark.parametrize("eps", np.geomspace(1e-4, 1.0, 9))
-def test_radial_inversion_converges_in_three_updates(eps, monkeypatch):
-    monkeypatch.setattr(regmap, "INVERT_MAX_UPDATES", 3)
+def test_radial_inversion_converges_in_three_updates(eps):
     m = RegularizedMap(eps, dim=2)
+    residuals = record_newton_steps(m)
     rho = m._invert_radial(RADII)
     assert np.all(rho >= 0.0)
     assert np.all(np.abs(m._radial(rho) - RADII) <= 1e-15 * (1.0 + RADII))
+    # the checked iterate, after three updates, already meets the tolerance,
+    # so the raise cannot fire on valid input
+    assert np.all(np.abs(residuals[3]) <= regmap.INVERT_TOL * (1.0 + RADII))
+
+
+@pytest.mark.parametrize("r", [RADII, np.zeros(7), np.array([0.8])],
+                         ids=["radii", "zeros", "single"])
+def test_radial_inversion_makes_exactly_five_evaluations(r):
+    m = RegularizedMap(1e-2, dim=2)
+    residuals = record_newton_steps(m)
+    m._invert_radial(r)
+    assert len(residuals) == 5
 
 
 def test_radial_inversion_raises_when_out_of_updates(monkeypatch):
-    monkeypatch.setattr(regmap, "INVERT_MAX_UPDATES", 1)
+    # the check then falls on the iterate after one update
+    monkeypatch.setattr(regmap, "INVERT_UPDATES", 3)
     m = RegularizedMap(1e-3, dim=2)
     tau = np.stack([RADII, np.zeros_like(RADII)], axis=1)
     with pytest.raises(InversionError):
