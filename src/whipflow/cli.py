@@ -371,14 +371,20 @@ def cmd_sweep_eps(cfg) -> int:
             failed = True
         dts = np.array(record.step_dts)
         values = np.array([r.constraint_L1 for r in record.reports])
-        avg = float(np.sum(dts * values) / np.sum(dts)) if dts.sum() > 0 else float("nan")
+        # a failed run's partial-horizon average is not comparable, and a
+        # run that took no step has none: both are null
+        avg = None
+        if record.summary["failed"] is None and dts.sum() > 0:
+            avg = float(np.sum(dts * values) / np.sum(dts))
         entries.append({"eps": eps, "avg_constraint_L1": avg,
                         "dir": directory.name})
     by_eps = sorted(entries, key=lambda e: -e["eps"])
     avgs = [e["avg_constraint_L1"] for e in by_eps]
     eps_v = [e["eps"] for e in by_eps]
-    slope = float(np.polyfit(np.log(eps_v), np.log(avgs), 1)[0])
-    decreasing = bool(all(a > b for a, b in zip(avgs, avgs[1:])))
+    slope = decreasing = None
+    if None not in avgs:
+        slope = float(np.polyfit(np.log(eps_v), np.log(avgs), 1)[0])
+        decreasing = bool(all(a > b for a, b in zip(avgs, avgs[1:])))
     write_json(base / "sweep_summary.json", {
         "entries": entries,
         "loglog_slope": slope,

@@ -15,16 +15,15 @@ flow).
 Everything is vectorized over leading axes: inputs of shape ``(..., d)``
 produce outputs with matching leading shape.
 
-Each tangent field is inverted once.  The radial inversion is the one
-iterative kernel on the hot path, and every public method reaches it
-through a one-entry memo keyed on the exact values of the last tangent
-field: the stepper's final evaluation, the energy report, the discrete
-energy and the next step's first evaluation all see the same field, so
-only the first of them pays for the inversion.  The memo also keeps the
-field's inverse Jacobian once it is first asked for, so the next step's
-first local_calculus reuses the one its last line-search trial built.  A
-hit returns the very arrays a fresh inversion would, so results are
-bitwise unchanged; the kept Jacobian is read-only.
+Each tangent field is inverted once.  On a field it has not seen, the map
+checks it, inverts its radial profile, builds its inverse Jacobian, and
+keeps one read-only record of (tau, rho/|tau|, rho, Jacobian,
+w = (eps + rho^2)^(-1/2)); the five public readers are views of that
+record.  The record is a one-entry memo keyed on the exact values of the
+last field: the stepper's final evaluation, the energy report, the
+discrete energy and the next step's first evaluation all see the same
+field, so only the first of them pays for the inversion and the Jacobian.
+A hit returns what a fresh build would, bitwise.
 
 The radial inversion solves f(rho) = r for the radial profile
 f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
@@ -72,8 +71,7 @@ class RegularizedMap:
         self.eps = eps
         self.dim = dim
         self._eye = np.eye(dim)
-        # [tau copy, r, rho, (jac, w) or None] of the last inversion, see
-        # _flux and _memo_jacobian
+        # record (tau copy, scale, rho, jac, w) of the last field, see _field
         self._memo = None
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
         x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * eps ** -1.5, 256)))
@@ -137,25 +135,38 @@ class RegularizedMap:
             )
         return v
 
-    def _flux(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (invert(tau), |invert(tau)|) from one radial inversion.
+    def _field(self, tau):
+        """(tau, scale, rho, jac, w) of a tangent field: tau as a float
+        array, the flux scale rho/|tau| (0 at tau = 0), rho =
+        |invert(tau)|, the read-only inverse Jacobian and w =
+        (eps + rho^2)^(-1/2).  Readers rebuild kappa = tau*scale from the
+        caller's tau, keeping its zeros' signs.
 
-        The last (tau, r, rho) is memoized; a hit needs the same shape and
-        equal values.  Equal values have equal norms bitwise (a signed zero
-        squares to +0), so a hit returns what a fresh inversion would.
-        kappa is rebuilt from the caller's tau, keeping its zeros' signs.
+        The last field's record is memoized; a hit needs the same shape and
+        equal values.  The hit test runs before the finite check: the memo
+        only holds a field that passed it, and NaN or inf never equals a
+        stored value, so every invalid tau misses and is rejected.  Equal
+        values have equal norms bitwise (a signed zero squares to +0).  A
+        hit's kappa can differ from the one jac was built from only in the
+        signs of zeros; every entry of jac is eye/c1 + outer*gain, and
+        adding a zero of either sign to eye/c1 gives the same bits, so a
+        hit returns bitwise what a fresh build would.
         """
-        tau = self._check_vec(tau, "tau")
+        tau = np.asarray(tau, dtype=float)
         memo = self._memo
-        if memo is not None and memo[0].shape == tau.shape \
-                and np.array_equal(memo[0], tau):
-            _, r, rho, _ = memo
-        else:
-            r = np.sqrt(np.sum(tau * tau, axis=-1))
+        if memo is None or not np.array_equal(memo[0], tau):
+            tau = self._check_vec(tau, "tau")
+            with np.errstate(over="ignore"):
+                r_sq = np.sum(tau * tau, axis=-1)
+            if not np.all(np.isfinite(r_sq)):
+                raise NumericDomainError("tau's squared norm overflows")
+            r = np.sqrt(r_sq)
             rho = self._invert_radial(r)
-            self._memo = [tau.copy(), r, rho, None]
-        scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
-        return tau * scale[..., None], rho
+            scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
+            jac, w = self._jacobian(tau * scale[..., None], rho)
+            jac.flags.writeable = False
+            memo = self._memo = (tau.copy(), scale, rho, jac, w)
+        return (tau,) + memo[1:]
 
     def forward(self, kappa: np.ndarray) -> np.ndarray:
         """Map a flux vector to a tangent vector; output is parallel to the
@@ -168,8 +179,8 @@ class RegularizedMap:
     def invert(self, tau: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`: recover the flux vector from a tangent
         vector.  Radial, with invert(0) = 0."""
-        kappa, _ = self._flux(tau)
-        return kappa
+        tau, scale = self._field(tau)[:2]
+        return tau * scale[..., None]
 
     def inverse_jacobian(self, tau: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`invert`, shape ``(..., d, d)``.
@@ -178,27 +189,10 @@ class RegularizedMap:
         k = invert(tau) and c1 = eps + (eps+|k|^2)^(-1/2),
         c3 = (eps+|k|^2)^(-3/2), the forward Jacobian is c1*I - c3*k k^T
         and its inverse follows from Sherman-Morrison.  Symmetric positive
-        definite for every tau.  The array is read-only, as in
-        :meth:`local_calculus`.
+        definite for every tau.  The array is the field's record's own, so
+        it is read-only.
         """
-        return self._memo_jacobian(*self._flux(tau))[0]
-
-    def _memo_jacobian(self, kappa, rho):
-        """(inverse_jacobian, w) of the tangent field _flux saw last, built
-        once per memo entry; jac is read-only, so no caller can write into
-        the memo.
-
-        A hit's kappa can differ from the one the entry was built from only
-        in the signs of zeros.  Every entry of jac is eye/c1 + outer*gain,
-        and adding a zero of either sign to eye/c1 gives the same bits, so
-        the kept jac is bitwise the one a fresh build would give.
-        """
-        memo = self._memo
-        if memo[3] is None:
-            jac, w = self._jacobian(kappa, rho)
-            jac.flags.writeable = False
-            memo[3] = jac, w
-        return memo[3]
+        return self._field(tau)[3]
 
     def _jacobian(self, kappa, rho):
         """(inverse_jacobian, w) at kappa with |kappa| = rho, where
@@ -216,36 +210,31 @@ class RegularizedMap:
     def spectral_bounds(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form eigenvalue bounds (lo, hi) of the inverse Jacobian.
 
-        lo is the transverse eigenvalue 1/(eps + (eps+rho^2)^(-1/2)) and hi
-        the radial one eps^(-1)/(1 + (eps+rho^2)^(-3/2)), rho = |invert(tau)|.
-        Both positive, lo <= hi.
+        lo is the transverse eigenvalue 1/(eps + w) and hi the radial one
+        eps^(-1)/(1 + w^3), with the record's w = (eps+rho^2)^(-1/2),
+        rho = |invert(tau)|.  Both positive, lo <= hi.
         """
-        _, rho = self._flux(tau)
-        eps = self.eps
-        w = (eps + rho * rho) ** -0.5
-        return 1.0 / (eps + w), (1.0 / eps) / (1.0 + w ** 3)
+        w = self._field(tau)[4]
+        return 1.0 / (self.eps + w), (1.0 / self.eps) / (1.0 + w ** 3)
 
     def potential(self, tau: np.ndarray) -> np.ndarray:
         """Convex scalar potential of the inverse map:
 
             eps * (|invert(tau)|^2 / 2 - 1/sqrt(eps + |invert(tau)|^2))
 
-        Its gradient with respect to tau is invert(tau), and it is bounded
-        below by -sqrt(eps) (attained at tau = 0).
+        read from the record's rho and w.  Its gradient with respect to tau
+        is invert(tau), and it is bounded below by -sqrt(eps) (attained at
+        tau = 0).
         """
-        _, rho = self._flux(tau)
-        eps = self.eps
-        rho_sq = rho * rho
-        return eps * (0.5 * rho_sq - (eps + rho_sq) ** -0.5)
+        _, _, rho, _, w = self._field(tau)
+        return self.eps * (0.5 * (rho * rho) - w)
 
     def local_calculus(
         self, tau: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (invert(tau), inverse_jacobian(tau), potential(tau)) from a
-        single radial inversion.  Used by the implicit stepper, where all
-        three are needed at the same points.  The Jacobian is read-only: it
-        is the memo's own, shared with every later call on the same
-        field."""
-        kappa, rho = self._flux(tau)
-        jac, w = self._memo_jacobian(kappa, rho)
-        return kappa, jac, self.eps * (0.5 * (rho * rho) - w)
+        """Return (invert(tau), inverse_jacobian(tau), potential(tau)) from
+        one record.  Used by the implicit stepper, where all three are
+        needed at the same points.  The Jacobian is read-only: it is the
+        record's own, shared with every later call on the same field."""
+        tau, scale, rho, jac, w = self._field(tau)
+        return tau * scale[..., None], jac, self.eps * (0.5 * (rho * rho) - w)

@@ -117,6 +117,29 @@ def test_sweep_identical_eps_identical_records(out_env, capsys):
     assert not any(out_env.iterdir())
 
 
+def test_sweep_with_a_failed_run_writes_nulls_not_nan(out_env, only_run_dir):
+    # the eps = 1e-4 run fails hard on its first step (as in
+    # test_simulate_hard_failure_writes_partial_record); the eps = 1 run
+    # finishes
+    code = run_cli("sweep-eps", "--scenario", "vertical_up",
+                   "--eps", "1e-4,1", "--cells", "100", "--T", "20",
+                   "--dt-init", "10", "--dt-min", "10", "--dt-max", "10",
+                   "--mollify-radius", "0.05", "--taper-width", "0.08")
+    assert code == 2
+
+    def no_constant(name):
+        raise AssertionError(f"sweep_summary.json holds {name}, not JSON")
+
+    base = only_run_dir(out_env)
+    doc = json.loads((base / "sweep_summary.json").read_text(),
+                     parse_constant=no_constant)
+    avgs = {e["eps"]: e["avg_constraint_L1"] for e in doc["entries"]}
+    assert avgs[1e-4] is None
+    assert avgs[1.0] > 0.0
+    assert doc["loglog_slope"] is None
+    assert doc["strictly_decreasing"] is None
+
+
 def test_tension_vertical_down_profile(out_env, only_run_dir):
     assert run_cli("tension", "--scenario", "vertical_down",
                    "--cells", "100") == 0

@@ -270,6 +270,24 @@ def test_non_finite_inputs_rejected():
         m.forward(np.array([np.inf, 1.0]))
     with pytest.raises(NumericDomainError):
         m.forward(np.zeros(3))  # dimension mismatch
+    # a finite tangent whose squared norm overflows is refused by name, with
+    # no RuntimeWarning (an error under this suite's warning filter)
+    with pytest.raises(NumericDomainError, match="squared norm overflows"):
+        m.invert([1e200, 0.0])
+    # the memo is tested before the finite check: with a finite field
+    # memoized, a field of its shape holding a NaN or an inf still misses
+    # and is rejected by every reader
+    field = np.array([[0.3, -0.4], [1.2, 0.0], [0.0, 0.0]])
+    m.local_calculus(field)
+    for value in (np.nan, np.inf):
+        bad = field.copy()
+        bad[1, 0] = value
+        for op in (m.invert, m.inverse_jacobian, m.potential,
+                   m.local_calculus):
+            with pytest.raises(NumericDomainError, match="non-finite"):
+                op(bad)
+    with pytest.raises(NumericDomainError):
+        m.invert(np.zeros((3, 3)))  # same rows, wrong dimension
 
 
 # -- the one-entry inversion memo -----------------------------------------
