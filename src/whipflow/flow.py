@@ -28,8 +28,8 @@ factorization rejects the step as a loss of convexity.
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
 
-- the residual test: the max-norm residual is at most ``newton_tol`` or a
-  rounding floor of the residual, whichever is larger;
+- the residual test: the max-norm residual is at most ``NEWTON_TOL``
+  (1e-10) or a rounding floor of the residual, whichever is larger;
 - the decrement test: the Newton decrement lambda^2 = -slope (Boyd and
   Vandenberghe, *Convex Optimization*, 9.5) of the update just taken is
   within the rounding allowance 16 mach (|phi| + 1) of the objective phi,
@@ -61,8 +61,9 @@ from .regmap import RegularizedMap
 
 _PBSV, = get_lapack_funcs(("pbsv",), (np.empty(0),))
 _MACH = np.finfo(float).eps
-# Newton updates one step may take before it is rejected
+# Newton's update cap per step and the tolerance of its residual test
 NEWTON_MAX_ITER = 25
+NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,6 @@ class StepperConfig:
     dt_init: float
     dt_min: float
     dt_max: float
-    newton_tol: float = 1e-10
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -282,8 +282,8 @@ def _newton_update(jac, res, h, eye_dt):
     return solve_banded(ab, -res[:-1].reshape(-1)).reshape(n, d)
 
 
-def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
-               cfg: StepperConfig) -> tuple[ArcState, int, str]:
+def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
+               g: GravitySpec) -> tuple[ArcState, int, str]:
     """One implicit step; returns the new state, the Newton iteration
     count and the test that accepted it (``"residual"`` or
     ``"decrement"``), or raises StepRejected."""
@@ -299,7 +299,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     # |flux|/h, and the flux itself carries an inversion noise of a few
     # ulps amplified by the radial stiffness (at most 1/eps).  Below this
     # floor the residual cannot be driven by any iteration, so the
-    # effective tolerance is the requested one or the floor, whichever is
+    # effective tolerance is NEWTON_TOL or the floor, whichever is
     # larger.  The floor leaves out the rounding of the flux divergence,
     # O(mach |eta| / (eps h^2)), which dominates on fine grids; the
     # decrement exit below covers that regime.
@@ -307,7 +307,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     pos_scale = max(1.0, float(np.abs(prev_pos).max()))
     u_scale = 1.0 + float(np.linalg.norm(u, axis=1).max())
     floor = 64.0 * _MACH * (pos_scale / dt + u_scale / (rmap.eps * h))
-    tol = max(cfg.newton_tol, floor)
+    tol = max(NEWTON_TOL, floor)
 
     def incremental(pos_trial, pot_density):
         # strictly convex objective whose critical point is the new state:
@@ -321,11 +321,10 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     res_norm = np.abs(res).max()
     history = [res_norm]
 
-    for iteration in range(NEWTON_MAX_ITER + 1):
-        if res_norm <= tol:
-            return (ArcState(grid=grid, positions=pos, time=prev.time + dt),
-                    iteration, "residual")
-        if iteration == NEWTON_MAX_ITER:
+    iters = 0
+    resolved = False
+    while not (res_norm <= tol or resolved):
+        if iters == NEWTON_MAX_ITER:
             raise StepRejected(
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {res_norm:.3e})"
@@ -333,7 +332,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
         if len(history) > 5 and history[-1] > 0.9 * history[-6]:
             raise StepRejected(
                 f"Newton stalled at residual {res_norm:.3e} after "
-                f"{iteration} iterations"
+                f"{iters} iterations"
             )
 
         delta = _newton_update(jac, res, h, eye_dt)
@@ -347,7 +346,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
         # The Newton decrement -slope is twice the decrease the full step
         # predicts on this convex objective.  Once it is within phi's
         # rounding, phi cannot resolve what is left: the full step is taken
-        # even if Armijo fails it by rounding, and accepted below unless
+        # even if Armijo fails it by rounding, and it ends the step unless
         # the residual test passes first.  A full step outside the numeric
         # domain falls back to the plain search.
         resolved = -slope <= rounding
@@ -359,41 +358,39 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
             try:
                 flux, jac, pot = rmap.local_calculus(u)
             except NumericDomainError:
-                alpha *= 0.5
                 resolved = False
-                if alpha < 1e-10:
-                    raise StepRejected("line search left the numeric domain")
-                continue
-            phi_trial = incremental(trial, pot)
-            if resolved or phi_trial <= phi + 1e-4 * alpha * slope + rounding:
-                break
+                cause = "line search left the numeric domain"
+            else:
+                phi_trial = incremental(trial, pot)
+                armijo = phi + 1e-4 * alpha * slope + rounding
+                if resolved or phi_trial <= armijo:
+                    break
+                cause = f"line search failed at residual {res_norm:.3e}"
             alpha *= 0.5
             if alpha < 1e-10:
-                raise StepRejected(
-                    f"line search failed at residual {res_norm:.3e}"
-                )
+                raise StepRejected(cause)
         if np.array_equal(trial, pos):
             # every later iteration would repeat this residual, solve and
             # trial, so the step can only end rejected
             raise StepRejected(
-                f"Newton update {iteration + 1} left the positions unchanged "
+                f"Newton update {iters + 1} left the positions unchanged "
                 f"at residual {res_norm:.3e}"
             )
         pos = trial
         phi = phi_trial
         res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
         res_norm = np.abs(res).max()
-        if resolved and res_norm > tol:
-            # the residual floor lies below the rounding of this residual,
-            # so further updates would only repeat rounding; the error left
-            # is one more update, bounded in the module docstring
-            return (ArcState(grid=grid, positions=pos, time=prev.time + dt),
-                    iteration + 1, "decrement")
+        iters += 1
         history.append(res_norm)
 
+    # a decrement exit leaves the error of one more update, bounded in the
+    # module docstring
+    return (ArcState(grid=grid, positions=pos, time=prev.time + dt), iters,
+            "residual" if res_norm <= tol else "decrement")
 
-def step(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
-         cfg: StepperConfig) -> ArcState:
+
+def step(prev: ArcState, dt: float, rmap: RegularizedMap,
+         g: GravitySpec) -> ArcState:
     """Advance one implicit step of size dt.
 
     Raises StepRejected when Newton fails to converge; no partial state
@@ -403,7 +400,7 @@ def step(prev: ArcState, dt: float, rmap: RegularizedMap, g: GravitySpec,
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     _check_compatible(prev, rmap, g)
-    state, _, _ = _step_core(prev, dt, rmap, g, cfg)
+    state, _, _ = _step_core(prev, dt, rmap, g)
     return state
 
 
@@ -429,7 +426,7 @@ def evolve(
         raise ValueError(f"horizon {horizon} precedes initial time {init.time}")
     _check_compatible(init, rmap, g)
     state = init
-    dt = min(max(cfg.dt_init, cfg.dt_min), cfg.dt_max)
+    dt = cfg.dt_init
     tiny = 1e-12 * max(1.0, abs(horizon))
     rejections = 0
     steps = 0
@@ -440,7 +437,7 @@ def evolve(
             dt_step = min(dt, horizon - state.time)
             try:
                 new_state, iters, exit_test = _step_core(state, dt_step, rmap,
-                                                         g, cfg)
+                                                         g)
             except StepRejected as exc:
                 rejections += 1
                 if dt_step <= cfg.dt_min:

@@ -86,25 +86,31 @@ class RunRecord:
             raise ValueError("reports must be strictly increasing in t")
 
 
+def _timeseries_rows(record: RunRecord) -> list:
+    """timeseries.csv's rows: each report's fields, dt, Newton iterations."""
+    return [[*(getattr(rep, name) for name in EnergyReport.FIELDS), dt, iters]
+            for rep, dt, iters in zip(record.reports, record.step_dts,
+                                      record.step_newton_iters)]
+
+
+def _as_written(record: RunRecord) -> tuple:
+    """The record as its files hold it: the JSON parts as write_json
+    serializes them, each table float as write_table prints it."""
+    def printed(table):
+        return [[_fmt(x) for x in row] for row in np.atleast_2d(table)]
+
+    return (json.dumps([record.config_echo, record.summary,
+                        record.solver_stats], sort_keys=True),
+            printed(_timeseries_rows(record)),
+            [(_fmt(s.state.time), printed(s.state.positions),
+              printed(s.tension.values)) for s in record.snapshots])
+
+
 def records_equal(a: RunRecord, b: RunRecord) -> bool:
-    """Exact (bit-level for floats) equality of two records."""
-    if a.config_echo != b.config_echo or a.summary != b.summary \
-            or a.solver_stats != b.solver_stats:
-        return False
-    if a.reports != b.reports:
-        return False
-    if a.step_dts != b.step_dts or a.step_newton_iters != b.step_newton_iters:
-        return False
-    if len(a.snapshots) != len(b.snapshots):
-        return False
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        if sa.state.time != sb.state.time:
-            return False
-        if not np.array_equal(sa.state.positions, sb.state.positions):
-            return False
-        if not np.array_equal(sa.tension.values, sb.tension.values):
-            return False
-    return True
+    """Exact equality of two records as their files hold them: ``-0``
+    differs from ``0``, and every NaN equals every NaN, since ``"%.17g"``
+    drops a NaN's sign."""
+    return _as_written(a) == _as_written(b)
 
 
 def write_table(path, header, rows) -> None:
@@ -172,10 +178,8 @@ def write_run(record: RunRecord, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_json(directory / "config.json", {"config": record.config_echo})
-    rows = [[*(getattr(rep, name) for name in EnergyReport.FIELDS), dt, iters]
-            for rep, dt, iters in zip(record.reports, record.step_dts,
-                                      record.step_newton_iters)]
-    write_table(directory / "timeseries.csv", TIMESERIES_COLUMNS, rows)
+    write_table(directory / "timeseries.csv", TIMESERIES_COLUMNS,
+                _timeseries_rows(record))
     for snap in record.snapshots:
         _write_snapshot(directory, snap.state, snap.tension)
     write_json(directory / "summary.json", {

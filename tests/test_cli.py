@@ -197,6 +197,9 @@ def test_config_file_unknown_key(out_env, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": "vertical_down", "bogus": 1}))
     assert run_cli("simulate", "--config", str(path)) == 1
+    # the Newton tolerance is a constant of the flow, no longer a setting
+    path.write_text(json.dumps({"scenario": "vertical_down", "tol": 1e-10}))
+    assert run_cli("simulate", "--config", str(path)) == 1
 
 
 def test_simulate_pendulum_summary_has_positive_rate(out_env, only_run_dir):
@@ -260,6 +263,14 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
     ("sweep-eps", "--scenario", "quarter_circle", "--eps", "0,1e-2",
      "--cells", "20", "--T", "0.05"),
     ("nonuniqueness", "--eps", "0"),
+    ("simulate", "--scenario", "vertical_down", "--eps", "1e-2", "--T", "-1",
+     "--cells", "20"),
+    ("simulate", "--scenario", "vertical_down", "--eps", "1e-2", "--T", "0",
+     "--cells", "20"),
+    ("sweep-eps", "--scenario", "vertical_down", "--eps", "1e-2,1e-3",
+     "--T", "-1", "--cells", "20"),
+    ("sweep-eps", "--scenario", "vertical_down", "--eps", "1e-2,1e-3",
+     "--T", "0", "--cells", "20"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

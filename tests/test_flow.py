@@ -9,7 +9,8 @@ from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
                       ScenarioSpec, StepperConfig, TensionProfile, Trajectory,
                       build, constitutive_tension, discrete_energy, evolve,
                       mollify, report, residual, step)
-from whipflow.errors import ShapeError, SolverFailure, StepRejected
+from whipflow.errors import (NumericDomainError, ShapeError, SolverFailure,
+                             StepRejected)
 from whipflow.scenarios import KINDS, mollify_scales
 
 
@@ -100,8 +101,7 @@ def test_step_fixed_point_returns_same_state(gravity2):
     grid = Grid(64)
     rmap = make_map(0.05)
     state = discrete_steady_state(grid, rmap, gravity2)
-    cfg = StepperConfig(dt_init=0.1, dt_min=1e-8, dt_max=1.0)
-    new = step(state, 0.5, rmap, gravity2, cfg)
+    new = step(state, 0.5, rmap, gravity2)
     assert np.abs(new.positions - state.positions).max() <= 1e-9
     assert new.time == pytest.approx(state.time + 0.5)
 
@@ -112,9 +112,8 @@ def test_step_decreases_energy_away_from_equilibrium(gravity2):
     spec = ScenarioSpec(kind="straight_angle", alpha0=1.1,
                         mollify_radius=0.03, taper_width=0.05)
     state = mollify(build(spec, grid, gravity2), spec)
-    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.1)
     before = discrete_energy(state, rmap, gravity2)
-    new = step(state, 1e-2, rmap, gravity2, cfg)
+    new = step(state, 1e-2, rmap, gravity2)
     after = discrete_energy(new, rmap, gravity2)
     assert after < before
 
@@ -128,7 +127,6 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.03,
                         taper_width=0.05)
     state = mollify(build(spec, grid, gravity2), spec)
-    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.1)
 
     inversions = []
     evaluations = []  # inversion count before and after each local_calculus
@@ -148,7 +146,7 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     monkeypatch.setattr(RegularizedMap, "_invert_radial", counted_invert_radial)
     monkeypatch.setattr(RegularizedMap, "local_calculus", logged_local_calculus)
 
-    new = step(state, 1e-2, rmap, gravity2, cfg)
+    new = step(state, 1e-2, rmap, gravity2)
     assert len(evaluations) > 1  # Newton moved off the initial guess
     settled = len(inversions)
     report(new, rmap, gravity2)
@@ -157,7 +155,7 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     assert len(inversions) == settled
 
     evaluations.clear()
-    step(new, 1e-2, rmap, gravity2, cfg)
+    step(new, 1e-2, rmap, gravity2)
     first_before, first_after = evaluations[0]
     assert first_after == first_before == settled
     assert len(inversions) > settled
@@ -366,10 +364,42 @@ def test_no_progress_newton_update_rejects_the_step_at_once(monkeypatch,
     monkeypatch.setattr("whipflow.flow.solve_banded", zero_solve)
     grid = Grid(16)
     init = build(ScenarioSpec(kind="quarter_circle"), grid, gravity2)
-    cfg = StepperConfig(dt_init=1e-2, dt_min=1e-6, dt_max=1e-2)
     with pytest.raises(StepRejected, match="update 1 left the positions"):
-        step(init, 1e-2, make_map(0.1), gravity2, cfg)
+        step(init, 1e-2, make_map(0.1), gravity2)
     assert len(solves) == 1
+
+
+def _out_of_domain(flux, jac, pot):
+    raise NumericDomainError("trial outside the domain")
+
+
+def _above_armijo(flux, jac, pot):
+    return flux, jac, pot + 1.0
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_out_of_domain, "line search left the numeric domain"),
+    (_above_armijo, "line search failed at residual"),
+], ids=["numeric_domain", "armijo"])
+def test_line_search_halves_to_1e_10_then_rejects(monkeypatch, gravity2,
+                                                  spoil, message):
+    # the initial guess is evaluated as it is, every trial through spoil:
+    # alpha = 1, 1/2, ..., 2^-33 are tried, and 2^-34 < 1e-10 rejects
+    grid = Grid(16)
+    rmap = make_map(0.1)
+    init = build(ScenarioSpec(kind="quarter_circle"), grid, gravity2)
+    calls = []
+    local_calculus = rmap.local_calculus
+
+    def spoiled(tau):
+        calls.append(1)
+        out = local_calculus(tau)
+        return out if len(calls) == 1 else spoil(*out)
+
+    monkeypatch.setattr(rmap, "local_calculus", spoiled)
+    with pytest.raises(StepRejected, match=message):
+        step(init, 1e-2, rmap, gravity2)
+    assert len(calls) == 1 + 34
 
 
 # the step controls of the simulate command's defaults
@@ -441,8 +471,8 @@ def test_decrement_exit_leaves_a_solve_error_below_1e_12(monkeypatch):
     accepted = []
     step_core = flow._step_core
 
-    def recording_step_core(prev, dt, rmap, g, cfg):
-        state, iters, exit_test = step_core(prev, dt, rmap, g, cfg)
+    def recording_step_core(prev, dt, rmap, g):
+        state, iters, exit_test = step_core(prev, dt, rmap, g)
         if exit_test == "decrement":
             accepted.append((prev, dt, state))
         return state, iters, exit_test

@@ -105,6 +105,34 @@ def test_records_equal_sees_each_compared_field(tmp_path, field):
     assert not records_equal(record, PERTURBATIONS[field](back))
 
 
+def _with_first_report_E(record, value):
+    return replace(record, reports=[replace(record.reports[0], E=value),
+                                    *record.reports[1:]])
+
+
+def _record_with_reports(rng):
+    record = random_record(rng)
+    while not record.reports:
+        record = random_record(rng)
+    return record
+
+
+def test_records_equal_tells_negative_zero_from_zero():
+    # write_table prints -0.0 as "-0", so the two records write different
+    # bytes
+    record = _record_with_reports(np.random.default_rng(5))
+    assert not records_equal(_with_first_report_E(record, 0.0),
+                             _with_first_report_E(record, -0.0))
+
+
+def test_record_holding_nan_equals_its_read_back(tmp_path):
+    record = _with_first_report_E(
+        _record_with_reports(np.random.default_rng(6)), float("nan"))
+    write_run(record, tmp_path)
+    assert records_equal(record, read_run(tmp_path))
+    assert records_equal(record, _with_first_report_E(record, -float("nan")))
+
+
 def test_empty_reports_header_only(tmp_path):
     record = RunRecord(config_echo={"eps": [0.1]})
     write_run(record, tmp_path)

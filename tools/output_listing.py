@@ -4,13 +4,19 @@
 
 Runs each command below through ``whipflow.cli.main`` with ``--out runs``
 from an empty temporary directory (every config.json echoes ``out``, so
-it is the same relative path on every run).  Then prints one
-``<sha256>  ./<path>`` line per file written, sorted by path (the format
-of ``sha256sum`` run from ``runs``), and last ``listing sha256 <hex>``,
-the sha256 of the lines before it, each ended by a newline.  Two
-checkouts write the same bytes exactly when their last lines agree.  The
-commands' own output and the path of the imported package go to stderr.
-Exits 1 if a command does not exit 0.
+it is the same relative path on every run).  Prints one ``dir <k> <name>``
+line per command, ``<name>`` being the run directory that command ``k``
+made, then one ``<sha256>  <k>/<path>`` line per file written, its path
+taken inside that directory, sorted by ``k`` and path, and last
+``listing sha256 <hex>``, the sha256 of the file lines, each ended by a
+newline.  A run directory is named by a digest of its settings, so a
+change to the settings table renames every directory; keyed by ``k``,
+the file lines do not move with it.  A diff of two checkouts' listings
+shows renamed directories on ``dir`` lines and changed files on file
+lines, and two checkouts write the same bytes exactly when their last
+lines agree.  The commands' own output and the path of the imported
+package go to stderr.  Exits 1 if a command does not exit 0 or does not
+make exactly one new directory.
 """
 
 from __future__ import annotations
@@ -38,30 +44,38 @@ COMMANDS = (
 )
 
 
-def listing(root: Path) -> list[str]:
-    files = sorted(p for p in root.rglob("*") if p.is_file())
+def listing(k: int, directory: Path) -> list[str]:
+    files = sorted(p for p in directory.rglob("*") if p.is_file())
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
-            f"./{p.relative_to(root).as_posix()}" for p in files]
+            f"{k}/{p.relative_to(directory).as_posix()}" for p in files]
 
 
 def main() -> int:
     print(f"whipflow from {Path(whipflow.cli.__file__).parent}",
           file=sys.stderr)
     cwd = os.getcwd()
+    dirs, lines = [], []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for argv in COMMANDS:
+            runs = Path("runs")
+            runs.mkdir()
+            for k, argv in enumerate(COMMANDS):
+                before = set(runs.iterdir())
                 with contextlib.redirect_stdout(sys.stderr):
                     code = whipflow.cli.main(argv + ["--out", "runs"])
-                if code != 0:
-                    print(f"{' '.join(argv)} exited {code}", file=sys.stderr)
+                made = set(runs.iterdir()) - before
+                if code != 0 or len(made) != 1:
+                    print(f"{' '.join(argv)} exited {code} and made "
+                          f"{len(made)} directories", file=sys.stderr)
                     return 1
-            lines = listing(Path("runs"))
+                directory, = made
+                dirs.append(f"dir {k} {directory.name}\n")
+                lines += listing(k, directory)
         finally:
             os.chdir(cwd)
     text = "".join(line + "\n" for line in lines)
-    sys.stdout.write(text)
+    sys.stdout.write("".join(dirs) + text)
     print(f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}")
     return 0
 
