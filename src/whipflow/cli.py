@@ -5,10 +5,11 @@ Subcommands: ``simulate``, ``sweep-eps``, ``tension``, ``counterexample``,
 setting with its type, its default and the subcommands that read it; a
 subcommand accepts exactly the flags and config keys of its own rows.
 Every run resolves those rows fully (defaults, then an optional JSON config
-file, then flags) and writes deterministic files for offline plotting into
-the one directory ``run_io.run_directory`` names after the command and the
-resolved settings, with the settings echoed to its config.json; re-running
-an echoed config reproduces the outputs byte for byte.
+file, then flags), builds its inputs, so that an invalid setting exits
+before any write, and then writes deterministic files for offline plotting
+into the one directory ``run_io.run_directory`` names after the command and
+the resolved settings, with the settings echoed to its config.json;
+re-running an echoed config reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 bad usage or invalid input (an unusable output
 root or config path included), 2 numeric failure.
@@ -31,7 +32,7 @@ import numpy as np
 from .diagnostics import decay_fit, potential_energy, report
 from .errors import (InversionError, SolverFailure, StepRejected,
                      TensionSolveError, UnderResolvedError)
-from .flow import GravitySpec, StepperConfig, evolve
+from .flow import ArcState, GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegularizedMap
 from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
@@ -130,8 +131,6 @@ SETTINGS = (
     Setting("alpha0", float, ScenarioSpec.alpha0, (*_BUILD, "counterexample")),
     Setting("dim", int, 2, (*_BUILD, "nonuniqueness"), choices=(2, 3)),
     Setting("geom_eps", float, ScenarioSpec.geom_eps, _BUILD),
-    Setting("mollify_radius", float, None, _RUNS),
-    Setting("taper_width", float, None, _RUNS),
 )
 
 
@@ -209,12 +208,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise UsageError("--cells must be at least 2")
     if any(eps <= 0.0 for eps in cfg.get("eps", ())):
         raise UsageError(f"--eps must be positive, got {cfg['eps']}")
-    if "mollify_radius" in cfg:
-        radius, width = mollify_scales(1.0 / cfg["cells"])
-        if cfg["mollify_radius"] is None:
-            cfg["mollify_radius"] = radius
-        if cfg["taper_width"] is None:
-            cfg["taper_width"] = width
+    if "scenario" in cfg and cfg["scenario"] is None:
+        raise UsageError("--scenario is required")
     cfg["command"] = args.command
     return cfg
 
@@ -229,22 +224,23 @@ def _stepper(cfg) -> StepperConfig:
     return StepperConfig(cfg["dt_init"], cfg["dt_min"], cfg["dt_max"])
 
 
-def _require_scenario(cfg):
-    if not cfg.get("scenario"):
-        raise UsageError("--scenario is required for this command")
+def _initial_state(cfg) -> ArcState:
+    """The configured scenario's curve, mollified at the scales of its grid
+    (``mollify_scales``), as the upright curve of nonuniqueness is."""
+    grid = Grid(cfg["cells"])
+    radius, width = mollify_scales(grid.h)
+    spec = dataclasses.replace(_scenario_spec(cfg), mollify_radius=radius,
+                               taper_width=width)
+    return mollify(build(spec, grid, GravitySpec.down(cfg["dim"])), spec)
 
 
-def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
-    """Shared pipeline of simulate and sweep-eps: build, mollify, evolve,
+def run_simulation(cfg: dict, eps: float, init: ArcState,
+                   stepper: StepperConfig, directory: Path) -> RunRecord:
+    """Shared pipeline of simulate and sweep-eps: evolve the initial state,
     record, persist.  Writes a partial record with a failure marker when
     the solver fails hard (the caller decides the exit code)."""
-    grid = Grid(cfg["cells"])
     g = GravitySpec.down(cfg["dim"])
     rmap = RegularizedMap(eps, dim=cfg["dim"])
-    spec = dataclasses.replace(_scenario_spec(cfg),
-                               mollify_radius=cfg["mollify_radius"],
-                               taper_width=cfg["taper_width"])
-    init = mollify(build(spec, grid, g), spec)
 
     reports = [report(init, rmap, g)]
     dts = [0.0]
@@ -266,7 +262,7 @@ def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
     stats: dict = {}
     failure = None
     try:
-        evolve(init, cfg["T"], rmap, g, _stepper(cfg), observer=observer,
+        evolve(init, cfg["T"], rmap, g, stepper, observer=observer,
                stats=stats)
     except SolverFailure as exc:
         failure = {"reason": str(exc), **exc.diagnostics}
@@ -280,7 +276,7 @@ def run_simulation(cfg: dict, eps: float, directory: Path) -> RunRecord:
                                       tension=tension_for_state(state, g)))
     snapshots.sort(key=lambda s: s.state.time)
 
-    summary = _summarize(reports, grid, g, rmap, sup_u, eps)
+    summary = _summarize(reports, init.grid, g, rmap, sup_u, eps)
     summary["failed"] = failure
     config_echo = dict(cfg)
     config_echo["eps"] = [eps]
@@ -340,11 +336,11 @@ def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
 
 
 def cmd_simulate(cfg) -> int:
-    _require_scenario(cfg)
     if len(cfg["eps"]) != 1:
         raise UsageError("simulate takes exactly one --eps value")
+    init, stepper = _initial_state(cfg), _stepper(cfg)
     directory = run_directory(cfg)
-    record = run_simulation(cfg, cfg["eps"][0], directory)
+    record = run_simulation(cfg, cfg["eps"][0], init, stepper, directory)
     print(f"wrote {directory}")
     if record.summary["failed"] is not None:
         print(f"solver failed: {record.summary['failed']['reason']}", file=sys.stderr)
@@ -353,18 +349,18 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_sweep_eps(cfg) -> int:
-    _require_scenario(cfg)
     eps_list = cfg["eps"]
     if len(eps_list) < 2:
         raise UsageError("sweep-eps needs at least two --eps values")
     if len(set(eps_list)) < len(eps_list):
         raise UsageError(f"sweep-eps: repeated --eps value in {eps_list}")
+    init, stepper = _initial_state(cfg), _stepper(cfg)
     base = run_directory(cfg)
     entries = []
     failed = False
     for eps in eps_list:
         directory = eps_directory(base, eps)
-        record = run_simulation(cfg, eps, directory)
+        record = run_simulation(cfg, eps, init, stepper, directory)
         if record.summary["failed"] is not None:
             failed = True
         dts = np.array(record.step_dts)
@@ -393,7 +389,6 @@ def cmd_sweep_eps(cfg) -> int:
 
 
 def cmd_tension(cfg) -> int:
-    _require_scenario(cfg)
     grid = Grid(cfg["cells"])
     g = GravitySpec.down(cfg["dim"])
     state = build(_scenario_spec(cfg), grid, g)

@@ -41,8 +41,8 @@ class ScenarioSpec:
     of the straight scenario and the pitch angle of the helix.
     ``geom_eps`` is the helix scale (radius geom_eps*sin(alpha0)), ``seed``
     drives the random unit-tangent field, and ``mollify_radius`` and
-    ``taper_width`` are the scales of :func:`mollify`
-    (:func:`mollify_scales` gives their defaults).
+    ``taper_width`` are the scales of :func:`mollify` (:func:`mollify_scales`
+    gives those of a grid).
     """
 
     kind: str
@@ -55,6 +55,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; choose from {KINDS}")
+        if not (self.geom_eps > 0.0):
+            raise ValueError(f"geom_eps must be positive, got {self.geom_eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mollify_radius < 0.0 or self.taper_width < 0.0:
             raise ValueError("mollify_radius and taper_width must be nonnegative")
 
@@ -153,8 +157,8 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 
 def mollify_scales(h: float) -> tuple[float, float]:
-    """Default (mollify_radius, taper_width) on a grid of spacing h: 0.02
-    and 0.04, widened to 2h on coarse grids, the least :func:`mollify`
+    """The (mollify_radius, taper_width) of a grid of spacing h: 0.02 and
+    0.04, widened to 2h on coarse grids, the least :func:`mollify`
     accepts."""
     return max(0.02, 2.0 * h), max(0.04, 2.0 * h)
 

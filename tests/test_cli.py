@@ -123,8 +123,7 @@ def test_sweep_with_a_failed_run_writes_nulls_not_nan(out_env, only_run_dir):
     # finishes
     code = run_cli("sweep-eps", "--scenario", "vertical_up",
                    "--eps", "1e-4,1", "--cells", "100", "--T", "20",
-                   "--dt-init", "10", "--dt-min", "10", "--dt-max", "10",
-                   "--mollify-radius", "0.05", "--taper-width", "0.08")
+                   "--dt-init", "10", "--dt-min", "10", "--dt-max", "10")
     assert code == 2
 
     def no_constant(name):
@@ -200,6 +199,10 @@ def test_config_file_unknown_key(out_env, tmp_path):
     # the Newton tolerance is a constant of the flow, no longer a setting
     path.write_text(json.dumps({"scenario": "vertical_down", "tol": 1e-10}))
     assert run_cli("simulate", "--config", str(path)) == 1
+    # the mollification scales are those of the grid, no longer settings
+    path.write_text(json.dumps({"config": {"scenario": "vertical_down",
+                                           "mollify_radius": 0.02}}))
+    assert run_cli("simulate", "--config", str(path)) == 1
 
 
 def test_simulate_pendulum_summary_has_positive_rate(out_env, only_run_dir):
@@ -219,8 +222,7 @@ def test_simulate_hard_failure_writes_partial_record(out_env, only_run_dir):
     # still land on disk
     code = run_cli("simulate", "--scenario", "vertical_up", "--eps", "1e-4",
                    "--cells", "100", "--T", "20", "--dt-init", "10",
-                   "--dt-min", "10", "--dt-max", "10",
-                   "--mollify-radius", "0.05", "--taper-width", "0.08")
+                   "--dt-min", "10", "--dt-max", "10")
     assert code == 2
     record = read_run(only_run_dir(out_env))
     assert record.summary["failed"] is not None
@@ -243,7 +245,8 @@ def test_config_file_wrong_type_exits_one(out_env, tmp_path, config, capsys):
 @pytest.mark.parametrize("argv", [
     ("tension", "--scenario", "vertical_down", "--T", "1"),
     ("counterexample", "--dt-max", "1"),
-    ("nonuniqueness", "--mollify-radius", "0.1"),
+    ("nonuniqueness", "--snapshots", "0.1"),
+    ("simulate", "--scenario", "vertical_down", "--mollify-radius", "0.05"),
 ])
 def test_flag_outside_the_commands_row_exits_one(out_env, argv):
     assert run_cli(*argv) == 1
@@ -271,6 +274,17 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
      "--T", "-1", "--cells", "20"),
     ("sweep-eps", "--scenario", "vertical_down", "--eps", "1e-2,1e-3",
      "--T", "0", "--cells", "20"),
+    ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T",
+     "0.05", "--dt-init", "1"),
+    ("sweep-eps", "--scenario", "vertical_down", "--eps", "1e-2,1e-3",
+     "--cells", "20", "--T", "0.05", "--dt-init", "1"),
+    ("simulate", "--scenario", "helix", "--cells", "20"),
+    ("simulate", "--scenario", "random_lipschitz", "--seed", "-1",
+     "--cells", "20"),
+    ("simulate", "--scenario", "helix", "--dim", "3", "--geom-eps", "0",
+     "--cells", "20"),
+    ("tension", "--scenario", "helix", "--dim", "3", "--geom-eps", "0",
+     "--cells", "50"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

@@ -17,6 +17,11 @@ def test_spec_validation():
         ScenarioSpec(kind="spiral")
     with pytest.raises(ValueError):
         ScenarioSpec(kind="helix", mollify_radius=-1.0)
+    for geom_eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="geom_eps"):
+            ScenarioSpec(kind="helix", geom_eps=geom_eps)
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioSpec(kind="random_lipschitz", seed=-1)
 
 
 def test_vertical_down_is_equilibrium(gravity2):

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the five reference commands write.
+"""Print the sha256 of every file the six reference commands write.
 
     PYTHONPATH=<checkout>/src python tools/output_listing.py
 
@@ -41,6 +41,9 @@ COMMANDS = (
     ["nonuniqueness", "--T", "5", "--eps", "1e-3", "--cells", "1000"],
     ["tension", "--scenario", "straight_angle", "--cells", "200"],
     ["counterexample", "--eps", "0.1,0.05,0.01"],
+    # the sweep path; last, so that commands 0-4 keep their keys
+    ["sweep-eps", "--scenario", "quarter_circle", "--eps", "1e-2,1e-3",
+     "--cells", "100", "--T", "0.05", "--snapshots", "0.025"],
 )
 
 
