@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import decay_fit, potential_energy, report
+from .diagnostics import Reporter, decay_fit, potential_energy
+from .diagnostics import report  # noqa: F401  (perfbench's spans.WRAPS)
 from .errors import (InversionError, SolverFailure, StepRejected,
                      TensionSolveError, UnderResolvedError)
 from .flow import ArcState, GravitySpec, StepperConfig, evolve
@@ -39,7 +40,8 @@ from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
                      write_json, write_run, write_table, write_trajectory)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
                         eps_equilibrium, mollify, mollify_scales)
-from .tension import counterexample_tension, tension_for_state
+from .tension import counterexample_tension
+from .tension import tension_for_state  # also looked up by spans.WRAPS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,6 +206,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["out"] = os.environ.get("WHIPFLOW_OUT", "runs")
     if "T" in cfg and cfg["T"] <= 0.0:
         raise UsageError(f"--T must be positive, got {cfg['T']}")
+    if any(not 0.0 <= t <= cfg["T"] for t in cfg.get("snapshots", ())):
+        raise UsageError(f"--snapshots times must lie in [0, T] = "
+                         f"[0, {cfg['T']}], got {cfg['snapshots']}")
     if "cells" in cfg and cfg["cells"] < 2:
         raise UsageError("--cells must be at least 2")
     if any(eps <= 0.0 for eps in cfg.get("eps", ())):
@@ -242,18 +247,17 @@ def run_simulation(cfg: dict, eps: float, init: ArcState,
     g = GravitySpec.down(cfg["dim"])
     rmap = RegularizedMap(eps, dim=cfg["dim"])
 
-    reports = [report(init, rmap, g)]
+    reporter = Reporter(init.grid, rmap, g)
+    reporter.add(init)
     dts = [0.0]
     iters_list = [0]
     requests = list(cfg["snapshots"])
     nearest = [(abs(init.time - t), init) for t in requests]
-    sup_u = [float(np.linalg.norm(init.tangents, axis=1).max())]
 
     def observer(state, dt, iters):
-        reports.append(report(state, rmap, g))
+        reporter.add(state)
         dts.append(dt)
         iters_list.append(iters)
-        sup_u.append(float(np.linalg.norm(state.tangents, axis=1).max()))
         for k, t in enumerate(requests):
             err = abs(state.time - t)
             if err < nearest[k][0]:
@@ -266,6 +270,11 @@ def run_simulation(cfg: dict, eps: float, init: ArcState,
                stats=stats)
     except SolverFailure as exc:
         failure = {"reason": str(exc), **exc.diagnostics}
+    finally:
+        # a report error in the last block ends the run as it would have
+        # at its own step, before any error evolve raised after it
+        reporter.flush()
+    reports = reporter.reports
 
     snapshots = []
     seen = set()
@@ -276,7 +285,7 @@ def run_simulation(cfg: dict, eps: float, init: ArcState,
                                       tension=tension_for_state(state, g)))
     snapshots.sort(key=lambda s: s.state.time)
 
-    summary = _summarize(reports, init.grid, g, rmap, sup_u, eps)
+    summary = _summarize(reports, init.grid, g, rmap, reporter.sup_u, eps)
     summary["failed"] = failure
     config_echo = dict(cfg)
     config_echo["eps"] = [eps]

@@ -5,6 +5,19 @@ energies, the dissipation identity, weak-solution residuals, the weighted
 Hardy ratio, exponential-decay fits, tension tail integrals, and the
 compatibility predicate that detects initial data admitting no smooth
 evolution.
+
+A run's energy report (one EnergyReport, one ``timeseries.csv`` row, per
+accepted state) is taken by a Reporter in two parts.  The columns that
+read the constitutive map, E_eps, max_stretch and constraint_L1 (and the
+state's largest tangent norm), are taken per step, as each state arrives:
+the stepper's last evaluation left the map's memo holding that state's
+tangent field, so they cost one memo hit.  The columns that read the
+positions alone, E, E_alt, E_rel, E_rel_back, cos_alpha, D and
+sigma_at_1, are taken per block of states: the positions of at most
+BLOCK_FLOATS floats are kept, and each full block (and the last, partial
+one) is reported at once, its tensions from one tridiagonal solve.
+``report`` is the one-state case, so every column has one implementation
+and a block's rows are bitwise those of ``report``.
 """
 
 from __future__ import annotations
@@ -15,10 +28,13 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .flow import ArcState, GravitySpec, Trajectory, discrete_energy
+from .flow import ArcState, GravitySpec, Trajectory, _energy
+from .flow import discrete_energy  # noqa: F401  (perfbench's spans.WRAPS)
+from .grid import Grid
 from .regmap import RegularizedMap
-from .tension import (TensionProfile, end_cos_alpha, second_differences,
-                      tension_for_state)
+from .tension import (TensionProfile, end_cos_alpha, end_tensions,
+                      second_differences)
+from .tension import tension_for_state  # noqa: F401  (spans.WRAPS)
 
 # Energy of the downward vertical equilibrium, hard-coded as the reference
 # point of the relative energy.  The test suite re-derives it by trapezoid
@@ -68,48 +84,105 @@ class DecayFit:
     cbar0_check: float
 
 
+# Positions a Reporter keeps at most, in floats: the size of its block of
+# states.  That is 40 states at n = 200 in 2-D and 5 at n = 1500.
+BLOCK_FLOATS = 16384
+
+
+def _potential_energies(eta, h, g_vec):
+    """Trapezoid form of int (-g) . eta for node positions ``eta`` of shape
+    (..., N+1, d)."""
+    heights = eta @ (-g_vec)
+    return h * (heights.sum(axis=-1) - 0.5 * (heights[..., 0] + heights[..., -1]))
+
+
 def potential_energy(state: ArcState, g: GravitySpec) -> float:
     """Trapezoid form of the potential energy, int (-g) . eta."""
-    heights = state.positions @ (-g.direction)
-    return state.grid.quad_trapezoid(heights)
+    return float(_potential_energies(state.positions, state.grid.h,
+                                     g.direction))
+
+
+class Reporter:
+    """The EnergyReports of a run's states, in the order they are added.
+
+    ``add`` takes a state's per-step columns and copies its positions into
+    the block; a full block is reported at once.  Call ``flush`` after the
+    last state (also when the run failed) to report the partial block.
+    ``reports`` holds the rows reported so far and ``sup_u`` each added
+    state's largest tangent norm.  The flux-based columns use the map's
+    inverse at the midpoint tangents; the boundary tension comes from the
+    two-point solve, so D reproduces the dissipation identity of the exact
+    flow rather than the regularized surrogate (which is reported
+    separately through constraint_L1).
+    """
+
+    def __init__(self, grid: Grid, rmap: RegularizedMap, g: GravitySpec):
+        if rmap.dim != g.dim:
+            raise ShapeError(
+                f"dimension mismatch: map {rmap.dim}, gravity {g.dim}")
+        self.reports: list[EnergyReport] = []
+        self.sup_u: list[float] = []
+        self._grid, self._rmap, self._g = grid, rmap, g
+        shape = (grid.n_nodes, g.dim)
+        self._block = np.empty((max(1, BLOCK_FLOATS // (shape[0] * shape[1])),
+                                *shape))
+        # (t, E_eps, max_stretch, constraint_L1) of each state in the block
+        self._pending: list[tuple[float, float, float, float]] = []
+
+    def add(self, state: ArcState) -> None:
+        if state.positions.shape != self._block.shape[1:]:
+            raise ShapeError(
+                f"state of shape {state.positions.shape} in a report of "
+                f"{self._block.shape[1:]} positions")
+        grid = self._grid
+        u = state.tangents
+        flux, _, pot = self._rmap.local_calculus(u)
+        speeds = np.linalg.norm(u, axis=1)
+        flux_norm = np.linalg.norm(flux, axis=1)
+        self._block[len(self._pending)] = state.positions
+        self._pending.append((
+            state.time,
+            float(_energy(state.positions, pot, grid.h, self._g.direction)),
+            float(np.abs(speeds - 1.0).max()),
+            float(grid.quad_midpoint(flux_norm * np.abs(speeds ** 2 - 1.0))),
+        ))
+        self.sup_u.append(float(speeds.max()))
+        if len(self._pending) == len(self._block):
+            self.flush()
+
+    def flush(self) -> None:
+        """Report the states added since the last report."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        h = self._grid.h
+        g_vec = self._g.direction
+        eta = self._block[:len(pending)]
+        E = _potential_energies(eta, h, g_vec)
+        u = (eta[:, 1:] - eta[:, :-1]) / h
+        E_alt = h * (self._grid.midpoints * (u @ g_vec)).sum(axis=-1)
+        sigma_at_1, cos_alpha = end_tensions(eta, h, g_vec)
+        columns = zip(pending, E.tolist(), E_alt.tolist(),
+                      (E - EQUILIBRIUM_ENERGY).tolist(),
+                      (-EQUILIBRIUM_ENERGY - E).tolist(),
+                      (1.0 - sigma_at_1 * cos_alpha).tolist(),
+                      cos_alpha.tolist(), sigma_at_1.tolist())
+        self.reports.extend(
+            EnergyReport(t=t, E=e, E_alt=e_alt, E_rel=e_rel,
+                         E_rel_back=e_back, E_eps=e_eps, D=d, cos_alpha=cos,
+                         max_stretch=stretch, constraint_L1=l1,
+                         sigma_at_1=sigma)
+            for (t, e_eps, stretch, l1), e, e_alt, e_rel, e_back, d, cos, sigma
+            in columns)
 
 
 def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyReport:
-    """Evaluate every scalar functional of a state.
-
-    The flux-based fields use the map's inverse at the midpoint tangents;
-    the boundary tension comes from the two-point solve, so D reproduces
-    the dissipation identity of the exact flow rather than the regularized
-    surrogate (which is reported separately through constraint_L1).
-    """
-    grid = state.grid
-    u = state.tangents
-    s_mid = grid.midpoints
-    g_vec = g.direction
-
-    E = potential_energy(state, g)
-    E_alt = grid.quad_midpoint(s_mid * (u @ g_vec))
-    tension = tension_for_state(state, g)
-    cos_alpha = end_cos_alpha(state, g)
-    sigma_at_1 = tension.at_end
-
-    speeds = np.linalg.norm(u, axis=1)
-    flux = rmap.invert(u)
-    flux_norm = np.linalg.norm(flux, axis=1)
-
-    return EnergyReport(
-        t=state.time,
-        E=E,
-        E_alt=E_alt,
-        E_rel=E - EQUILIBRIUM_ENERGY,
-        E_rel_back=-EQUILIBRIUM_ENERGY - E,
-        E_eps=discrete_energy(state, rmap, g),
-        D=1.0 - sigma_at_1 * cos_alpha,
-        cos_alpha=cos_alpha,
-        max_stretch=float(np.abs(speeds - 1.0).max()),
-        constraint_L1=grid.quad_midpoint(flux_norm * np.abs(speeds ** 2 - 1.0)),
-        sigma_at_1=sigma_at_1,
-    )
+    """Evaluate every scalar functional of a state: a Reporter's row for
+    it."""
+    reporter = Reporter(state.grid, rmap, g)
+    reporter.add(state)
+    reporter.flush()
+    return reporter.reports[0]
 
 
 def constitutive_tension(state: ArcState, rmap: RegularizedMap) -> TensionProfile:
@@ -364,7 +437,8 @@ def compatibility_predicate(
     if state.grid.n_nodes < 3:
         raise ShapeError("need at least 3 nodes for the end curvature")
     cos_alpha = end_cos_alpha(state, g)
-    curvature_end = float(np.linalg.norm(second_differences(state)[-1]))
+    second = second_differences(state.positions, state.grid.h)
+    curvature_end = float(np.linalg.norm(second[-1]))
     lhs = abs(cos_alpha) * curvature_end
     rhs = 1.0 - abs(cos_alpha)
     return lhs < rhs, lhs, rhs

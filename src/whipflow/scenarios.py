@@ -32,6 +32,10 @@ KINDS = (
     "random_lipschitz",
 )
 
+# the fewest cells per helix turn build accepts: below that the chords skip
+# over the turns and the discrete curve is no longer a helix
+HELIX_CELLS_PER_TURN = 8
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -98,7 +102,10 @@ def eps_equilibrium(grid: Grid, rmap: RegularizedMap, g: GravitySpec) -> ArcStat
 
 
 def build(spec: ScenarioSpec, grid: Grid, g: GravitySpec) -> ArcState:
-    """Construct the initial curve of a scenario on a grid."""
+    """Construct the initial curve of a scenario on a grid.
+
+    A helix whose turns span fewer than HELIX_CELLS_PER_TURN cells raises
+    UnderResolvedError."""
     s = grid.nodes
     g_vec = g.direction
     d = g.dim
@@ -122,8 +129,13 @@ def build(spec: ScenarioSpec, grid: Grid, g: GravitySpec) -> ArcState:
     elif spec.kind == "helix":
         if d != 3:
             raise ShapeError("the helix scenario needs ambient dimension 3")
-        p1, p2 = _perp_frame(g_vec)
         eps = spec.geom_eps
+        if 2.0 * np.pi * eps < HELIX_CELLS_PER_TURN * grid.h:
+            raise UnderResolvedError(
+                f"a helix turn of length 2 pi geom_eps = {2 * np.pi * eps:.3g} "
+                f"spans fewer than {HELIX_CELLS_PER_TURN} cells of "
+                f"h = {grid.h:.3g}; increase the cells or geom_eps")
+        p1, p2 = _perp_frame(g_vec)
         amp = eps * np.sin(spec.alpha0)
         positions = (
             np.outer(amp * (np.cos(s / eps) - np.cos(1.0 / eps)), p1)

@@ -88,6 +88,7 @@ class GeodesicTensionProblem:
         object.__setattr__(self, "speed_sq", f)
 
 
+# looked up by name at each call, so perfbench's spans.WRAPS can wrap it
 def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
     """Solve the Dirichlet-Neumann tension problem.
 
@@ -103,52 +104,85 @@ def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
     solutions of the c = f = 0 problem are reproduced exactly.
     """
     grid = problem.grid
-    n = grid.n_cells
-    h = grid.h
-    c = problem.curvature_sq
-    f = problem.speed_sq
-    nu = problem.neumann_value
+    diag, rhs = _rows(problem.curvature_sq, problem.speed_sq,
+                      problem.neumann_value, grid.h)
+    values = np.empty(grid.n_nodes)
+    values[0] = 0.0
+    values[1:] = _solve_chain(diag, rhs, grid.h)
+    return TensionProfile(grid=grid, values=values)
+
+
+def _rows(c, f, nu, h):
+    """The diagonal and the right-hand side of solve_tension's system for
+    sigma_1..sigma_N (the Dirichlet unknown is eliminated up front), over
+    leading axes: ``c`` and ``f`` of shape (..., N+1), ``nu`` of shape
+    (...)."""
     inv_h2 = 1.0 / (h * h)
+    diag = 2.0 * inv_h2 + c[..., 1:]
+    diag[..., -1] = inv_h2 + 0.5 * c[..., -1]
+    rhs = f[..., 1:].copy()
+    rhs[..., -1] = 0.5 * f[..., -1] + nu / h
+    return diag, rhs
 
-    # the Dirichlet unknown is eliminated up front: solve for sigma_1..sigma_N
-    diag = 2.0 * inv_h2 + c[1:]
-    diag[-1] = inv_h2 + 0.5 * c[n]
-    # the LAPACK wrapper wants one off-diagonal entry even when n = 1
-    off = np.full(max(n - 1, 1), -inv_h2)
-    rhs = f[1:].copy()
-    rhs[-1] = 0.5 * f[n] + nu / h
 
-    _, _, solved, info = _PTSV(diag, off, rhs, overwrite_d=1, overwrite_e=1,
-                               overwrite_b=1)
+def _solve_chain(diag, rhs, h):
+    """Solve the systems of ``_rows`` (leading axes: one system each) by one
+    LAPACK ``ptsv`` call on their block-diagonal chain.  The coupling
+    between two systems is zero, so each one's arithmetic is that of its
+    own solve."""
+    off = np.full(diag.shape, -1.0 / (h * h))
+    off[..., -1] = 0.0
+    # the LAPACK wrapper wants one off-diagonal entry even when N = 1
+    off = off.reshape(-1)[:max(off.size - 1, 1)]
+    _, _, solved, info = _PTSV(diag.reshape(-1), off, rhs.reshape(-1),
+                               overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise TensionSolveError(
             f"tridiagonal tension solve failed (LAPACK ptsv info {info})")
     if not np.all(np.isfinite(solved)):
         raise TensionSolveError("tension solve produced non-finite values")
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    values[1:] = solved
-    return TensionProfile(grid=grid, values=values)
+    return solved.reshape(diag.shape)
 
 
 def end_cos_alpha(state: ArcState, g: GravitySpec) -> float:
     """The end slope cos(alpha) = -g . eta'(1), with eta'(1) the last
     forward difference (eta_N - eta_{N-1})/h."""
-    eta = state.positions
-    return -float(np.dot(g.direction, (eta[-1] - eta[-2]) / state.grid.h))
+    return float(_end_slopes(state.positions, state.grid.h, g.direction))
 
 
-def second_differences(state: ArcState) -> np.ndarray:
-    """eta'' at every node: central second differences inside, one-sided
-    ones (the same stencil as the neighbour's) at the two boundary nodes.
-    Needs at least 3 nodes."""
-    eta = state.positions
-    h = state.grid.h
+def _end_slopes(eta, h, g_vec):
+    """end_cos_alpha of node positions ``eta`` of shape (..., N+1, d).
+
+    Each slope is its own (1, d) @ (d,) product, which numpy evaluates as
+    the dot product np.dot does, whatever the leading shape: a stacked
+    (m, d) @ (d,) product goes through a matrix-vector kernel that can
+    round the last bit differently."""
+    end = (eta[..., -1, :] - eta[..., -2, :]) / h
+    return -(end[..., None, :] @ g_vec)[..., 0]
+
+
+def second_differences(eta: np.ndarray, h: float) -> np.ndarray:
+    """eta'' at every node of positions ``eta`` of shape (..., N+1, d):
+    central second differences inside, one-sided ones (the same stencil as
+    the neighbour's) at the two boundary nodes.  Needs at least 3 nodes."""
     second = np.empty_like(eta)
-    second[1:-1] = (eta[2:] - 2.0 * eta[1:-1] + eta[:-2]) / (h * h)
-    second[0] = (eta[0] - 2.0 * eta[1] + eta[2]) / (h * h)
-    second[-1] = (eta[-1] - 2.0 * eta[-2] + eta[-3]) / (h * h)
+    second[..., 1:-1, :] = (eta[..., 2:, :] - 2.0 * eta[..., 1:-1, :]
+                            + eta[..., :-2, :]) / (h * h)
+    second[..., 0, :] = (eta[..., 0, :] - 2.0 * eta[..., 1, :]
+                         + eta[..., 2, :]) / (h * h)
+    second[..., -1, :] = (eta[..., -1, :] - 2.0 * eta[..., -2, :]
+                          + eta[..., -3, :]) / (h * h)
     return second
+
+
+def _flow_coefficients(eta, h, g_vec):
+    """(|eta''|^2 at the nodes, cos(alpha)) of node positions ``eta`` of
+    shape (..., N+1, d): the coefficient and the Neumann value of the
+    gradient-flow tension problem."""
+    if eta.shape[-2] < 3:
+        raise ShapeError("tension_for_state needs at least 3 nodes")
+    second = second_differences(eta, h)
+    return np.sum(second * second, axis=-1), _end_slopes(eta, h, g_vec)
 
 
 def tension_for_state(state: ArcState, g: GravitySpec) -> TensionProfile:
@@ -160,16 +194,28 @@ def tension_for_state(state: ArcState, g: GravitySpec) -> TensionProfile:
     so that every node row of the solve carries coefficient data.
     """
     grid = state.grid
-    if grid.n_nodes < 3:
-        raise ShapeError("tension_for_state needs at least 3 nodes")
-    second = second_differences(state)
+    curvature_sq, cos_alpha = _flow_coefficients(state.positions, grid.h,
+                                                 g.direction)
     problem = GeodesicTensionProblem(
         grid=grid,
-        curvature_sq=np.sum(second * second, axis=-1),
+        curvature_sq=curvature_sq,
         speed_sq=np.zeros(grid.n_nodes),
-        neumann_value=end_cos_alpha(state, g),
+        neumann_value=float(cos_alpha),
     )
     return solve_tension(problem)
+
+
+def end_tensions(eta: np.ndarray, h: float,
+                 g_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma(1), cos(alpha)) of a block of curves with node positions
+    ``eta`` of shape (m, N+1, d): tension_for_state's problem for each
+    curve, assembled by the same rows and solved in one ``ptsv`` call, so
+    each value is bitwise that of tension_for_state and end_cos_alpha."""
+    curvature_sq, cos_alpha = _flow_coefficients(eta, h, g_vec)
+    if not np.all(np.isfinite(curvature_sq)):
+        raise ValueError("coefficients must be finite")
+    diag, rhs = _rows(curvature_sq, np.zeros(curvature_sq.shape), cos_alpha, h)
+    return _solve_chain(diag, rhs, h)[:, -1], cos_alpha
 
 
 def counterexample_tension(

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from whipflow import read_run, write_run
+from whipflow import (GravitySpec, RegularizedMap, read_run, report,
+                      write_run)
+from whipflow import cli
 from whipflow.cli import (_COMMANDS, build_parser, main, resolve_config,
                           settings_of)
+from whipflow.diagnostics import BLOCK_FLOATS
 from whipflow.run_io import run_directory, run_name
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -230,6 +233,54 @@ def test_simulate_hard_failure_writes_partial_record(out_env, only_run_dir):
     assert record.summary["failed"]["reason"].startswith("time step underflow")
 
 
+def test_failed_run_reports_its_partial_block(out_env, only_run_dir,
+                                              monkeypatch):
+    # the setting above: the states the run holds when evolve fails (here
+    # the initial one alone) are a block that is not full, flushed after
+    # the failure
+    argv = ("simulate", "--scenario", "vertical_up", "--eps", "1e-4",
+            "--cells", "100", "--T", "20", "--dt-init", "10",
+            "--dt-min", "10", "--dt-max", "10")
+    states = []
+    monkeypatch.setattr(cli, "evolve", _recording(cli.evolve, states))
+    assert run_cli(*argv) == 2
+    record = read_run(only_run_dir(out_env))
+    rmap = RegularizedMap(1e-4, dim=2)
+    g = GravitySpec.down(2)
+    assert 0 < len(states) < BLOCK_FLOATS // (101 * 2)
+    assert record.reports == [report(s, rmap, g) for s in states]
+
+
+def test_run_reports_every_block_as_per_state_reports(out_env, only_run_dir,
+                                                      monkeypatch):
+    states = []
+    monkeypatch.setattr(cli, "evolve", _recording(cli.evolve, states))
+    assert run_cli("simulate", "--scenario", "random_lipschitz", "--eps",
+                   "1e-2", "--cells", "2000", "--T", "0.05") == 0
+    record = read_run(only_run_dir(out_env))
+    rmap = RegularizedMap(1e-2, dim=2)
+    g = GravitySpec.down(2)
+    assert len(states) > 3 * (BLOCK_FLOATS // (2001 * 2))
+    assert record.reports == [report(s, rmap, g) for s in states]
+
+
+def _recording(evolve, states):
+    """evolve, appending the initial state and every accepted one to
+    ``states``."""
+
+    def recording_evolve(init, horizon, rmap, g, cfg, observer, stats):
+        states.append(init)
+
+        def recording_observer(state, dt, iters):
+            states.append(state)
+            observer(state, dt, iters)
+
+        return evolve(init, horizon, rmap, g, cfg, observer=recording_observer,
+                      stats=stats)
+
+    return recording_evolve
+
+
 @pytest.mark.parametrize("config", [
     {"scenario": "vertical_down", "cells": "40", "T": 0.1},
     {"scenario": "vertical_down", "cells": 40, "T": "0.1"},
@@ -285,11 +336,32 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
      "--cells", "20"),
     ("tension", "--scenario", "helix", "--dim", "3", "--geom-eps", "0",
      "--cells", "50"),
+    ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T",
+     "0.05", "--snapshots", "-1"),
+    ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T",
+     "0.05", "--snapshots", "5"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):
     assert run_cli(*argv) == 1
     assert "error:" in capsys.readouterr().err
+    assert not any(out_env.iterdir())
+
+
+def test_snapshot_times_at_both_ends_of_the_horizon_are_taken(out_env,
+                                                            only_run_dir):
+    assert run_cli("simulate", "--scenario", "vertical_down", "--cells", "20",
+                   "--T", "0.05", "--snapshots", "0,0.05") == 0
+    record = read_run(only_run_dir(out_env))
+    assert [s.state.time for s in record.snapshots] == \
+        [0.0, record.reports[-1].t]
+
+
+def test_unresolved_helix_exits_two_and_writes_nothing(out_env, capsys):
+    # 2 pi * 1e-3 per turn on h = 0.05: the chords would skip whole turns
+    assert run_cli("tension", "--scenario", "helix", "--dim", "3",
+                   "--alpha0", "1.0", "--geom-eps", "1e-3", "--cells", "20") == 2
+    assert "helix turn" in capsys.readouterr().err
     assert not any(out_env.iterdir())
 
 
@@ -397,7 +469,8 @@ def _other_value(setting, value) -> str:
     if setting.choices is not None:
         return str(next(c for c in setting.choices if c != value))
     if setting.kind is list:
-        return "0.5,0.25"
+        # valid as eps and as snapshot times within sweep-eps's T = 0.1
+        return "0.05,0.025"
     return repr(value + 1)
 
 

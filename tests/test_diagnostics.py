@@ -1,14 +1,18 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
-                      RegularizedMap, ScenarioSpec, TensionProfile,
-                      Trajectory, build, compatibility_predicate,
-                      constitutive_tension, decay_fit, generalized_residual,
-                      hardy_check, relative_energy_identity_check, report,
+                      RegularizedMap, ScenarioSpec, StepperConfig,
+                      TensionProfile, Trajectory, build,
+                      compatibility_predicate, constitutive_tension,
+                      decay_fit, evolve, generalized_residual, hardy_check,
+                      mollify, relative_energy_identity_check, report,
                       sigma_decay_check)
-from whipflow.diagnostics import EQUILIBRIUM_ENERGY
+from whipflow.diagnostics import BLOCK_FLOATS, EQUILIBRIUM_ENERGY, Reporter
 from whipflow.errors import ShapeError
+from whipflow.scenarios import mollify_scales
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,110 @@ def test_report_energy_forms_agree(gravity2, rmap):
         rep = report(state, rmap, gravity2)
         assert abs(rep.E - rep.E_alt) <= 10.0 * grid.h
         assert rep.E_rel >= -10.0 * grid.h
+
+
+def block_states(grid, dim):
+    """States per block of a Reporter."""
+    return BLOCK_FLOATS // (grid.n_nodes * dim)
+
+
+def report_bits(reports):
+    return np.array([[getattr(r, f) for f in EnergyReport.FIELDS]
+                     for r in reports]).view(np.uint64)
+
+
+def reported_in_blocks(states, rmap, g):
+    reporter = Reporter(states[0].grid, rmap, g)
+    for state in states:
+        reporter.add(state)
+    reporter.flush()
+    return reporter
+
+
+def helix_release_states():
+    """A 3-D release on 1000 cells, five states per block, to t = 0.05."""
+    grid = Grid(1000)
+    g = GravitySpec.down(3)
+    radius, width = mollify_scales(grid.h)
+    spec = ScenarioSpec(kind="helix", alpha0=1.0, mollify_radius=radius,
+                        taper_width=width)
+    init = mollify(build(spec, grid, g), spec)
+    rmap = RegularizedMap(1e-2, dim=3)
+    states = [init]
+    evolve(init, 0.05, rmap, g, StepperConfig(1e-3, 1e-9, 0.02),
+           observer=lambda state, dt, iters: states.append(state))
+    return states, rmap, g
+
+
+def test_block_rows_are_the_per_state_reports_in_2d(pendulum_run):
+    run = pendulum_run
+    assert len(run.states) > 3 * block_states(run.grid, 2)
+    rows = reported_in_blocks(run.states, run.rmap, run.gravity).reports
+    assert rows == run.reports
+    assert np.array_equal(report_bits(rows), report_bits(run.reports))
+
+
+def test_block_rows_are_the_per_state_reports_in_3d():
+    states, rmap, g = helix_release_states()
+    assert len(states) > 3 * block_states(states[0].grid, 3)
+    expected = [report(state, rmap, g) for state in states]
+    rows = reported_in_blocks(states, rmap, g).reports
+    assert rows == expected
+    assert np.array_equal(report_bits(rows), report_bits(expected))
+
+
+def test_block_rows_keep_the_report_of_an_off_axis_gravity(rmap):
+    # a stacked end-slope product would round cos(alpha) differently in
+    # the last bit; each slope is its own dot product instead
+    rng = np.random.default_rng(4)
+    grid = Grid(60)
+    direction = rng.normal(size=2)
+    g = GravitySpec(direction / np.linalg.norm(direction))
+    states = []
+    for k in range(3 * block_states(grid, 2)):
+        tangents = rng.normal(size=(grid.n_cells, 2))
+        tangents /= np.linalg.norm(tangents, axis=1).max()
+        positions = np.zeros((grid.n_nodes, 2))
+        positions[:-1] = -grid.h * np.cumsum(tangents[::-1], axis=0)[::-1]
+        states.append(ArcState(grid=grid, positions=positions, time=k))
+    expected = [report(state, rmap, g) for state in states]
+    rows = reported_in_blocks(states, rmap, g).reports
+    assert np.array_equal(report_bits(rows), report_bits(expected))
+
+
+def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
+    run = pendulum_run
+    per_block = block_states(run.grid, 2)
+    reporter = Reporter(run.grid, run.rmap, run.gravity)
+    held = [v.size for v in vars(reporter).values()
+            if isinstance(v, np.ndarray)]
+    assert sum(held) <= BLOCK_FLOATS
+    for added, state in enumerate(run.states, start=1):
+        copy = ArcState(grid=run.grid, positions=state.positions,
+                        time=state.time)
+        ref = weakref.ref(copy.positions)
+        reporter.add(copy)
+        del copy
+        # the positions were copied into the block, not kept
+        assert ref() is None
+        assert 0 <= added - len(reporter.reports) < per_block
+    assert len(reporter.reports) == len(run.states) - len(run.states) % per_block
+    reporter.flush()
+    assert reporter.reports == run.reports
+    assert reporter.sup_u == run.sup_tangent
+
+
+def test_flush_without_states_reports_nothing(gravity2, rmap):
+    reporter = Reporter(Grid(10), rmap, gravity2)
+    reporter.flush()
+    assert reporter.reports == [] and reporter.sup_u == []
+
+
+def test_reporter_refuses_a_state_of_another_grid(gravity2, rmap):
+    reporter = Reporter(Grid(10), rmap, gravity2)
+    state = build(ScenarioSpec(kind="vertical_down"), Grid(11), gravity2)
+    with pytest.raises(ShapeError):
+        reporter.add(state)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -67,6 +67,20 @@ def test_helix_needs_three_dimensions(gravity2, gravity3):
     assert state.dim == 3
 
 
+def test_helix_needs_eight_cells_per_turn(gravity3):
+    # a turn is 2 pi geom_eps long: 8 cells of h = 1/40 at the bound
+    at_bound = 8.0 / (2.0 * np.pi * 40)
+    grid = Grid(40)
+    state = build(ScenarioSpec(kind="helix", geom_eps=1.01 * at_bound), grid,
+                  gravity3)
+    assert np.linalg.norm(state.tangents, axis=1).max() <= 1.0
+    with pytest.raises(UnderResolvedError, match="helix turn"):
+        build(ScenarioSpec(kind="helix", geom_eps=0.99 * at_bound), grid,
+              gravity3)
+    with pytest.raises(UnderResolvedError):
+        build(ScenarioSpec(kind="helix", geom_eps=1e-3), Grid(20), gravity3)
+
+
 def test_helix_unit_tangents(gravity3):
     grid = Grid(1000)
     state = build(ScenarioSpec(kind="helix", geom_eps=0.1, alpha0=np.pi / 2),
