@@ -32,7 +32,7 @@ import numpy as np
 from .diagnostics import Reporter, decay_fit, potential_energy
 from .diagnostics import report  # noqa: F401  (perfbench's spans.WRAPS)
 from .errors import (InversionError, SolverFailure, StepRejected,
-                     TensionSolveError, UnderResolvedError)
+                     TensionSolveError)
 from .flow import ArcState, GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegularizedMap
@@ -251,23 +251,22 @@ def run_simulation(cfg: dict, eps: float, init: ArcState,
     reporter.add(init)
     dts = [0.0]
     iters_list = [0]
-    requests = list(cfg["snapshots"])
-    nearest = [(abs(init.time - t), init) for t in requests]
+    # evolve stops at each request: a state is kept if its time is one
+    requests = set(cfg["snapshots"])
+    kept = [init] if init.time in requests else []
 
     def observer(state, dt, iters):
         reporter.add(state)
         dts.append(dt)
         iters_list.append(iters)
-        for k, t in enumerate(requests):
-            err = abs(state.time - t)
-            if err < nearest[k][0]:
-                nearest[k] = (err, state)
+        if state.time in requests:
+            kept.append(state)
 
     stats: dict = {}
     failure = None
     try:
         evolve(init, cfg["T"], rmap, g, stepper, observer=observer,
-               stats=stats)
+               stats=stats, stops=cfg["snapshots"])
     except SolverFailure as exc:
         failure = {"reason": str(exc), **exc.diagnostics}
     finally:
@@ -276,14 +275,8 @@ def run_simulation(cfg: dict, eps: float, init: ArcState,
         reporter.flush()
     reports = reporter.reports
 
-    snapshots = []
-    seen = set()
-    for _, state in nearest:
-        if state.time not in seen:
-            seen.add(state.time)
-            snapshots.append(Snapshot(state=state,
-                                      tension=tension_for_state(state, g)))
-    snapshots.sort(key=lambda s: s.state.time)
+    snapshots = [Snapshot(state=state, tension=tension_for_state(state, g))
+                 for state in kept]
 
     summary = _summarize(reports, init.grid, g, rmap, reporter.sup_u, eps)
     summary["failed"] = failure
@@ -464,8 +457,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverFailure, StepRejected, InversionError, TensionSolveError,
-            UnderResolvedError) as exc:
+    except (SolverFailure, StepRejected, InversionError,
+            TensionSolveError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

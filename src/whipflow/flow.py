@@ -49,8 +49,8 @@ O(dt) error of backward Euler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -412,18 +412,26 @@ def evolve(
     cfg: StepperConfig,
     observer: Optional[Callable[[ArcState, float, int], None]] = None,
     stats: Optional[dict] = None,
+    stops: Sequence[float] = (),
 ) -> ArcState:
-    """Integrate from ``init`` to the time horizon with adaptive dt.
+    """Integrate from ``init`` to the time horizon with adaptive dt,
+    stopping on the way at each time of ``stops`` (in [init.time, horizon]).
 
-    The step is halved on rejection (hard failure below dt_min), grown by
-    1.2x after easy Newton convergence, clamped to [dt_min, dt_max] and to
-    the remaining horizon.  ``observer(state, dt, newton_iters)`` runs
-    after every accepted step; a ``stats`` dict, when given, is filled with
-    step and rejection counts, and with how many steps each Newton exit
-    accepted (``residual_exits``, ``decrement_exits``).
+    A step that would pass the next stop, or end short of it by at most
+    1e-12 max(1, |horizon|), is cut to end there and carries the stop's
+    time exactly; a step that ends on it keeps its dt, and a stop that
+    close after a state counts as reached.  dt is halved on rejection
+    (hard failure below dt_min); by one rule, it grows 1.2x (capped at
+    dt_max) after a step of at most 5 Newton iterations and is kept after
+    any other, so a cut step does not shrink the next one.  After every
+    accepted step ``observer(state, dt, newton_iters)`` runs; a ``stats``
+    dict, when given, gets the step and rejection counts and the steps
+    each Newton exit accepted (``residual_exits``, ``decrement_exits``).
     """
     if horizon < init.time:
         raise ValueError(f"horizon {horizon} precedes initial time {init.time}")
+    if any(not init.time <= t <= horizon for t in stops):
+        raise ValueError(f"stops {stops} outside [{init.time}, {horizon}]")
     _check_compatible(init, rmap, g)
     state = init
     dt = cfg.dt_init
@@ -433,34 +441,33 @@ def evolve(
     total_iters = 0
     exits = {"residual": 0, "decrement": 0}
     try:
-        while horizon - state.time > tiny:
-            dt_step = min(dt, horizon - state.time)
-            try:
-                new_state, iters, exit_test = _step_core(state, dt_step, rmap,
-                                                         g)
-            except StepRejected as exc:
-                rejections += 1
-                if dt_step <= cfg.dt_min:
-                    raise SolverFailure(
-                        f"time step underflow at t = {state.time:.6g}: {exc}",
-                        diagnostics={
-                            "time": state.time,
-                            "dt": dt_step,
-                            "rejections": rejections,
-                        },
-                    ) from exc
-                dt = max(0.5 * dt_step, cfg.dt_min)
-                continue
-            state = new_state
-            steps += 1
-            total_iters += iters
-            exits[exit_test] += 1
-            if observer is not None:
-                observer(state, dt_step, iters)
-            if iters <= 5:
-                dt = min(dt_step * 1.2, cfg.dt_max)
-            else:
-                dt = dt_step
+        for stop in sorted({*stops, horizon}):
+            while stop - state.time > tiny:
+                t_next = state.time + dt
+                cut = t_next != stop and t_next >= stop - tiny
+                dt_step = stop - state.time if cut else dt
+                try:
+                    new_state, iters, exit_test = _step_core(state, dt_step,
+                                                             rmap, g)
+                except StepRejected as exc:
+                    rejections += 1
+                    if dt_step <= cfg.dt_min:
+                        raise SolverFailure(
+                            f"time step underflow at t = {state.time:.6g}: "
+                            f"{exc}",
+                            diagnostics={"time": state.time, "dt": dt_step,
+                                         "rejections": rejections},
+                        ) from exc
+                    dt = max(0.5 * dt_step, cfg.dt_min)
+                    continue
+                state = replace(new_state, time=stop) if cut else new_state
+                steps += 1
+                total_iters += iters
+                exits[exit_test] += 1
+                if observer is not None:
+                    observer(state, dt_step, iters)
+                if iters <= 5:
+                    dt = min(dt * 1.2, cfg.dt_max)
     finally:
         if stats is not None:
             stats.update(

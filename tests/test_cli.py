@@ -71,19 +71,20 @@ def test_simulate_deterministic_and_echo_reproducible(out_env, only_run_dir):
     assert (run_dir / "timeseries.csv").read_bytes() == first
 
 
-def test_simulate_snapshots_nearest_steps(out_env, only_run_dir):
+def test_simulate_snapshots_at_the_requested_times(out_env, only_run_dir):
+    # evolve stops at every request, so each snapshot is the state at the
+    # requested time itself, named by it; a repeated request writes one file
     code = run_cli("simulate", "--scenario", "vertical_down", "--eps", "1e-2",
-                   "--cells", "50", "--T", "0.2", "--snapshots", "0,0.1")
+                   "--cells", "50", "--T", "0.2",
+                   "--snapshots", "0.1,0,0.037,0.1")
     assert code == 0
     run_dir = only_run_dir(out_env)
     record = read_run(run_dir)
-    assert len(record.snapshots) == 2
     times = [s.state.time for s in record.snapshots]
-    assert times[0] == 0.0
-    assert abs(times[1] - 0.1) <= 0.02  # within one step of the request
-    # each file is named by the time of its state, not the requested time
+    assert times == [0.0, 0.037, 0.1]
     assert sorted(p.name for p in run_dir.glob("snapshot_t*.csv")) == \
         sorted(f"snapshot_t{'%.17g' % t}.csv" for t in times)
+    assert set(times) <= {r.t for r in record.reports}
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["snapshot_times"] == times
     assert "snapshot_state_times" not in summary
@@ -108,6 +109,23 @@ def test_sweep_writes_summary_and_slope(out_env, only_run_dir):
         assert echo["config"]["eps"] == [entry["eps"]]
     assert doc["strictly_decreasing"] is True
     assert doc["loglog_slope"] > 0.0
+
+
+def test_sweep_runs_hold_their_snapshots_at_the_same_times(out_env,
+                                                           only_run_dir):
+    # the runs take different steps at different eps, but each stops at the
+    # requested times, so their states there can be compared
+    assert run_cli("sweep-eps", "--scenario", "quarter_circle",
+                   "--eps", "1e-1,1e-4", "--cells", "60", "--T", "0.05",
+                   "--snapshots", "0.01,0.025") == 0
+    runs = sorted(only_run_dir(out_env).glob("eps_*"))
+    records = [read_run(d) for d in runs]
+    assert len(records) == 2
+    assert len(records[0].step_dts) != len(records[1].step_dts)
+    for run_dir, record in zip(runs, records):
+        assert [s.state.time for s in record.snapshots] == [0.01, 0.025]
+        assert sorted(p.name for p in run_dir.glob("snapshot_t*.csv")) == \
+            ["snapshot_t0.01.csv", "snapshot_t0.025000000000000001.csv"]
 
 
 def test_sweep_identical_eps_identical_records(out_env, capsys):
@@ -166,8 +184,11 @@ def test_counterexample_table(out_env, capsys, only_run_dir):
     assert ratios == sorted(ratios)  # tending to one as eps shrinks
 
 
-def test_counterexample_unresolved_exits_two(out_env):
-    assert run_cli("counterexample", "--eps", "1e-8", "--cells", "10") == 2
+def test_counterexample_unresolved_exits_one(out_env, capsys):
+    # an under-resolved setting is invalid input: no numeric method ran
+    assert run_cli("counterexample", "--eps", "1e-8", "--cells", "10") == 1
+    assert capsys.readouterr().err.startswith("error: stiffness")
+    assert not any(out_env.iterdir())
 
 
 def test_nonuniqueness_reports_separation(out_env, only_run_dir):
@@ -268,7 +289,8 @@ def _recording(evolve, states):
     """evolve, appending the initial state and every accepted one to
     ``states``."""
 
-    def recording_evolve(init, horizon, rmap, g, cfg, observer, stats):
+    def recording_evolve(init, horizon, rmap, g, cfg, observer, stats,
+                         **kwargs):
         states.append(init)
 
         def recording_observer(state, dt, iters):
@@ -276,7 +298,7 @@ def _recording(evolve, states):
             observer(state, dt, iters)
 
         return evolve(init, horizon, rmap, g, cfg, observer=recording_observer,
-                      stats=stats)
+                      stats=stats, **kwargs)
 
     return recording_evolve
 
@@ -353,15 +375,14 @@ def test_snapshot_times_at_both_ends_of_the_horizon_are_taken(out_env,
     assert run_cli("simulate", "--scenario", "vertical_down", "--cells", "20",
                    "--T", "0.05", "--snapshots", "0,0.05") == 0
     record = read_run(only_run_dir(out_env))
-    assert [s.state.time for s in record.snapshots] == \
-        [0.0, record.reports[-1].t]
+    assert [s.state.time for s in record.snapshots] == [0.0, 0.05]
 
 
-def test_unresolved_helix_exits_two_and_writes_nothing(out_env, capsys):
+def test_unresolved_helix_exits_one_and_writes_nothing(out_env, capsys):
     # 2 pi * 1e-3 per turn on h = 0.05: the chords would skip whole turns
     assert run_cli("tension", "--scenario", "helix", "--dim", "3",
-                   "--alpha0", "1.0", "--geom-eps", "1e-3", "--cells", "20") == 2
-    assert "helix turn" in capsys.readouterr().err
+                   "--alpha0", "1.0", "--geom-eps", "1e-3", "--cells", "20") == 1
+    assert capsys.readouterr().err.startswith("error: a helix turn")
     assert not any(out_env.iterdir())
 
 

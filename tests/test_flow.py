@@ -492,3 +492,52 @@ def test_decrement_exit_leaves_a_solve_error_below_1e_12(monkeypatch):
         res = residual(state, prev, dt, rmap, g)
         update = flow._newton_update(jac, res, h, np.eye(2) / dt)
         assert np.abs(update).max() <= 1e-12
+
+
+def accepted_steps(init, horizon, rmap, g, **kwargs):
+    """(state, dt, Newton iterations) of every step ``evolve`` accepts."""
+    steps = []
+    evolve(init, horizon, rmap, g, CLI_STEPPER,
+           observer=lambda s, dt, it: steps.append((s, dt, it)), **kwargs)
+    return steps
+
+
+def test_stops_the_run_reaches_anyway_keep_every_bit():
+    init, rmap, g = release("quarter_circle", 1e-2, 80, 2)
+    plain = accepted_steps(init, 0.3, rmap, g)
+    stops = [s.time for s, _, _ in plain[::3]]
+    stopped = accepted_steps(init, 0.3, rmap, g, stops=[0.0, *stops])
+    assert len(stopped) == len(plain)
+    for (a, dt_a, it_a), (b, dt_b, it_b) in zip(plain, stopped):
+        assert (b.time, dt_b, it_b) == (a.time, dt_a, it_a)
+        assert b.positions.tobytes() == a.positions.tobytes()
+
+
+def test_a_stop_between_steps_is_hit_exactly_and_keeps_the_controllers_dt():
+    init, rmap, g = release("quarter_circle", 1e-2, 80, 2)
+    plain = accepted_steps(init, 0.3, rmap, g)
+    # the first step still growing dt: dt proposed for step k + 1 is
+    # plain[k + 1]'s, and the run grows it after step k + 1
+    k = next(k for k in range(1, len(plain) - 2)
+             if plain[k + 1][1] * 1.2 < CLI_STEPPER.dt_max
+             and plain[k + 1][2] <= 5)
+    proposed = plain[k + 1][1]
+    stop = plain[k][0].time + 0.3 * proposed
+    stopped = accepted_steps(init, 0.3, rmap, g, stops=[stop])
+    assert [s.time for s, _, _ in stopped[:k + 1]] == \
+        [s.time for s, _, _ in plain[:k + 1]]
+    state, dt, iters = stopped[k + 1]
+    assert state.time == stop
+    assert dt == stop - plain[k][0].time
+    assert iters <= 5
+    # one growth rule: the cut step grows the dt proposed before it, not
+    # its own shorter dt
+    assert stopped[k + 2][1] == min(1.2 * proposed, CLI_STEPPER.dt_max)
+    assert stopped[-1][0].time == 0.3
+
+
+def test_stops_outside_the_run_are_refused():
+    init, rmap, g = release("vertical_down", 1e-2, 20, 2)
+    for stops in ([-0.1], [0.3]):
+        with pytest.raises(ValueError, match="stops"):
+            evolve(init, 0.2, rmap, g, CLI_STEPPER, stops=stops)
