@@ -7,7 +7,7 @@ subcommand accepts exactly the flags and config keys of its own rows.
 Every run resolves those rows fully (defaults, then an optional JSON config
 file, then flags), builds its inputs, so that an invalid setting exits
 before any write, and then writes deterministic files for offline plotting
-into the one directory ``run_io.run_directory`` names after the command and
+into the one directory ``run_io.run_path`` names after the command and
 the resolved settings, with the settings echoed to its config.json;
 re-running an echoed config reproduces the outputs byte for byte.
 
@@ -37,7 +37,8 @@ from .flow import ArcState, GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegularizedMap
 from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
-                     write_json, write_run, write_table, write_trajectory)
+                     run_path, write_json, write_run, write_table,
+                     write_trajectory)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
                         eps_equilibrium, mollify, mollify_scales)
 from .tension import counterexample_tension
@@ -239,13 +240,14 @@ def _initial_state(cfg) -> ArcState:
     return mollify(build(spec, grid, GravitySpec.down(cfg["dim"])), spec)
 
 
-def run_simulation(cfg: dict, eps: float, init: ArcState,
+def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
                    stepper: StepperConfig, directory: Path) -> RunRecord:
-    """Shared pipeline of simulate and sweep-eps: evolve the initial state,
-    record, persist.  Writes a partial record with a failure marker when
-    the solver fails hard (the caller decides the exit code)."""
+    """Shared pipeline of simulate and sweep-eps: evolve the initial state
+    under ``rmap``, record, persist.  Writes a partial record with a
+    failure marker when the solver fails hard (the caller decides the exit
+    code)."""
     g = GravitySpec.down(cfg["dim"])
-    rmap = RegularizedMap(eps, dim=cfg["dim"])
+    eps = rmap.eps
 
     reporter = Reporter(init.grid, rmap, g)
     reporter.add(init)
@@ -341,8 +343,11 @@ def cmd_simulate(cfg) -> int:
     if len(cfg["eps"]) != 1:
         raise UsageError("simulate takes exactly one --eps value")
     init, stepper = _initial_state(cfg), _stepper(cfg)
-    directory = run_directory(cfg)
-    record = run_simulation(cfg, cfg["eps"][0], init, stepper, directory)
+    rmap = RegularizedMap(cfg["eps"][0], dim=cfg["dim"])
+    # made before the run, so that an unusable --out fails before any step;
+    # write_run echoes the settings to its config.json
+    directory = run_path(cfg)
+    record = run_simulation(cfg, rmap, init, stepper, directory)
     print(f"wrote {directory}")
     if record.summary["failed"] is not None:
         print(f"solver failed: {record.summary['failed']['reason']}", file=sys.stderr)
@@ -357,12 +362,13 @@ def cmd_sweep_eps(cfg) -> int:
     if len(set(eps_list)) < len(eps_list):
         raise UsageError(f"sweep-eps: repeated --eps value in {eps_list}")
     init, stepper = _initial_state(cfg), _stepper(cfg)
+    rmaps = [RegularizedMap(eps, dim=cfg["dim"]) for eps in eps_list]
     base = run_directory(cfg)
     entries = []
     failed = False
-    for eps in eps_list:
+    for eps, rmap in zip(eps_list, rmaps):
         directory = eps_directory(base, eps)
-        record = run_simulation(cfg, eps, init, stepper, directory)
+        record = run_simulation(cfg, rmap, init, stepper, directory)
         if record.summary["failed"] is not None:
             failed = True
         dts = np.array(record.step_dts)

@@ -32,7 +32,7 @@ from .flow import ArcState, GravitySpec, Trajectory, _energy
 from .flow import discrete_energy  # noqa: F401  (perfbench's spans.WRAPS)
 from .grid import Grid
 from .regmap import RegularizedMap
-from .tension import (TensionProfile, end_cos_alpha, end_tensions,
+from .tension import (TensionProfile, end_cos_alpha, flow_tensions,
                       second_differences)
 from .tension import tension_for_state  # noqa: F401  (spans.WRAPS)
 
@@ -161,7 +161,8 @@ class Reporter:
         E = _potential_energies(eta, h, g_vec)
         u = (eta[:, 1:] - eta[:, :-1]) / h
         E_alt = h * (self._grid.midpoints * (u @ g_vec)).sum(axis=-1)
-        sigma_at_1, cos_alpha = end_tensions(eta, h, g_vec)
+        sigma, cos_alpha = flow_tensions(eta, h, g_vec)
+        sigma_at_1 = sigma[:, -1]
         columns = zip(pending, E.tolist(), E_alt.tolist(),
                       (E - EQUILIBRIUM_ENERGY).tolist(),
                       (-EQUILIBRIUM_ENERGY - E).tolist(),

@@ -28,9 +28,11 @@ A hit returns what a fresh build would, bitwise.
 The radial inversion solves f(rho) = r for the radial profile
 f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
 once, from eps alone: f sampled at rho = sqrt(eps)*x for x = 0 and 256
-log-spaced x in [1e-3, 1e4*eps^(-3/2)].  Reading the table backwards starts
-every entry near its root; above the table (r - 1)/eps, a lower bound
-since f(rho) <= eps*rho + 1, is already accurate.  From that start the
+log-spaced x in [1e-3, 1e4*eps^(-3/2)], and refuses an eps (ValueError)
+whose table is not finite and strictly increasing, which holds for eps
+from 1e-14 to 4.6e4.  Reading the table backwards starts every entry near
+its root; above the table (r - 1)/eps, a lower bound since f(rho) <=
+eps*rho + 1, is already accurate.  From that start the
 kernel applies exactly INVERT_UPDATES = 5 Newton updates, each clamped at
 rho >= 0, with no bracket and no early exit.  Three updates reach
 |f(rho) - r| <= INVERT_TOL*(1 + r) for eps in [1e-4, 1]; that is checked
@@ -73,10 +75,23 @@ class RegularizedMap:
         self._eye = np.eye(dim)
         # record (tau copy, scale, rho, jac, w) of the last field, see _field
         self._memo = None
-        # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
-        x = np.concatenate(([0.0], np.geomspace(1e-3, 1e4 * eps ** -1.5, 256)))
-        self._rho_tab = np.sqrt(eps) * x
-        self._f_tab = self._radial(self._rho_tab)
+        # start table of the radial inversion: f sampled at rho = sqrt(eps)*x.
+        # The kernel reads it by np.interp, so it must be finite and strictly
+        # increasing.  Below eps ~ 1e-15 its flat top (f ~ 1) rounds to
+        # repeated values, and below eps ~ 1e-155 rho^2 overflows.  From eps
+        # ~ 4.65e4 up the top x is below 1e-3 (and 0 once eps^-1.5
+        # underflows, where nan stands in for the log-spaced x).
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = 1e4 * np.float64(eps) ** -1.5
+            x = np.concatenate(
+                ([0.0], np.geomspace(1e-3, top, 256) if top > 0.0 else [np.nan]))
+            self._rho_tab = np.sqrt(eps) * x
+            self._f_tab = self._radial(self._rho_tab)
+        if not (np.all(np.isfinite(self._f_tab))
+                and np.all(np.diff(self._f_tab) > 0.0)):
+            raise ValueError(
+                f"eps = {eps:g} is out of range: the start table of the radial "
+                "inversion is not finite and strictly increasing")
 
     # -- scalar radial profile -------------------------------------------
 

@@ -1,11 +1,12 @@
 """Persistence: the one module that knows the names and the formats of the
 files a run leaves on disk.
 
-Every subcommand that writes gets one directory from run_directory:
+Every subcommand that writes gets one directory from run_path:
 ``<out>/<command>-<h>``, where ``h`` is the first 12 hex digits of the
 sha256 of the resolved settings without ``out``, so two runs share a
 directory exactly when they resolve to the same settings.  Its
-config.json echoes those settings.
+config.json echoes those settings, written once: by run_directory as it
+makes the directory, or, for a simulate run, by write_run.
 
 A simulate run directory (write_run, read_run) holds
 
@@ -13,7 +14,9 @@ A simulate run directory (write_run, read_run) holds
     timeseries.csv       one row per accepted step (plus the initial state)
     snapshot_t<t>.csv    node table (s, positions, tension) per snapshot,
                          named by the time of its state
-    summary.json         decay fit, final distances, verdicts, solver stats
+    summary.json         summary (E_rel_initial, E_rel_final, decay_fit,
+                         max_energy_increase, running_sup_tangent,
+                         verdicts, failed), solver_stats, snapshot_times
 
 and a trajectory directory (write_trajectory) holds one snapshot_t<t>.csv
 for each of at most 50 evenly spaced states plus index.json (their times
@@ -148,11 +151,17 @@ def run_name(settings: dict) -> str:
     return f"{settings['command']}-{digest.hexdigest()[:12]}"
 
 
-def run_directory(settings: dict) -> Path:
+def run_path(settings: dict) -> Path:
     """Create the directory of a run with these resolved settings under
-    ``settings["out"]``, echo them to its config.json and return it."""
+    ``settings["out"]`` and return it."""
     directory = Path(settings["out"]) / run_name(settings)
     directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
+def run_directory(settings: dict) -> Path:
+    """run_path, with the settings echoed to its config.json."""
+    directory = run_path(settings)
     write_json(directory / "config.json", {"config": settings})
     return directory
 

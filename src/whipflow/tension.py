@@ -175,47 +175,34 @@ def second_differences(eta: np.ndarray, h: float) -> np.ndarray:
     return second
 
 
-def _flow_coefficients(eta, h, g_vec):
-    """(|eta''|^2 at the nodes, cos(alpha)) of node positions ``eta`` of
-    shape (..., N+1, d): the coefficient and the Neumann value of the
-    gradient-flow tension problem."""
+def flow_tensions(eta: np.ndarray, h: float,
+                  g_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma at every node, cos(alpha)) of curves with node positions
+    ``eta`` of shape (..., N+1, d): the gradient-flow tension problem, with
+    |eta''|^2 from second_differences and cos(alpha) from the end slope,
+    assembled by solve_tension's rows for each curve and solved in one
+    ``ptsv`` call (leading axes: one curve each)."""
     if eta.shape[-2] < 3:
-        raise ShapeError("tension_for_state needs at least 3 nodes")
+        raise ShapeError("the flow tension needs at least 3 nodes")
     second = second_differences(eta, h)
-    return np.sum(second * second, axis=-1), _end_slopes(eta, h, g_vec)
+    curvature_sq = np.sum(second * second, axis=-1)
+    if not np.all(np.isfinite(curvature_sq)):
+        raise ValueError("coefficients must be finite")
+    cos_alpha = _end_slopes(eta, h, g_vec)
+    diag, rhs = _rows(curvature_sq, np.zeros(curvature_sq.shape), cos_alpha, h)
+    sigma = np.zeros(curvature_sq.shape)
+    sigma[..., 1:] = _solve_chain(diag, rhs, h)
+    return sigma, cos_alpha
 
 
 def tension_for_state(state: ArcState, g: GravitySpec) -> TensionProfile:
-    """Tension of a sampled curve: assemble |eta''|^2 and the end slope
-    cos(alpha) = -g . eta'(1) from the positions, then solve with zero
-    source.
+    """Tension of a sampled curve: flow_tensions of its positions.
 
     Curvature at the two boundary nodes uses one-sided second differences
     so that every node row of the solve carries coefficient data.
     """
-    grid = state.grid
-    curvature_sq, cos_alpha = _flow_coefficients(state.positions, grid.h,
-                                                 g.direction)
-    problem = GeodesicTensionProblem(
-        grid=grid,
-        curvature_sq=curvature_sq,
-        speed_sq=np.zeros(grid.n_nodes),
-        neumann_value=float(cos_alpha),
-    )
-    return solve_tension(problem)
-
-
-def end_tensions(eta: np.ndarray, h: float,
-                 g_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma(1), cos(alpha)) of a block of curves with node positions
-    ``eta`` of shape (m, N+1, d): tension_for_state's problem for each
-    curve, assembled by the same rows and solved in one ``ptsv`` call, so
-    each value is bitwise that of tension_for_state and end_cos_alpha."""
-    curvature_sq, cos_alpha = _flow_coefficients(eta, h, g_vec)
-    if not np.all(np.isfinite(curvature_sq)):
-        raise ValueError("coefficients must be finite")
-    diag, rhs = _rows(curvature_sq, np.zeros(curvature_sq.shape), cos_alpha, h)
-    return _solve_chain(diag, rhs, h)[:, -1], cos_alpha
+    sigma, _ = flow_tensions(state.positions, state.grid.h, g.direction)
+    return TensionProfile(grid=state.grid, values=sigma)
 
 
 def counterexample_tension(
@@ -231,12 +218,17 @@ def counterexample_tension(
     (sigma(1), eps^2/sin(alpha0)^2); the first never exceeds the second,
     and their ratio tends to 1 as eps -> 0.
     """
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
+    try:
+        eps_sq = float(eps) ** 2
+    except OverflowError:
+        eps_sq = np.inf
+    if not (eps > 0.0 and 0.0 < eps_sq < np.inf):
+        raise ValueError(
+            f"eps must be positive with a positive finite square, got {eps}")
     if not (0.0 < alpha0 < np.pi):
         raise ValueError(f"alpha0 must lie in (0, pi), got {alpha0}")
     grid = Grid(n_cells)
-    a_sq = np.sin(alpha0) ** 2 / eps ** 2
+    a_sq = np.sin(alpha0) ** 2 / eps_sq
     if a_sq * grid.h ** 2 > 1e4:
         raise UnderResolvedError(
             f"stiffness {a_sq:.3g} is unresolved at h = {grid.h:.3g}; "
@@ -249,5 +241,5 @@ def counterexample_tension(
         neumann_value=0.0,
     )
     profile = solve_tension(problem)
-    bound = eps ** 2 / np.sin(alpha0) ** 2
+    bound = eps_sq / np.sin(alpha0) ** 2
     return profile.at_end, float(bound)

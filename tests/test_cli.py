@@ -325,6 +325,19 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
     assert run_cli(*argv) == 1
 
 
+# an eps whose map (or, for counterexample, whose square) cannot be built
+OUT_OF_RANGE_EPS_RUNS = [
+    ("simulate", "--scenario", "quarter_circle", "--cells", "20", "--T",
+     "0.05", "--eps", "1e-300"),
+    ("simulate", "--scenario", "quarter_circle", "--cells", "20", "--T",
+     "0.05", "--eps", "1e300"),
+    ("sweep-eps", "--scenario", "quarter_circle", "--cells", "20", "--T",
+     "0.05", "--eps", "1e-2,1e-300"),
+    ("nonuniqueness", "--cells", "20", "--T", "0.05", "--eps", "1e-300"),
+    ("counterexample", "--eps", "1e300"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("counterexample", "--eps", "1e-2,abc"),
     ("counterexample", "--eps", ","),
@@ -362,12 +375,64 @@ def test_flag_outside_the_commands_row_exits_one(out_env, argv):
      "0.05", "--snapshots", "-1"),
     ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T",
      "0.05", "--snapshots", "5"),
+    *OUT_OF_RANGE_EPS_RUNS,
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):
     assert run_cli(*argv) == 1
     assert "error:" in capsys.readouterr().err
     assert not any(out_env.iterdir())
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_EPS_RUNS)
+def test_out_of_range_eps_is_named(out_env, argv, capsys):
+    assert run_cli(*argv) == 1
+    assert re.match(r"error: eps (= 1e[+-]300|must be)",
+                    capsys.readouterr().err)
+
+
+def test_simulate_writes_its_config_once(out_env, only_run_dir, monkeypatch):
+    writes = []
+    write_text = Path.write_text
+
+    def counting(path, *args, **kwargs):
+        writes.append(path.name)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", counting)
+    assert run_cli("simulate", "--scenario", "vertical_down", "--cells", "20",
+                   "--T", "0.05") == 0
+    assert writes.count("config.json") == 1
+    record = read_run(only_run_dir(out_env))
+    assert record.config_echo["scenario"] == "vertical_down"
+
+
+def _csv_rows(path):
+    """The rows of a CSV file that run_io wrote, as lists of strings."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--scenario", "random_lipschitz", "--cells", "100", "--T", "0.05",
+     "--snapshots", "0,0.013,0.05"),
+    ("--scenario", "helix", "--dim", "3", "--cells", "400", "--T", "0.05",
+     "--snapshots", "0,0.02,0.05"),
+], ids=["2d", "3d"])
+def test_snapshot_end_tension_is_the_timeseries_sigma_at_1(out_env, argv,
+                                                          only_run_dir):
+    # the snapshot (one curve) and the timeseries row (a reporter block) get
+    # sigma from the same flow_tensions, so sigma(1) prints alike
+    assert run_cli("simulate", *argv) == 0
+    run_dir = only_run_dir(out_env)
+    header = (run_dir / "timeseries.csv").read_text().splitlines()[0]
+    column = header.split(",").index("sigma_at_1")
+    sigma_at_1 = {float(row[0]): row[column]
+                  for row in _csv_rows(run_dir / "timeseries.csv")}
+    snapshots = sorted(run_dir.glob("snapshot_t*.csv"))
+    assert len(snapshots) == 3
+    for path in snapshots:
+        t = float(path.name[len("snapshot_t"):-len(".csv")])
+        assert _csv_rows(path)[-1][-1] == sigma_at_1[t]
 
 
 def test_snapshot_times_at_both_ends_of_the_horizon_are_taken(out_env,

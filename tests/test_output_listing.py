@@ -1,0 +1,41 @@
+"""tools/output_listing.py, the byte check of refactors, stays runnable.
+
+No file count or digest is pinned: a change that moves outputs on purpose
+changes the listing, not this test."""
+
+import hashlib
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "output_listing.py"
+
+
+def _commands():
+    spec = importlib.util.spec_from_file_location("output_listing", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+def test_output_listing_lists_every_command_and_its_digest(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(TOOL)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    commands = range(len(_commands()))
+    dirs = [line for line in lines if line.startswith("dir ")]
+    assert [int(line.split()[1]) for line in dirs] == list(commands)
+    files = [line for line in lines if re.fullmatch(r"[0-9a-f]{64}  \d+/.+",
+                                                    line)]
+    assert {int(line.split()[1].split("/")[0]) for line in files} == \
+        set(commands)
+    assert lines == dirs + files + [lines[-1]]
+    text = "".join(line + "\n" for line in files)
+    assert lines[-1] == \
+        f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}"

@@ -21,6 +21,21 @@ def test_params_validation():
         RegularizedMap(0.1, dim=4)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-200, 1e-100, 1e-16, 4.7e4, 1e5,
+                                 1e220, 1e300])
+def test_an_eps_without_an_increasing_start_table_is_refused(eps):
+    # below ~1e-15 the table's flat top repeats values (below ~1e-155 it
+    # overflows); from ~4.65e4 up its log-spaced top falls under its bottom
+    with pytest.raises(ValueError, match="eps = "):
+        RegularizedMap(eps)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-8, 10.0, 4.6e4])
+def test_an_eps_in_range_builds_a_strictly_increasing_start_table(eps):
+    f_tab = RegularizedMap(eps)._f_tab
+    assert np.all(np.isfinite(f_tab)) and np.all(np.diff(f_tab) > 0.0)
+
+
 def test_forward_at_zero():
     m = RegularizedMap(0.37, dim=3)
     assert np.all(m.forward(np.zeros(3)) == 0.0)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, GeodesicTensionProblem, Grid,
+from whipflow import (ArcState, GeodesicTensionProblem, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, build, counterexample_tension, evolve,
                       mollify, solve_tension, tension_for_state)
 from whipflow.errors import ShapeError, TensionSolveError, UnderResolvedError
+from whipflow.tension import end_cos_alpha, flow_tensions
 
 
 def constant_problem(grid, c, f, nu):
@@ -127,6 +128,43 @@ def test_tension_for_vertical_states(gravity2):
                                -grid.nodes, atol=1e-10)
 
 
+def random_states(rng, grid, dim, count):
+    """Pinned curves with random tangents of norm at most 1."""
+    states = []
+    for k in range(count):
+        tangents = rng.normal(size=(grid.n_cells, dim))
+        tangents /= np.linalg.norm(tangents, axis=1).max()
+        positions = np.zeros((grid.n_nodes, dim))
+        positions[:-1] = -grid.h * np.cumsum(tangents[::-1], axis=0)[::-1]
+        states.append(ArcState(grid=grid, positions=positions, time=k))
+    return states
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("gravity", ["down", "random"])
+def test_a_blocks_tensions_are_each_curves_own_bits(dim, gravity):
+    # the block call and the one-curve call are one solve; each row of the
+    # block must be what the curve gets alone, to the last bit
+    rng = np.random.default_rng(dim)
+    if gravity == "down":
+        g = GravitySpec.down(dim)
+    else:
+        direction = rng.normal(size=dim)
+        g = GravitySpec(direction / np.linalg.norm(direction))
+    grid = Grid(60)
+    states = random_states(rng, grid, dim, 7)
+    states.append(build(ScenarioSpec(kind="helix" if dim == 3
+                                     else "quarter_circle"), grid, g))
+    sigma, cos_alpha = flow_tensions(
+        np.stack([state.positions for state in states]), grid.h, g.direction)
+    assert sigma.shape == (len(states), grid.n_nodes)
+    for k, state in enumerate(states):
+        alone = tension_for_state(state, g).values
+        assert sigma[k].tobytes() == alone.tobytes()
+        assert np.float64(cos_alpha[k]).tobytes() == \
+            np.float64(end_cos_alpha(state, g)).tobytes()
+
+
 def right_angle_hook(grid, g):
     """Quarter-circle hook rotated so the discrete end tangent is exactly
     orthogonal to gravity (the raw builder leaves an O(h) angle because the
@@ -187,6 +225,12 @@ def test_counterexample_refuses_unresolved_stiffness():
         counterexample_tension(0.1, 0.0)
     with pytest.raises(ValueError):
         counterexample_tension(-0.1, np.pi / 2)
+
+
+@pytest.mark.parametrize("eps", [1e155, 1e300])
+def test_counterexample_refuses_an_eps_whose_square_overflows(eps):
+    with pytest.raises(ValueError, match="eps"):
+        counterexample_tension(eps, np.pi / 2)
 
 
 def test_maximum_principle_positive_neumann():
