@@ -212,8 +212,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
                          f"[0, {cfg['T']}], got {cfg['snapshots']}")
     if "cells" in cfg and cfg["cells"] < 2:
         raise UsageError("--cells must be at least 2")
-    if any(eps <= 0.0 for eps in cfg.get("eps", ())):
-        raise UsageError(f"--eps must be positive, got {cfg['eps']}")
     if "scenario" in cfg and cfg["scenario"] is None:
         raise UsageError("--scenario is required")
     cfg["command"] = args.command

@@ -25,18 +25,23 @@ discrete energy and the next step's first evaluation all see the same
 field, so only the first of them pays for the inversion and the Jacobian.
 A hit returns what a fresh build would, bitwise.
 
+The map's domain: eps in [EPS_MIN, EPS_MAX] = [1e-14, 4.6e4] (check_eps,
+else ValueError), and every entry x of a vector it reads with |x| <=
+VEC_MAX = 1e80 (else NumericDomainError; NaN and inf fail that comparison
+too).  On it every value below is finite; rho^3 stays below about 1e283.
+
 The radial inversion solves f(rho) = r for the radial profile
 f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
 once, from eps alone: f sampled at rho = sqrt(eps)*x for x = 0 and 256
-log-spaced x in [1e-3, 1e4*eps^(-3/2)], and refuses an eps (ValueError)
-whose table is not finite and strictly increasing, which holds for eps
-from 1e-14 to 4.6e4.  Reading the table backwards starts every entry near
-its root; above the table (r - 1)/eps, a lower bound since f(rho) <=
-eps*rho + 1, is already accurate.  From that start the
+log-spaced x in [1e-3, 1e4*eps^(-3/2)], finite and strictly increasing
+for every eps in the domain.  Reading the table backwards starts every
+entry near its root; above the table (r - 1)/eps, a lower bound since
+f(rho) <= eps*rho + 1, is already accurate.  From that start the
 kernel applies exactly INVERT_UPDATES = 5 Newton updates, each clamped at
 rho >= 0, with no bracket and no early exit.  Three updates reach
-|f(rho) - r| <= INVERT_TOL*(1 + r) for eps in [1e-4, 1]; that is checked
-once, on the iterate after them, and InversionError is raised if it fails.
+|f(rho) - r| <= INVERT_TOL*(1 + r) for every eps in the domain and every
+r from 0 to sqrt(3)*VEC_MAX; that is checked once, on the iterate after
+them, and InversionError is raised if it fails.
 The last two updates polish the root to its floating point fixed point.
 Each update costs one square root, so an inversion costs the same work on
 every call, and it depends on r and eps only, never on earlier calls.
@@ -53,12 +58,17 @@ from .errors import InversionError, NumericDomainError
 INVERT_TOL = 1e-12
 INVERT_UPDATES = 5
 
+# the map's domain (see the module docstring)
+EPS_MIN = 1e-14
+EPS_MAX = 4.6e4
+VEC_MAX = 1e80
 
-def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NumericDomainError(f"{name} contains non-finite entries")
-    return values
+
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless EPS_MIN <= eps <= EPS_MAX (NaN fails)."""
+    if not EPS_MIN <= eps <= EPS_MAX:
+        raise ValueError(f"eps = {eps:g} is outside the map's domain "
+                         f"[{EPS_MIN:g}, {EPS_MAX:g}]")
 
 
 class RegularizedMap:
@@ -66,8 +76,7 @@ class RegularizedMap:
     dimension (2 or 3; the helical counterexample needs 3)."""
 
     def __init__(self, eps: float, dim: int = 2):
-        if not (eps > 0.0 and np.isfinite(eps)):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+        check_eps(eps)
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         self.eps = eps
@@ -75,23 +84,11 @@ class RegularizedMap:
         self._eye = np.eye(dim)
         # record (tau copy, scale, rho, jac, w) of the last field, see _field
         self._memo = None
-        # start table of the radial inversion: f sampled at rho = sqrt(eps)*x.
-        # The kernel reads it by np.interp, so it must be finite and strictly
-        # increasing.  Below eps ~ 1e-15 its flat top (f ~ 1) rounds to
-        # repeated values, and below eps ~ 1e-155 rho^2 overflows.  From eps
-        # ~ 4.65e4 up the top x is below 1e-3 (and 0 once eps^-1.5
-        # underflows, where nan stands in for the log-spaced x).
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = 1e4 * np.float64(eps) ** -1.5
-            x = np.concatenate(
-                ([0.0], np.geomspace(1e-3, top, 256) if top > 0.0 else [np.nan]))
-            self._rho_tab = np.sqrt(eps) * x
-            self._f_tab = self._radial(self._rho_tab)
-        if not (np.all(np.isfinite(self._f_tab))
-                and np.all(np.diff(self._f_tab) > 0.0)):
-            raise ValueError(
-                f"eps = {eps:g} is out of range: the start table of the radial "
-                "inversion is not finite and strictly increasing")
+        # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
+        x = np.concatenate(
+            ([0.0], np.geomspace(1e-3, 1e4 * np.float64(eps) ** -1.5, 256)))
+        self._rho_tab = np.sqrt(eps) * x
+        self._f_tab = self._radial(self._rho_tab)
 
     # -- scalar radial profile -------------------------------------------
 
@@ -111,7 +108,7 @@ class RegularizedMap:
         rho >= 0; there is no bracket and no early exit.  The iterate
         before the last two updates must meet |f(rho) - r| <=
         INVERT_TOL*(1 + r) in every entry, else InversionError is raised;
-        from the table start three updates do that for eps in [1e-4, 1].
+        from the table start three updates do that on the map's domain.
         The last two updates drive the root to its floating point fixed
         point (quadratic convergence from an already-converged iterate);
         without them the flux noise floor is set by INVERT_TOL divided by
@@ -143,7 +140,10 @@ class RegularizedMap:
     # -- vector operations -----------------------------------------------
 
     def _check_vec(self, v, name):
-        v = _check_finite(v, name)
+        v = np.asarray(v, dtype=float)
+        if not np.all(np.abs(v) <= VEC_MAX):
+            raise NumericDomainError(
+                f"{name} has non-finite entries or entries beyond {VEC_MAX:g}")
         if v.shape[-1] != self.dim:
             raise NumericDomainError(
                 f"{name} has dimension {v.shape[-1]}, map expects {self.dim}"
@@ -158,24 +158,21 @@ class RegularizedMap:
         caller's tau, keeping its zeros' signs.
 
         The last field's record is memoized; a hit needs the same shape and
-        equal values.  The hit test runs before the finite check: the memo
-        only holds a field that passed it, and NaN or inf never equals a
-        stored value, so every invalid tau misses and is rejected.  Equal
-        values have equal norms bitwise (a signed zero squares to +0).  A
-        hit's kappa can differ from the one jac was built from only in the
-        signs of zeros; every entry of jac is eye/c1 + outer*gain, and
-        adding a zero of either sign to eye/c1 gives the same bits, so a
-        hit returns bitwise what a fresh build would.
+        equal values.  The hit test runs before the domain check: the memo
+        only holds a field that passed it, and NaN, inf or an entry beyond
+        VEC_MAX never equals a stored value, so every invalid tau misses
+        and is rejected.  Equal values have equal norms bitwise (a signed
+        zero squares to +0).  A hit's kappa can differ from the one jac was
+        built from only in the signs of zeros; every entry of jac is
+        eye/c1 + outer*gain, and adding a zero of either sign to eye/c1
+        gives the same bits, so a hit returns bitwise what a fresh build
+        would.
         """
         tau = np.asarray(tau, dtype=float)
         memo = self._memo
         if memo is None or not np.array_equal(memo[0], tau):
             tau = self._check_vec(tau, "tau")
-            with np.errstate(over="ignore"):
-                r_sq = np.sum(tau * tau, axis=-1)
-            if not np.all(np.isfinite(r_sq)):
-                raise NumericDomainError("tau's squared norm overflows")
-            r = np.sqrt(r_sq)
+            r = np.sqrt(np.sum(tau * tau, axis=-1))
             rho = self._invert_radial(r)
             scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
             jac, w = self._jacobian(tau * scale[..., None], rho)

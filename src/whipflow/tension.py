@@ -16,6 +16,7 @@ tridiagonal Cholesky (LAPACK ``ptsv``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from scipy.linalg import get_lapack_funcs
 from .errors import ShapeError, TensionSolveError, UnderResolvedError
 from .flow import ArcState, GravitySpec
 from .grid import Grid
+from .regmap import EPS_MAX, check_eps
 
 _PTSV, = get_lapack_funcs(("ptsv",), (np.empty(0),))
 
@@ -217,18 +219,18 @@ def counterexample_tension(
     cos(alpha0)^2 + sin(alpha0)^2 = 1 identically.  The solve returns
     (sigma(1), eps^2/sin(alpha0)^2); the first never exceeds the second,
     and their ratio tends to 1 as eps -> 0.
+
+    eps must lie in the map's domain (regmap.check_eps), and alpha0 in (0,
+    pi) with the bound finite at every such eps; ValueError otherwise.
     """
-    try:
-        eps_sq = float(eps) ** 2
-    except OverflowError:
-        eps_sq = np.inf
-    if not (eps > 0.0 and 0.0 < eps_sq < np.inf):
-        raise ValueError(
-            f"eps must be positive with a positive finite square, got {eps}")
-    if not (0.0 < alpha0 < np.pi):
-        raise ValueError(f"alpha0 must lie in (0, pi), got {alpha0}")
+    check_eps(eps)
+    sin_sq = np.sin(alpha0) ** 2 if 0.0 < alpha0 < np.pi else 0.0
+    if not (sin_sq > 0.0 and math.isfinite(EPS_MAX ** 2 / float(sin_sq))):
+        raise ValueError(f"alpha0 = {alpha0:g} must lie in (0, pi) with "
+                         f"eps^2/sin(alpha0)^2 finite at eps = {EPS_MAX:g}")
+    eps_sq = float(eps) ** 2
     grid = Grid(n_cells)
-    a_sq = np.sin(alpha0) ** 2 / eps_sq
+    a_sq = sin_sq / eps_sq
     if a_sq * grid.h ** 2 > 1e4:
         raise UnderResolvedError(
             f"stiffness {a_sq:.3g} is unresolved at h = {grid.h:.3g}; "
@@ -241,5 +243,5 @@ def counterexample_tension(
         neumann_value=0.0,
     )
     profile = solve_tension(problem)
-    bound = eps_sq / np.sin(alpha0) ** 2
+    bound = eps_sq / sin_sq
     return profile.at_end, float(bound)

@@ -337,6 +337,16 @@ OUT_OF_RANGE_EPS_RUNS = [
     ("counterexample", "--eps", "1e300"),
 ]
 
+# an eps outside the map's domain [1e-14, 4.6e4], and an alpha0 whose
+# counterexample bound overflows at an eps in it
+OUT_OF_DOMAIN_RUNS = [
+    ("simulate", "--scenario", "quarter_circle", "--cells", "20", "--T",
+     "0.01", "--eps", "5e-15"),
+    ("counterexample", "--eps", "1e-160"),
+    ("counterexample", "--alpha0", "1e-300", "--cells", "20"),
+    ("counterexample", "--alpha0", "1e-160", "--cells", "20"),
+]
+
 
 @pytest.mark.parametrize("argv", [
     ("counterexample", "--eps", "1e-2,abc"),
@@ -376,6 +386,7 @@ OUT_OF_RANGE_EPS_RUNS = [
     ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T",
      "0.05", "--snapshots", "5"),
     *OUT_OF_RANGE_EPS_RUNS,
+    *OUT_OF_DOMAIN_RUNS,
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):
@@ -389,6 +400,12 @@ def test_out_of_range_eps_is_named(out_env, argv, capsys):
     assert run_cli(*argv) == 1
     assert re.match(r"error: eps (= 1e[+-]300|must be)",
                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", OUT_OF_DOMAIN_RUNS)
+def test_out_of_domain_setting_is_named(out_env, argv, capsys):
+    assert run_cli(*argv) == 1
+    assert re.match(r"error: (eps|alpha0) = ", capsys.readouterr().err)
 
 
 def test_simulate_writes_its_config_once(out_env, only_run_dir, monkeypatch):

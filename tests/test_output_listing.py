@@ -11,15 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "output_listing.py"
 
 
-def _commands():
+def _tool():
     spec = importlib.util.spec_from_file_location("output_listing", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.COMMANDS
+    return module
 
 
 def test_output_listing_lists_every_command_and_its_digest(tmp_path):
@@ -28,7 +30,7 @@ def test_output_listing_lists_every_command_and_its_digest(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    commands = range(len(_commands()))
+    commands = range(len(_tool().COMMANDS))
     dirs = [line for line in lines if line.startswith("dir ")]
     assert [int(line.split()[1]) for line in dirs] == list(commands)
     files = [line for line in lines if re.fullmatch(r"[0-9a-f]{64}  \d+/.+",
@@ -39,3 +41,16 @@ def test_output_listing_lists_every_command_and_its_digest(tmp_path):
     text = "".join(line + "\n" for line in files)
     assert lines[-1] == \
         f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def test_output_listing_fails_on_a_warning(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+
+    def warns(argv):
+        np.float64(1e300) * np.float64(1e300)
+        return 0
+
+    monkeypatch.setattr(tool.whipflow.cli, "main", warns)
+    monkeypatch.chdir(tmp_path)
+    assert tool.main() == 1
+    assert f"{' '.join(tool.COMMANDS[0])} warned" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from whipflow import RegularizedMap, regmap
 from whipflow.errors import InversionError, NumericDomainError
+from whipflow.regmap import EPS_MAX, EPS_MIN, VEC_MAX
 
 
 def rotation(rng, d):
@@ -25,7 +28,18 @@ def test_params_validation():
                                  1e220, 1e300])
 def test_an_eps_without_an_increasing_start_table_is_refused(eps):
     # below ~1e-15 the table's flat top repeats values (below ~1e-155 it
-    # overflows); from ~4.65e4 up its log-spaced top falls under its bottom
+    # overflows); from ~4.65e4 up its log-spaced top falls under its bottom;
+    # every such eps lies outside [EPS_MIN, EPS_MAX]
+    with pytest.raises(ValueError, match="eps = "):
+        RegularizedMap(eps)
+
+
+@pytest.mark.parametrize("eps", [5e-15, 1e-15, 4.64e4, np.nextafter(EPS_MIN, 0),
+                                 np.nextafter(EPS_MAX, np.inf), np.nan,
+                                 np.inf])
+def test_an_eps_outside_the_domain_is_refused(eps):
+    # 5e-15, 1e-15 and 4.64e4 build an increasing start table, yet lie
+    # outside the one stated interval
     with pytest.raises(ValueError, match="eps = "):
         RegularizedMap(eps)
 
@@ -34,6 +48,14 @@ def test_an_eps_without_an_increasing_start_table_is_refused(eps):
 def test_an_eps_in_range_builds_a_strictly_increasing_start_table(eps):
     f_tab = RegularizedMap(eps)._f_tab
     assert np.all(np.isfinite(f_tab)) and np.all(np.diff(f_tab) > 0.0)
+
+
+def test_the_start_table_increases_across_the_eps_domain():
+    eps_values = np.geomspace(EPS_MIN, EPS_MAX, 201)
+    assert eps_values[0] == EPS_MIN and eps_values[-1] == EPS_MAX
+    for eps in eps_values:
+        f_tab = RegularizedMap(eps)._f_tab
+        assert np.all(np.isfinite(f_tab)) and np.all(np.diff(f_tab) > 0.0)
 
 
 def test_forward_at_zero():
@@ -105,6 +127,24 @@ def test_radial_inversion_converges_in_three_updates(eps):
     # the checked iterate, after three updates, already meets the tolerance,
     # so the raise cannot fire on valid input
     assert np.all(np.abs(residuals[3]) <= regmap.INVERT_TOL * (1.0 + RADII))
+
+
+# RADII and radii up to the norm bound of a 3-vector in the domain
+DOMAIN_RADII = np.concatenate((
+    RADII, np.geomspace(1e8, np.sqrt(3.0) * VEC_MAX, 400),
+))
+
+
+@pytest.mark.parametrize("eps", np.geomspace(EPS_MIN, EPS_MAX, 19))
+def test_radial_inversion_passes_its_check_across_the_domain(eps):
+    m = RegularizedMap(eps, dim=3)
+    residuals = record_newton_steps(m)
+    rho = m._invert_radial(DOMAIN_RADII)
+    assert np.all(rho >= 0.0) and np.all(np.isfinite(rho))
+    assert np.all(np.abs(residuals[3])
+                  <= regmap.INVERT_TOL * (1.0 + DOMAIN_RADII))
+    assert np.all(np.abs(m._radial(rho) - DOMAIN_RADII)
+                  <= 1e-15 * (1.0 + DOMAIN_RADII))
 
 
 @pytest.mark.parametrize("r", [RADII, np.zeros(7), np.array([0.8])],
@@ -285,9 +325,9 @@ def test_non_finite_inputs_rejected():
         m.forward(np.array([np.inf, 1.0]))
     with pytest.raises(NumericDomainError):
         m.forward(np.zeros(3))  # dimension mismatch
-    # a finite tangent whose squared norm overflows is refused by name, with
+    # a finite tangent with an entry beyond VEC_MAX is refused by name, with
     # no RuntimeWarning (an error under this suite's warning filter)
-    with pytest.raises(NumericDomainError, match="squared norm overflows"):
+    with pytest.raises(NumericDomainError, match="beyond"):
         m.invert([1e200, 0.0])
     # the memo is tested before the finite check: with a finite field
     # memoized, a field of its shape holding a NaN or an inf still misses
@@ -303,6 +343,45 @@ def test_non_finite_inputs_rejected():
                 op(bad)
     with pytest.raises(NumericDomainError):
         m.invert(np.zeros((3, 3)))  # same rows, wrong dimension
+
+
+def domain_edge_field(dim):
+    """Tangents with entries at +-VEC_MAX, mixed with zeros and ones."""
+    rows = [np.full(dim, VEC_MAX), np.full(dim, -VEC_MAX), np.zeros(dim),
+            np.eye(dim)[0] * VEC_MAX, np.r_[-VEC_MAX, np.ones(dim - 1)]]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps", [EPS_MIN, 1e-2, EPS_MAX])
+def test_entries_at_the_bound_give_finite_values(eps, dim):
+    m = RegularizedMap(eps, dim=dim)
+    field = domain_edge_field(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = (*m.local_calculus(field), *m.spectral_bounds(field),
+                  m.forward(field))
+    for value in values:
+        assert np.all(np.isfinite(value))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps", [EPS_MIN, 1e-2, EPS_MAX])
+def test_an_entry_beyond_the_bound_is_refused(eps, dim):
+    m = RegularizedMap(eps, dim=dim)
+    field = domain_edge_field(dim)
+    for sign in (1.0, -1.0):
+        bad = field.copy()
+        bad[2, -1] = sign * np.nextafter(VEC_MAX, np.inf)
+        for op in (m.local_calculus, m.spectral_bounds, m.forward):
+            with pytest.raises(NumericDomainError, match="beyond"):
+                op(bad)
+
+
+def test_a_tangent_whose_jacobian_would_overflow_is_refused():
+    # 1e153 squares to a finite norm, but rho^3 in the Jacobian overflows
+    with pytest.raises(NumericDomainError):
+        RegularizedMap(1e-2).local_calculus([[1e153, 0.0]])
 
 
 # -- the one-entry inversion memo -----------------------------------------

@@ -6,6 +6,7 @@ from whipflow import (ArcState, GeodesicTensionProblem, GravitySpec, Grid,
                       TensionProfile, build, counterexample_tension, evolve,
                       mollify, solve_tension, tension_for_state)
 from whipflow.errors import ShapeError, TensionSolveError, UnderResolvedError
+from whipflow.regmap import EPS_MAX, EPS_MIN
 from whipflow.tension import end_cos_alpha, flow_tensions
 
 
@@ -231,6 +232,26 @@ def test_counterexample_refuses_unresolved_stiffness():
 def test_counterexample_refuses_an_eps_whose_square_overflows(eps):
     with pytest.raises(ValueError, match="eps"):
         counterexample_tension(eps, np.pi / 2)
+
+
+@pytest.mark.parametrize("eps", [5e-15, 1e-160, 4.64e4])
+def test_counterexample_refuses_an_eps_outside_the_domain(eps):
+    with pytest.raises(ValueError, match="eps = "):
+        counterexample_tension(eps, np.pi / 2)
+
+
+@pytest.mark.parametrize("alpha0", [1e-300, 1e-160, 1e-150])
+def test_counterexample_refuses_an_alpha0_whose_bound_overflows(alpha0):
+    # eps^2/sin(alpha0)^2 overflows at EPS_MAX, so some eps in the domain
+    # would give an infinite bound
+    with pytest.raises(ValueError, match="alpha0 = "):
+        counterexample_tension(0.1, alpha0, n_cells=20)
+
+
+def test_counterexample_bound_is_finite_near_the_alpha0_edge():
+    for eps in (EPS_MIN, EPS_MAX):
+        value, bound = counterexample_tension(eps, 1e-149, n_cells=20)
+        assert np.isfinite(value) and np.isfinite(bound) and bound > 0.0
 
 
 def test_maximum_principle_positive_neumann():

@@ -15,8 +15,9 @@ the file lines do not move with it.  A diff of two checkouts' listings
 shows renamed directories on ``dir`` lines and changed files on file
 lines, and two checkouts write the same bytes exactly when their last
 lines agree.  The commands' own output and the path of the imported
-package go to stderr.  Exits 1 if a command does not exit 0 or does not
-make exactly one new directory.
+package go to stderr.  Each command runs with warnings turned into
+errors.  Exits 1 if a command warns, does not exit 0 or does not make
+exactly one new directory.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import whipflow.cli
@@ -65,8 +67,15 @@ def main() -> int:
             runs.mkdir()
             for k, argv in enumerate(COMMANDS):
                 before = set(runs.iterdir())
-                with contextlib.redirect_stdout(sys.stderr):
-                    code = whipflow.cli.main(argv + ["--out", "runs"])
+                try:
+                    with contextlib.redirect_stdout(sys.stderr), \
+                            warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code = whipflow.cli.main(argv + ["--out", "runs"])
+                except Warning as exc:
+                    print(f"{' '.join(argv)} warned: {exc!r}",
+                          file=sys.stderr)
+                    return 1
                 made = set(runs.iterdir()) - before
                 if code != 0 or len(made) != 1:
                     print(f"{' '.join(argv)} exited {code} and made "
