@@ -427,7 +427,16 @@ def cmd_nonuniqueness(cfg) -> int:
     g = GravitySpec.down(cfg["dim"])
     if len(cfg["eps"]) != 1:
         raise UsageError("nonuniqueness takes exactly one --eps value")
-    pair = branching_pair(cfg["T"], cfg["eps"][0], grid, g, _stepper(cfg))
+    try:
+        pair = branching_pair(cfg["T"], cfg["eps"][0], grid, g, _stepper(cfg))
+    except SolverFailure as exc:
+        # the partial record: the settings and the failure, as simulate's
+        directory = run_directory(cfg)
+        write_json(directory / "summary.json", {
+            "failed": {"reason": str(exc), **exc.diagnostics}})
+        print(f"wrote {directory}")
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     directory = run_directory(cfg)
     write_trajectory(pair.falling, directory / "falling")
     write_trajectory(pair.stationary, directory / "stationary")

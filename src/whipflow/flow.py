@@ -22,8 +22,9 @@ constraint-recovery study needs.
 
 Each Newton system is the Hessian of that strictly convex functional, so it
 is symmetric positive definite and block tridiagonal: it is solved by
-banded Cholesky (LAPACK ``pbsv``) on its lower band alone, and a failed
-factorization rejects the step as a loss of convexity.
+banded Cholesky (LAPACK ``pbsv``, which ``_lapack`` takes from scipy's
+compiled wrapper) on its lower band alone, and a failed factorization
+rejects the step as a loss of convexity.
 
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
@@ -53,13 +54,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import pbsv
 from .errors import NumericDomainError, ShapeError, SolverFailure, StepRejected
 from .grid import Grid
 from .regmap import RegularizedMap
 
-_PBSV, = get_lapack_funcs(("pbsv",), (np.empty(0),))
 _MACH = np.finfo(float).eps
 # Newton's update cap per step and the tolerance of its residual test
 NEWTON_MAX_ITER = 25
@@ -260,7 +260,7 @@ def solve_banded(ab, rhs):
     definite; for the Newton Hessian of the convex incremental functional
     that rejects the step, naming the (0-based) row where it failed.
     """
-    _, x, info = _PBSV(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    _, x, info = pbsv(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise StepRejected(
             f"Newton Hessian not positive definite at row {info - 1}")

@@ -299,6 +299,9 @@ def branching_pair(
         tensions.append(constitutive_tension(state, rmap))
 
     evolve(init, horizon, rmap, g, cfg, observer=observer)
+    if len(states) < 2:
+        raise ValueError(f"horizon T = {horizon:g} is within evolve's time "
+                         f"tolerance of 0: no step was taken")
     falling = Trajectory(states=tuple(states), gravity=g, tensions=tuple(tensions))
 
     up_state, up_tension = stationary_upright(grid, g)

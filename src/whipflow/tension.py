@@ -11,7 +11,8 @@ row closed by ghost-node elimination, which keeps the system tridiagonal
 and preserves O(h^2) accuracy at s = 1 where the dissipation-controlling
 value sigma(1) lives.  Negated, and with the Neumann row halved, the
 system is symmetric positive definite for c >= 0 and is solved by
-tridiagonal Cholesky (LAPACK ``ptsv``).
+tridiagonal Cholesky (LAPACK ``ptsv``, which ``_lapack`` takes from scipy's
+compiled wrapper).
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import ptsv
 from .errors import ShapeError, TensionSolveError, UnderResolvedError
 from .flow import ArcState, GravitySpec
 from .grid import Grid
 from .regmap import EPS_MAX, check_eps
-
-_PTSV, = get_lapack_funcs(("ptsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,8 @@ def _solve_chain(diag, rhs, h):
     off[..., -1] = 0.0
     # the LAPACK wrapper wants one off-diagonal entry even when N = 1
     off = off.reshape(-1)[:max(off.size - 1, 1)]
-    _, _, solved, info = _PTSV(diag.reshape(-1), off, rhs.reshape(-1),
-                               overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    _, _, solved, info = ptsv(diag.reshape(-1), off, rhs.reshape(-1),
+                              overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise TensionSolveError(
             f"tridiagonal tension solve failed (LAPACK ptsv info {info})")

@@ -203,6 +203,33 @@ def test_nonuniqueness_reports_separation(out_env, only_run_dir):
     assert (run_dir / "falling" / "index.json").exists()
 
 
+def test_nonuniqueness_horizon_that_takes_no_step_is_named(out_env, capsys):
+    assert run_cli("nonuniqueness", "--T", "1e-13", "--cells", "20") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon T = 1e-13 ")
+    assert "no step was taken" in err
+
+
+def test_failed_nonuniqueness_leaves_config_and_failure(out_env,
+                                                        only_run_dir, capsys):
+    # dt pinned at 10 on a stiff map: the first step cannot converge
+    argv = ("nonuniqueness", "--eps", "1e-4", "--cells", "100", "--T", "20",
+            "--dt-init", "10", "--dt-min", "10", "--dt-max", "10")
+    assert run_cli(*argv) == 2
+    assert "solver failed: time step underflow" in capsys.readouterr().err
+    run_dir = only_run_dir(out_env)
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json",
+                                                         "summary.json"]
+    config = json.loads((run_dir / "config.json").read_text())["config"]
+    assert run_dir.name == run_name(config)
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert set(summary) == {"schema_version", "failed"}
+    failed = summary["failed"]
+    assert set(failed) == {"reason", "time", "dt", "rejections"}
+    assert failed["reason"].startswith("time step underflow at t = 0")
+    assert (failed["time"], failed["dt"], failed["rejections"]) == (0.0, 10.0, 1)
+
+
 def test_config_file_roundtrip(out_env, tmp_path):
     config = {"scenario": "vertical_down", "eps": [0.01], "cells": 40,
               "T": 0.1}
@@ -385,6 +412,7 @@ OUT_OF_DOMAIN_RUNS = [
      "0.05", "--snapshots", "-1"),
     ("simulate", "--scenario", "vertical_down", "--cells", "20", "--T",
      "0.05", "--snapshots", "5"),
+    ("nonuniqueness", "--T", "1e-13", "--cells", "20"),
     *OUT_OF_RANGE_EPS_RUNS,
     *OUT_OF_DOMAIN_RUNS,
 ])

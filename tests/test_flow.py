@@ -1,5 +1,9 @@
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,3 +545,49 @@ def test_stops_outside_the_run_are_refused():
     for stops in ([-0.1], [0.3]):
         with pytest.raises(ValueError, match="stops"):
             evolve(init, 0.2, rmap, g, CLI_STEPPER, stops=stops)
+
+
+SRC = Path(flow.__file__).resolve().parents[1]
+
+
+def _python(code, pythonpath):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, pythonpath)))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_cli_starts_without_scipy_linalg_and_shares_its_routines():
+    # whipflow loads scipy's LAPACK wrapper alone; a later scipy.linalg
+    # import reuses it, so both hold the very same routine objects
+    done = _python("""
+import sys
+import whipflow.cli
+assert "scipy.linalg" not in sys.modules, sorted(sys.modules)
+import numpy as np
+from scipy.linalg import get_lapack_funcs
+from whipflow import flow, tension
+pbsv, ptsv = get_lapack_funcs(("pbsv", "ptsv"), (np.empty(0),))
+assert pbsv is flow.pbsv and ptsv is tension.ptsv
+""", [SRC])
+    assert done.returncode == 0, done.stderr
+    # and in the other order whipflow takes the wrapper scipy.linalg loaded
+    done = _python("""
+import sys
+import numpy as np
+import scipy.linalg
+from whipflow import flow, tension
+assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+pbsv, ptsv = scipy.linalg.get_lapack_funcs(("pbsv", "ptsv"), (np.empty(0),))
+assert pbsv is flow.pbsv and ptsv is tension.ptsv
+""", [SRC])
+    assert done.returncode == 0, done.stderr
+
+
+def test_without_scipys_lapack_wrapper_import_fails_naming_it(tmp_path):
+    # a scipy package without linalg/_flapack: no second path is tried
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    done = _python("import whipflow", [tmp_path, SRC])
+    assert done.returncode == 1
+    assert done.stderr.rstrip().splitlines()[-1].startswith("ImportError: ")
+    assert "scipy.linalg._flapack" in done.stderr
