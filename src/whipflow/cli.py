@@ -33,7 +33,7 @@ from .diagnostics import Reporter, decay_fit, potential_energy
 from .diagnostics import report  # noqa: F401  (perfbench's spans.WRAPS)
 from .errors import (InversionError, SolverFailure, StepRejected,
                      TensionSolveError)
-from .flow import ArcState, GravitySpec, StepperConfig, evolve
+from .flow import TIME_TOL, ArcState, GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegularizedMap
 from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
@@ -205,8 +205,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["T"] = SWEEP_DEFAULT_HORIZON
     if "out" in cfg and cfg["out"] is None:
         cfg["out"] = os.environ.get("WHIPFLOW_OUT", "runs")
-    if "T" in cfg and cfg["T"] <= 0.0:
-        raise UsageError(f"--T must be positive, got {cfg['T']}")
+    if "T" in cfg and not cfg["T"] > TIME_TOL:
+        raise UsageError(f"--T = {cfg['T']:g} takes no step: it must exceed "
+                         f"evolve's time tolerance {TIME_TOL:g}")
     if any(not 0.0 <= t <= cfg["T"] for t in cfg.get("snapshots", ())):
         raise UsageError(f"--snapshots times must lie in [0, T] = "
                          f"[0, {cfg['T']}], got {cfg['snapshots']}")
@@ -247,16 +248,17 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
     g = GravitySpec.down(cfg["dim"])
     eps = rmap.eps
 
-    reporter = Reporter(init.grid, rmap, g)
-    reporter.add(init)
+    reporter = Reporter(init.grid, g)
+    flux, _, pot = rmap.local_calculus(init.tangents)
+    reporter.add(init, flux, pot)
     dts = [0.0]
     iters_list = [0]
     # evolve stops at each request: a state is kept if its time is one
     requests = set(cfg["snapshots"])
     kept = [init] if init.time in requests else []
 
-    def observer(state, dt, iters):
-        reporter.add(state)
+    def observer(state, dt, iters, flux, pot):
+        reporter.add(state, flux, pot)
         dts.append(dt)
         iters_list.append(iters)
         if state.time in requests:
@@ -371,10 +373,9 @@ def cmd_sweep_eps(cfg) -> int:
             failed = True
         dts = np.array(record.step_dts)
         values = np.array([r.constraint_L1 for r in record.reports])
-        # a failed run's partial-horizon average is not comparable, and a
-        # run that took no step has none: both are null
+        # a failed run's partial-horizon average is not comparable: null
         avg = None
-        if record.summary["failed"] is None and dts.sum() > 0:
+        if record.summary["failed"] is None:
             avg = float(np.sum(dts * values) / np.sum(dts))
         entries.append({"eps": eps, "avg_constraint_L1": avg,
                         "dir": directory.name})

@@ -8,10 +8,10 @@ evolution.
 
 A run's energy report (one EnergyReport, one ``timeseries.csv`` row, per
 accepted state) is taken by a Reporter in two parts.  The columns that
-read the constitutive map, E_eps, max_stretch and constraint_L1 (and the
-state's largest tangent norm), are taken per step, as each state arrives:
-the stepper's last evaluation left the map's memo holding that state's
-tangent field, so they cost one memo hit.  The columns that read the
+read the state's flux, potential and tangents, E_eps, max_stretch and
+constraint_L1 (and the state's largest tangent norm), are taken per
+step, as each state arrives with the flux and the potential the stepper
+handed out, so no row inverts the map.  The columns that read the
 positions alone, E, E_alt, E_rel, E_rel_back, cos_alpha, D and
 sigma_at_1, are taken per block of states: the positions of at most
 BLOCK_FLOATS floats are kept, and each full block (and the last, partial
@@ -28,7 +28,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .flow import ArcState, GravitySpec, Trajectory, _energy
+from .flow import (ArcState, GravitySpec, Trajectory, _check_compatible,
+                   _energy)
 from .flow import discrete_energy  # noqa: F401  (perfbench's spans.WRAPS)
 from .grid import Grid
 from .regmap import RegularizedMap
@@ -105,39 +106,35 @@ def potential_energy(state: ArcState, g: GravitySpec) -> float:
 class Reporter:
     """The EnergyReports of a run's states, in the order they are added.
 
-    ``add`` takes a state's per-step columns and copies its positions into
-    the block; a full block is reported at once.  Call ``flush`` after the
-    last state (also when the run failed) to report the partial block.
-    ``reports`` holds the rows reported so far and ``sup_u`` each added
-    state's largest tangent norm.  The flux-based columns use the map's
-    inverse at the midpoint tangents; the boundary tension comes from the
-    two-point solve, so D reproduces the dissipation identity of the exact
-    flow rather than the regularized surrogate (which is reported
-    separately through constraint_L1).
+    ``add(state, flux, pot)`` takes a state's per-step columns from its
+    flux invert(state.tangents) and potential density, as ``evolve``'s
+    observer receives them, and copies its positions into the block; a
+    full block is reported at once.  Call ``flush`` after the last state
+    (also when the run failed) to report the partial block.  ``reports``
+    holds the rows reported so far and ``sup_u`` each added state's
+    largest tangent norm.  The boundary tension comes from the two-point
+    solve, so D reproduces the dissipation identity of the exact flow
+    rather than the regularized surrogate (which is reported separately
+    through constraint_L1).
     """
 
-    def __init__(self, grid: Grid, rmap: RegularizedMap, g: GravitySpec):
-        if rmap.dim != g.dim:
-            raise ShapeError(
-                f"dimension mismatch: map {rmap.dim}, gravity {g.dim}")
+    def __init__(self, grid: Grid, g: GravitySpec):
         self.reports: list[EnergyReport] = []
         self.sup_u: list[float] = []
-        self._grid, self._rmap, self._g = grid, rmap, g
+        self._grid, self._g = grid, g
         shape = (grid.n_nodes, g.dim)
         self._block = np.empty((max(1, BLOCK_FLOATS // (shape[0] * shape[1])),
                                 *shape))
         # (t, E_eps, max_stretch, constraint_L1) of each state in the block
         self._pending: list[tuple[float, float, float, float]] = []
 
-    def add(self, state: ArcState) -> None:
+    def add(self, state: ArcState, flux: np.ndarray, pot: np.ndarray) -> None:
         if state.positions.shape != self._block.shape[1:]:
             raise ShapeError(
                 f"state of shape {state.positions.shape} in a report of "
                 f"{self._block.shape[1:]} positions")
         grid = self._grid
-        u = state.tangents
-        flux, _, pot = self._rmap.local_calculus(u)
-        speeds = np.linalg.norm(u, axis=1)
+        speeds = np.linalg.norm(state.tangents, axis=1)
         flux_norm = np.linalg.norm(flux, axis=1)
         self._block[len(self._pending)] = state.positions
         self._pending.append((
@@ -180,15 +177,18 @@ class Reporter:
 def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyReport:
     """Evaluate every scalar functional of a state: a Reporter's row for
     it."""
-    reporter = Reporter(state.grid, rmap, g)
-    reporter.add(state)
+    _check_compatible(state, rmap, g)
+    flux, _, pot = rmap.local_calculus(state.tangents)
+    reporter = Reporter(state.grid, g)
+    reporter.add(state, flux, pot)
     reporter.flush()
     return reporter.reports[0]
 
 
-def constitutive_tension(state: ArcState, rmap: RegularizedMap) -> TensionProfile:
-    """The multiplier the regularized flow realizes: invert(u) . u,
-    interpolated from the midpoints to the nodes.
+def constitutive_tension(state: ArcState, flux: np.ndarray) -> TensionProfile:
+    """The multiplier the regularized flow realizes: flux . u, with u the
+    state's tangents and ``flux`` = invert(u) (as ``evolve``'s observer
+    receives it), interpolated from the midpoints to the nodes.
 
     It is nonnegative by the radial structure of the map (the flux is
     parallel to the tangent), vanishes where the tangent does, and is the
@@ -196,9 +196,7 @@ def constitutive_tension(state: ArcState, rmap: RegularizedMap) -> TensionProfil
     weak-solution conditions.  The node at s = 0 is zero by the free-end
     condition; the node at s = 1 is linearly extrapolated.
     """
-    u = state.tangents
-    flux = rmap.invert(u)
-    mid = np.sum(flux * u, axis=1)
+    mid = np.sum(flux * state.tangents, axis=1)
     values = np.empty(state.grid.n_nodes)
     values[0] = 0.0
     values[1:-1] = 0.5 * (mid[:-1] + mid[1:])

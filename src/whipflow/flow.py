@@ -26,6 +26,11 @@ banded Cholesky (LAPACK ``pbsv``, which ``_lapack`` takes from scipy's
 compiled wrapper) on its lower band alone, and a failed factorization
 rejects the step as a loss of convexity.
 
+A step's last Newton evaluation is at the state it accepts, so the step
+hands that state's flux, Jacobian and potential on: the next step starts
+from them, and ``evolve``'s observer gets the flux and the potential, so
+the map is inverted at each accepted state once.
+
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
 
@@ -64,6 +69,10 @@ _MACH = np.finfo(float).eps
 # Newton's update cap per step and the tolerance of its residual test
 NEWTON_MAX_ITER = 25
 NEWTON_TOL = 1e-10
+# evolve's time tolerance: a stop at most TIME_TOL*max(1, |horizon|) after
+# the current time counts as reached, so a run from t = 0 to a horizon of
+# at most TIME_TOL takes no step
+TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -283,10 +292,13 @@ def _newton_update(jac, res, h, eye_dt):
 
 
 def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
-               g: GravitySpec) -> tuple[ArcState, int, str]:
-    """One implicit step; returns the new state, the Newton iteration
-    count and the test that accepted it (``"residual"`` or
-    ``"decrement"``), or raises StepRejected."""
+               g: GravitySpec, calc: tuple) -> tuple[ArcState, int, str, tuple]:
+    """One implicit step from ``prev``, starting from ``calc``, prev's
+    (flux, Jacobian, potential) as ``rmap.local_calculus(prev.tangents)``
+    returns them.  Returns the new state, the Newton iteration count, the
+    test that accepted it (``"residual"`` or ``"decrement"``) and the new
+    state's own triple, from the last evaluation; or raises
+    StepRejected."""
     grid = prev.grid
     h = grid.h
     g_vec = g.direction
@@ -315,7 +327,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
         prox = (h / (2.0 * dt)) * np.sum((pos_trial[:-1] - prev_pos[:-1]) ** 2)
         return _energy(pos_trial, pot_density, h, g_vec) + prox
 
-    flux, jac, pot = rmap.local_calculus(u)
+    flux, jac, pot = calc
     phi = incremental(pos, pot)
     res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
     res_norm = np.abs(res).max()
@@ -386,7 +398,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     # a decrement exit leaves the error of one more update, bounded in the
     # module docstring
     return (ArcState(grid=grid, positions=pos, time=prev.time + dt), iters,
-            "residual" if res_norm <= tol else "decrement")
+            "residual" if res_norm <= tol else "decrement", (flux, jac, pot))
 
 
 def step(prev: ArcState, dt: float, rmap: RegularizedMap,
@@ -400,8 +412,7 @@ def step(prev: ArcState, dt: float, rmap: RegularizedMap,
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     _check_compatible(prev, rmap, g)
-    state, _, _ = _step_core(prev, dt, rmap, g)
-    return state
+    return _step_core(prev, dt, rmap, g, rmap.local_calculus(prev.tangents))[0]
 
 
 def evolve(
@@ -410,7 +421,8 @@ def evolve(
     rmap: RegularizedMap,
     g: GravitySpec,
     cfg: StepperConfig,
-    observer: Optional[Callable[[ArcState, float, int], None]] = None,
+    observer: Optional[Callable[[ArcState, float, int, np.ndarray, np.ndarray],
+                                None]] = None,
     stats: Optional[dict] = None,
     stops: Sequence[float] = (),
 ) -> ArcState:
@@ -418,15 +430,19 @@ def evolve(
     stopping on the way at each time of ``stops`` (in [init.time, horizon]).
 
     A step that would pass the next stop, or end short of it by at most
-    1e-12 max(1, |horizon|), is cut to end there and carries the stop's
+    TIME_TOL max(1, |horizon|), is cut to end there and carries the stop's
     time exactly; a step that ends on it keeps its dt, and a stop that
     close after a state counts as reached.  dt is halved on rejection
     (hard failure below dt_min); by one rule, it grows 1.2x (capped at
     dt_max) after a step of at most 5 Newton iterations and is kept after
     any other, so a cut step does not shrink the next one.  After every
-    accepted step ``observer(state, dt, newton_iters)`` runs; a ``stats``
-    dict, when given, gets the step and rejection counts and the steps
-    each Newton exit accepted (``residual_exits``, ``decrement_exits``).
+    accepted step ``observer(state, dt, newton_iters, flux, pot)`` runs,
+    with the state's flux ``rmap.invert(state.tangents)`` and potential
+    density ``rmap.potential(state.tangents)`` from the step's last
+    evaluation; both are read-only, since the next step starts from them.
+    A ``stats`` dict, when given, gets the step and rejection counts
+    and the steps each Newton exit accepted (``residual_exits``,
+    ``decrement_exits``).
     """
     if horizon < init.time:
         raise ValueError(f"horizon {horizon} precedes initial time {init.time}")
@@ -434,8 +450,9 @@ def evolve(
         raise ValueError(f"stops {stops} outside [{init.time}, {horizon}]")
     _check_compatible(init, rmap, g)
     state = init
+    calc = rmap.local_calculus(init.tangents)
     dt = cfg.dt_init
-    tiny = 1e-12 * max(1.0, abs(horizon))
+    tiny = TIME_TOL * max(1.0, abs(horizon))
     rejections = 0
     steps = 0
     total_iters = 0
@@ -447,8 +464,9 @@ def evolve(
                 cut = t_next != stop and t_next >= stop - tiny
                 dt_step = stop - state.time if cut else dt
                 try:
-                    new_state, iters, exit_test = _step_core(state, dt_step,
-                                                             rmap, g)
+                    # a rejected attempt leaves calc, the state's own, as it is
+                    new_state, iters, exit_test, calc = _step_core(
+                        state, dt_step, rmap, g, calc)
                 except StepRejected as exc:
                     rejections += 1
                     if dt_step <= cfg.dt_min:
@@ -465,7 +483,9 @@ def evolve(
                 total_iters += iters
                 exits[exit_test] += 1
                 if observer is not None:
-                    observer(state, dt_step, iters)
+                    flux, _, pot = calc
+                    flux.flags.writeable = pot.flags.writeable = False
+                    observer(state, dt_step, iters, flux, pot)
                 if iters <= 5:
                     dt = min(dt * 1.2, cfg.dt_max)
     finally:

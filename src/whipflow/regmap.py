@@ -15,15 +15,12 @@ flow).
 Everything is vectorized over leading axes: inputs of shape ``(..., d)``
 produce outputs with matching leading shape.
 
-Each tangent field is inverted once.  On a field it has not seen, the map
-checks it, inverts its radial profile, builds its inverse Jacobian, and
-keeps one read-only record of (tau, rho/|tau|, rho, Jacobian,
-w = (eps + rho^2)^(-1/2)); the five public readers are views of that
-record.  The record is a one-entry memo keyed on the exact values of the
-last field: the stepper's final evaluation, the energy report, the
-discrete energy and the next step's first evaluation all see the same
-field, so only the first of them pays for the inversion and the Jacobian.
-A hit returns what a fresh build would, bitwise.
+Each reader checks its tangent field and inverts its radial profile; only
+``local_calculus`` and ``inverse_jacobian`` build the Jacobian.  The map
+keeps nothing between calls: what a reader returns depends on eps, the
+dimension and its input alone.  The stepper hands each accepted state's
+flux and potential to its consumers, so none of them inverts that state
+again.
 
 The map's domain: eps in [EPS_MIN, EPS_MAX] = [1e-14, 4.6e4] (check_eps,
 else ValueError), and every entry x of a vector it reads with |x| <=
@@ -82,8 +79,6 @@ class RegularizedMap:
         self.eps = eps
         self.dim = dim
         self._eye = np.eye(dim)
-        # record (tau copy, scale, rho, jac, w) of the last field, see _field
-        self._memo = None
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
         x = np.concatenate(
             ([0.0], np.geomspace(1e-3, 1e4 * np.float64(eps) ** -1.5, 256)))
@@ -151,34 +146,15 @@ class RegularizedMap:
         return v
 
     def _field(self, tau):
-        """(tau, scale, rho, jac, w) of a tangent field: tau as a float
+        """(tau, scale, rho, w) of a tangent field: tau as a checked float
         array, the flux scale rho/|tau| (0 at tau = 0), rho =
-        |invert(tau)|, the read-only inverse Jacobian and w =
-        (eps + rho^2)^(-1/2).  Readers rebuild kappa = tau*scale from the
-        caller's tau, keeping its zeros' signs.
-
-        The last field's record is memoized; a hit needs the same shape and
-        equal values.  The hit test runs before the domain check: the memo
-        only holds a field that passed it, and NaN, inf or an entry beyond
-        VEC_MAX never equals a stored value, so every invalid tau misses
-        and is rejected.  Equal values have equal norms bitwise (a signed
-        zero squares to +0).  A hit's kappa can differ from the one jac was
-        built from only in the signs of zeros; every entry of jac is
-        eye/c1 + outer*gain, and adding a zero of either sign to eye/c1
-        gives the same bits, so a hit returns bitwise what a fresh build
-        would.
-        """
-        tau = np.asarray(tau, dtype=float)
-        memo = self._memo
-        if memo is None or not np.array_equal(memo[0], tau):
-            tau = self._check_vec(tau, "tau")
-            r = np.sqrt(np.sum(tau * tau, axis=-1))
-            rho = self._invert_radial(r)
-            scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
-            jac, w = self._jacobian(tau * scale[..., None], rho)
-            jac.flags.writeable = False
-            memo = self._memo = (tau.copy(), scale, rho, jac, w)
-        return (tau,) + memo[1:]
+        |invert(tau)| and w = (eps + rho^2)^(-1/2).  Readers build
+        kappa = tau*scale, keeping the signs of tau's zeros."""
+        tau = self._check_vec(tau, "tau")
+        r = np.sqrt(np.sum(tau * tau, axis=-1))
+        rho = self._invert_radial(r)
+        scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
+        return tau, scale, rho, (self.eps + rho * rho) ** -0.5
 
     def forward(self, kappa: np.ndarray) -> np.ndarray:
         """Map a flux vector to a tangent vector; output is parallel to the
@@ -201,32 +177,28 @@ class RegularizedMap:
         k = invert(tau) and c1 = eps + (eps+|k|^2)^(-1/2),
         c3 = (eps+|k|^2)^(-3/2), the forward Jacobian is c1*I - c3*k k^T
         and its inverse follows from Sherman-Morrison.  Symmetric positive
-        definite for every tau.  The array is the field's record's own, so
-        it is read-only.
+        definite for every tau.
         """
-        return self._field(tau)[3]
+        tau, scale, rho, w = self._field(tau)
+        return self._jacobian(tau * scale[..., None], rho, w)
 
-    def _jacobian(self, kappa, rho):
-        """(inverse_jacobian, w) at kappa with |kappa| = rho, where
+    def _jacobian(self, kappa, rho, w):
+        """inverse_jacobian at kappa with |kappa| = rho and
         w = (eps + rho^2)^(-1/2)."""
-        eps = self.eps
-        rho_sq = rho * rho
-        w = (eps + rho_sq) ** -0.5
-        c1 = eps + w
+        c1 = self.eps + w
         c3 = w ** 3
         outer = kappa[..., :, None] * kappa[..., None, :]
-        radial_gain = c3 / (c1 * (c1 - c3 * rho_sq))
-        jac = self._eye / c1[..., None, None] + outer * radial_gain[..., None, None]
-        return jac, w
+        radial_gain = c3 / (c1 * (c1 - c3 * (rho * rho)))
+        return self._eye / c1[..., None, None] + outer * radial_gain[..., None, None]
 
     def spectral_bounds(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form eigenvalue bounds (lo, hi) of the inverse Jacobian.
 
         lo is the transverse eigenvalue 1/(eps + w) and hi the radial one
-        eps^(-1)/(1 + w^3), with the record's w = (eps+rho^2)^(-1/2),
+        eps^(-1)/(1 + w^3), with w = (eps+rho^2)^(-1/2),
         rho = |invert(tau)|.  Both positive, lo <= hi.
         """
-        w = self._field(tau)[4]
+        w = self._field(tau)[3]
         return 1.0 / (self.eps + w), (1.0 / self.eps) / (1.0 + w ** 3)
 
     def potential(self, tau: np.ndarray) -> np.ndarray:
@@ -234,19 +206,19 @@ class RegularizedMap:
 
             eps * (|invert(tau)|^2 / 2 - 1/sqrt(eps + |invert(tau)|^2))
 
-        read from the record's rho and w.  Its gradient with respect to tau
-        is invert(tau), and it is bounded below by -sqrt(eps) (attained at
-        tau = 0).
+        Its gradient with respect to tau is invert(tau), and it is bounded
+        below by -sqrt(eps) (attained at tau = 0).
         """
-        _, _, rho, _, w = self._field(tau)
+        _, _, rho, w = self._field(tau)
         return self.eps * (0.5 * (rho * rho) - w)
 
     def local_calculus(
         self, tau: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (invert(tau), inverse_jacobian(tau), potential(tau)) from
-        one record.  Used by the implicit stepper, where all three are
-        needed at the same points.  The Jacobian is read-only: it is the
-        record's own, shared with every later call on the same field."""
-        tau, scale, rho, jac, w = self._field(tau)
-        return tau * scale[..., None], jac, self.eps * (0.5 * (rho * rho) - w)
+        one inversion.  Used by the implicit stepper, where all three are
+        needed at the same points."""
+        tau, scale, rho, w = self._field(tau)
+        kappa = tau * scale[..., None]
+        return (kappa, self._jacobian(kappa, rho, w),
+                self.eps * (0.5 * (rho * rho) - w))

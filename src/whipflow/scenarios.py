@@ -18,7 +18,8 @@ import numpy as np
 from .diagnostics import (GeneralizedResidual, constitutive_tension,
                           generalized_residual)
 from .errors import ContractError, ShapeError, UnderResolvedError
-from .flow import (ArcState, GravitySpec, StepperConfig, Trajectory, evolve)
+from .flow import (TIME_TOL, ArcState, GravitySpec, StepperConfig, Trajectory,
+                   evolve)
 from .grid import Grid
 from .regmap import RegularizedMap
 from .tension import TensionProfile
@@ -279,10 +280,12 @@ def branching_pair(
     toward the downward equilibrium; trajectory two holds the exact
     upright pair fixed, which satisfies the weak-solution conditions
     identically.  Returns both with their residuals and the L2 distance of
-    the endpoints at the horizon.
+    the endpoints at the horizon.  A horizon of at most TIME_TOL takes no
+    step and raises ValueError before the run.
     """
-    if not (horizon > 0.0):
-        raise ValueError("horizon must be positive")
+    if not horizon > TIME_TOL:
+        raise ValueError(f"horizon T = {horizon:g} takes no step: it must "
+                         f"exceed evolve's time tolerance {TIME_TOL:g}")
     rmap = RegularizedMap(eps, dim=g.dim)
     radius, width = mollify_scales(grid.h)
     spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,
@@ -292,16 +295,13 @@ def branching_pair(
     # the falling run pairs with the multiplier it actually realizes,
     # which is nonnegative by construction
     states = [init]
-    tensions = [constitutive_tension(init, rmap)]
+    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
 
-    def observer(state, dt, iters):
+    def observer(state, dt, iters, flux, pot):
         states.append(state)
-        tensions.append(constitutive_tension(state, rmap))
+        tensions.append(constitutive_tension(state, flux))
 
     evolve(init, horizon, rmap, g, cfg, observer=observer)
-    if len(states) < 2:
-        raise ValueError(f"horizon T = {horizon:g} is within evolve's time "
-                         f"tolerance of 0: no step was taken")
     falling = Trajectory(states=tuple(states), gravity=g, tensions=tuple(tensions))
 
     up_state, up_tension = stationary_upright(grid, g)

@@ -53,7 +53,7 @@ class PendulumRun:
         self.velocity_budget = 0.0
         self.states = [self.init]
 
-        def observer(state, dt, iters):
+        def observer(state, dt, iters, flux, pot):
             self.reports.append(report(state, self.rmap, self.gravity))
             self.energies.append(discrete_energy(state, self.rmap, self.gravity))
             self.dts.append(dt)

@@ -189,7 +189,7 @@ def test_criterion_08_constraint_recovery(gravity2):
         rmap = RegularizedMap(eps, dim=2)
         rows = []
         evolve(init, horizon, rmap, gravity2, cfg,
-               observer=lambda s, dt, it: rows.append(
+               observer=lambda s, dt, it, flux, pot: rows.append(
                    (dt, report(s, rmap, gravity2).constraint_L1)))
         arr = np.array(rows)
         averages.append(float(np.sum(arr[:, 0] * arr[:, 1]) / np.sum(arr[:, 0])))
@@ -344,10 +344,10 @@ def test_criterion_12_backward_transform(gravity2):
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, g_minus), spec)
     states = [init]
-    tensions = [constitutive_tension(init, rmap)]
+    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
-    evolve(init, 1.0, rmap, g_minus, cfg, observer=lambda s, dt, it: (
-        states.append(s), tensions.append(constitutive_tension(s, rmap))))
+    evolve(init, 1.0, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
+        states.append(s), tensions.append(constitutive_tension(s, flux))))
     forward = Trajectory(states=tuple(states), gravity=g_minus,
                          tensions=tuple(tensions))
 

@@ -204,10 +204,16 @@ def test_nonuniqueness_reports_separation(out_env, only_run_dir):
 
 
 def test_nonuniqueness_horizon_that_takes_no_step_is_named(out_env, capsys):
-    assert run_cli("nonuniqueness", "--T", "1e-13", "--cells", "20") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: horizon T = 1e-13 ")
-    assert "no step was taken" in err
+    # every evolving command refuses it before the run
+    for argv in (("nonuniqueness",),
+                 ("simulate", "--scenario", "quarter_circle"),
+                 ("sweep-eps", "--scenario", "quarter_circle", "--eps",
+                  "1e-2,1e-3")):
+        assert run_cli(*argv, "--T", "1e-13", "--cells", "20") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --T = 1e-13 takes no step: it must "
+                              "exceed evolve's time tolerance 1e-12"), err
+        assert not any(out_env.iterdir())
 
 
 def test_failed_nonuniqueness_leaves_config_and_failure(out_env,
@@ -320,9 +326,9 @@ def _recording(evolve, states):
                          **kwargs):
         states.append(init)
 
-        def recording_observer(state, dt, iters):
+        def recording_observer(state, *args):
             states.append(state)
-            observer(state, dt, iters)
+            observer(state, *args)
 
         return evolve(init, horizon, rmap, g, cfg, observer=recording_observer,
                       stats=stats, **kwargs)
@@ -415,6 +421,10 @@ OUT_OF_DOMAIN_RUNS = [
     ("nonuniqueness", "--T", "1e-13", "--cells", "20"),
     *OUT_OF_RANGE_EPS_RUNS,
     *OUT_OF_DOMAIN_RUNS,
+    ("simulate", "--scenario", "quarter_circle", "--T", "1e-13", "--cells",
+     "20"),
+    ("sweep-eps", "--scenario", "quarter_circle", "--eps", "1e-2,1e-3",
+     "--T", "1e-13", "--cells", "20"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

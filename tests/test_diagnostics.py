@@ -80,10 +80,16 @@ def report_bits(reports):
                      for r in reports]).view(np.uint64)
 
 
+def calculus(rmap, state):
+    """(flux, pot) of a state, as evolve's observer receives them."""
+    flux, _, pot = rmap.local_calculus(state.tangents)
+    return flux, pot
+
+
 def reported_in_blocks(states, rmap, g):
-    reporter = Reporter(states[0].grid, rmap, g)
+    reporter = Reporter(states[0].grid, g)
     for state in states:
-        reporter.add(state)
+        reporter.add(state, *calculus(rmap, state))
     reporter.flush()
     return reporter
 
@@ -99,7 +105,7 @@ def helix_release_states():
     rmap = RegularizedMap(1e-2, dim=3)
     states = [init]
     evolve(init, 0.05, rmap, g, StepperConfig(1e-3, 1e-9, 0.02),
-           observer=lambda state, dt, iters: states.append(state))
+           observer=lambda state, *_: states.append(state))
     return states, rmap, g
 
 
@@ -142,7 +148,7 @@ def test_block_rows_keep_the_report_of_an_off_axis_gravity(rmap):
 def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
     run = pendulum_run
     per_block = block_states(run.grid, 2)
-    reporter = Reporter(run.grid, run.rmap, run.gravity)
+    reporter = Reporter(run.grid, run.gravity)
     held = [v.size for v in vars(reporter).values()
             if isinstance(v, np.ndarray)]
     assert sum(held) <= BLOCK_FLOATS
@@ -150,7 +156,7 @@ def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
         copy = ArcState(grid=run.grid, positions=state.positions,
                         time=state.time)
         ref = weakref.ref(copy.positions)
-        reporter.add(copy)
+        reporter.add(copy, *calculus(run.rmap, copy))
         del copy
         # the positions were copied into the block, not kept
         assert ref() is None
@@ -162,16 +168,16 @@ def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
 
 
 def test_flush_without_states_reports_nothing(gravity2, rmap):
-    reporter = Reporter(Grid(10), rmap, gravity2)
+    reporter = Reporter(Grid(10), gravity2)
     reporter.flush()
     assert reporter.reports == [] and reporter.sup_u == []
 
 
 def test_reporter_refuses_a_state_of_another_grid(gravity2, rmap):
-    reporter = Reporter(Grid(10), rmap, gravity2)
+    reporter = Reporter(Grid(10), gravity2)
     state = build(ScenarioSpec(kind="vertical_down"), Grid(11), gravity2)
     with pytest.raises(ShapeError):
-        reporter.add(state)
+        reporter.add(state, *calculus(rmap, state))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -411,7 +417,7 @@ def test_constitutive_tension_nonnegative_and_pinned(gravity2, rmap):
     for seed in range(3):
         state = build(ScenarioSpec(kind="random_lipschitz", seed=seed),
                       grid, gravity2)
-        profile = constitutive_tension(state, rmap)
+        profile = constitutive_tension(state, rmap.invert(state.tangents))
         assert profile.values[0] == 0.0
         assert profile.values[1:-1].min() >= 0.0
 
@@ -483,10 +489,10 @@ def test_time_reversed_run_keeps_residual_scale(gravity2):
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
     states = [init]
-    tensions = [constitutive_tension(init, rmap)]
+    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
-    evolve(init, 0.6, rmap, g_minus, cfg, observer=lambda s, dt, it: (
-        states.append(s), tensions.append(constitutive_tension(s, rmap))))
+    evolve(init, 0.6, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
+        states.append(s), tensions.append(constitutive_tension(s, flux))))
     forward = Trajectory(states=tuple(states), gravity=g_minus,
                          tensions=tuple(tensions))
     source = generalized_residual(forward.pairs(), g_minus)

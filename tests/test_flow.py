@@ -13,6 +13,7 @@ from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
                       ScenarioSpec, StepperConfig, TensionProfile, Trajectory,
                       build, constitutive_tension, discrete_energy, evolve,
                       mollify, report, residual, step)
+from whipflow.diagnostics import Reporter
 from whipflow.errors import (NumericDomainError, ShapeError, SolverFailure,
                              StepRejected, UnderResolvedError)
 from whipflow.scenarios import KINDS, mollify_scales
@@ -123,17 +124,18 @@ def test_step_decreases_energy_away_from_equilibrium(gravity2):
 
 
 def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
-    # the stepper's last evaluation is at the accepted state, so the
-    # observer-side functionals and the next step's first evaluation must
-    # all reuse that radial inversion
+    # the step's last evaluation is at the accepted state, and the observer
+    # gets that state's flux and potential: a run whose reporter and
+    # constitutive tension read them inverts the map inside local_calculus
+    # alone, and evaluates each accepted state once
     grid = Grid(80)
     rmap = make_map(1e-2)
     spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.03,
                         taper_width=0.05)
-    state = mollify(build(spec, grid, gravity2), spec)
+    init = mollify(build(spec, grid, gravity2), spec)
 
     inversions = []
-    evaluations = []  # inversion count before and after each local_calculus
+    evaluated = []  # the tangent field of every local_calculus call
     invert_radial = RegularizedMap._invert_radial
     local_calculus = RegularizedMap.local_calculus
 
@@ -142,27 +144,38 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
         return invert_radial(self, r)
 
     def logged_local_calculus(self, tau):
-        before = len(inversions)
-        out = local_calculus(self, tau)
-        evaluations.append((before, len(inversions)))
-        return out
+        evaluated.append(np.asarray(tau).tobytes())
+        return local_calculus(self, tau)
 
     monkeypatch.setattr(RegularizedMap, "_invert_radial", counted_invert_radial)
     monkeypatch.setattr(RegularizedMap, "local_calculus", logged_local_calculus)
 
-    new = step(state, 1e-2, rmap, gravity2)
-    assert len(evaluations) > 1  # Newton moved off the initial guess
-    settled = len(inversions)
-    report(new, rmap, gravity2)
-    discrete_energy(new, rmap, gravity2)
-    constitutive_tension(new, rmap)
-    assert len(inversions) == settled
+    reporter = Reporter(grid, gravity2)
+    flux, _, pot = rmap.local_calculus(init.tangents)
+    reporter.add(init, flux, pot)
+    tensions = [constitutive_tension(init, flux)]
+    accepted = []
 
-    evaluations.clear()
-    step(new, 1e-2, rmap, gravity2)
-    first_before, first_after = evaluations[0]
-    assert first_after == first_before == settled
-    assert len(inversions) > settled
+    def observer(state, dt, iters, flux, pot):
+        reporter.add(state, flux, pot)
+        tensions.append(constitutive_tension(state, flux))
+        accepted.append(state)
+
+    evolve(init, 0.3, rmap, gravity2,
+           StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02),
+           observer=observer)
+    reporter.flush()
+    assert len(accepted) > 5
+    assert len(inversions) == len(evaluated)
+    for state in accepted:
+        assert evaluated.count(state.tangents.tobytes()) == 1
+    # the handed arrays are bitwise those a fresh evaluation gives
+    monkeypatch.undo()
+    states = [init, *accepted]
+    assert reporter.reports == [report(s, rmap, gravity2) for s in states]
+    for state, tension in zip(states, tensions):
+        fresh = constitutive_tension(state, rmap.invert(state.tangents))
+        assert np.array_equal(tension.values, fresh.values)
 
 
 def test_pin_exact_after_steps(gravity2):
@@ -174,7 +187,7 @@ def test_pin_exact_after_steps(gravity2):
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
     seen = []
     evolve(state, 0.3, rmap, gravity2, cfg,
-           observer=lambda s, dt, it: seen.append(s))
+           observer=lambda s, *_: seen.append(s))
     assert len(seen) > 5
     for s in seen:
         assert np.all(s.positions[-1] == 0.0)
@@ -220,7 +233,7 @@ def test_energy_monotone_and_dissipation_budget(gravity2):
     budget = 0.0
     prev = [init]
 
-    def observer(state, dt, iters):
+    def observer(state, dt, iters, flux, pot):
         nonlocal budget
         energies.append(discrete_energy(state, rmap, gravity2))
         v = (state.positions - prev[0].positions) / dt
@@ -337,7 +350,7 @@ def test_three_dimensional_evolution(gravity3):
     init = mollify(build(spec, grid, gravity3), spec)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.01)
     energies = [discrete_energy(init, rmap, gravity3)]
-    evolve(init, 0.3, rmap, gravity3, cfg, observer=lambda s, dt, it:
+    evolve(init, 0.3, rmap, gravity3, cfg, observer=lambda s, *_:
            energies.append(discrete_energy(s, rmap, gravity3)))
     assert len(energies) > 10
     assert float(np.diff(energies).max()) <= 1e-9
@@ -480,11 +493,11 @@ def test_decrement_exit_leaves_a_solve_error_below_1e_12(monkeypatch):
     accepted = []
     step_core = flow._step_core
 
-    def recording_step_core(prev, dt, rmap, g):
-        state, iters, exit_test = step_core(prev, dt, rmap, g)
-        if exit_test == "decrement":
-            accepted.append((prev, dt, state))
-        return state, iters, exit_test
+    def recording_step_core(prev, dt, rmap, g, calc):
+        out = step_core(prev, dt, rmap, g, calc)
+        if out[2] == "decrement":
+            accepted.append((prev, dt, out[0]))
+        return out
 
     monkeypatch.setattr(flow, "_step_core", recording_step_core)
     with wall_clock_budget(20.0):
@@ -502,8 +515,21 @@ def accepted_steps(init, horizon, rmap, g, **kwargs):
     """(state, dt, Newton iterations) of every step ``evolve`` accepts."""
     steps = []
     evolve(init, horizon, rmap, g, CLI_STEPPER,
-           observer=lambda s, dt, it: steps.append((s, dt, it)), **kwargs)
+           observer=lambda s, dt, it, *_: steps.append((s, dt, it)),
+           **kwargs)
     return steps
+
+
+@pytest.mark.parametrize("name", ["flux", "pot"])
+def test_an_observer_cannot_write_into_the_handed_arrays(name):
+    # the next step starts from them
+    init, rmap, g = release("quarter_circle", 1e-2, 40, 2)
+
+    def observer(state, dt, iters, flux, pot):
+        {"flux": flux, "pot": pot}[name][0] = 0.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        evolve(init, 0.1, rmap, g, CLI_STEPPER, observer=observer)
 
 
 def test_stops_the_run_reaches_anyway_keep_every_bit():

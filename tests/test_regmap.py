@@ -329,9 +329,8 @@ def test_non_finite_inputs_rejected():
     # no RuntimeWarning (an error under this suite's warning filter)
     with pytest.raises(NumericDomainError, match="beyond"):
         m.invert([1e200, 0.0])
-    # the memo is tested before the finite check: with a finite field
-    # memoized, a field of its shape holding a NaN or an inf still misses
-    # and is rejected by every reader
+    # a field holding a NaN or an inf is rejected by every reader, also
+    # right after a finite field of its shape
     field = np.array([[0.3, -0.4], [1.2, 0.0], [0.0, 0.0]])
     m.local_calculus(field)
     for value in (np.nan, np.inf):
@@ -384,7 +383,7 @@ def test_a_tangent_whose_jacobian_would_overflow_is_refused():
         RegularizedMap(1e-2).local_calculus([[1e153, 0.0]])
 
 
-# -- the one-entry inversion memo -----------------------------------------
+# -- readers are pure functions of eps, dim and the input ------------------
 
 def fresh(m):
     return RegularizedMap(m.eps, dim=m.dim)
@@ -493,47 +492,34 @@ def _results_equal(x, y):
      "local_calculus"],
 )
 def test_memo_hit_is_bitwise_fresh(monkeypatch, dim, method):
+    # the map keeps nothing: a reader called on the field local_calculus
+    # just saw inverts it again, and returns what a fresh map does
     rng = np.random.default_rng(60 + dim)
     m = RegularizedMap(3e-3, dim=dim)
     tau = rng.normal(size=(50, dim)) * 1.5
     tau[4] = 0.0
     m.local_calculus(tau)
     calls = count_inversions(monkeypatch, m)
-    hit = getattr(m, method)(tau.copy())
-    assert calls == []
-    assert _results_equal(hit, getattr(fresh(m), method)(tau))
+    got = getattr(m, method)(tau.copy())
+    assert calls == [1]
+    assert _results_equal(got, getattr(fresh(m), method)(tau))
+
+
+READERS = ("invert", "inverse_jacobian", "spectral_bounds", "potential",
+           "local_calculus", "forward")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_memo_builds_each_fields_jacobian_once(monkeypatch, dim):
-    rng = np.random.default_rng(70 + dim)
-    m = RegularizedMap(1e-3, dim=dim)
-    plus = rng.normal(size=(30, dim))
-    plus[3] = 0.0
-    plus[5, 0] = 0.0
-    minus = plus.copy()
-    minus[3] = -0.0
-    minus[5, 0] = -0.0
-    calls = []
-    inner = m._jacobian
-
-    def counted(kappa, rho):
-        calls.append(1)
-        return inner(kappa, rho)
-
-    monkeypatch.setattr(m, "_jacobian", counted)
-    _, jac, _ = m.local_calculus(plus)
-    _, again, _ = m.local_calculus(minus)  # equal values: a memo hit
-    assert len(calls) == 1
-    # bitwise, signs of zeros included, and equal to a fresh build
-    assert again.tobytes() == jac.tobytes()
-    assert again.tobytes() == fresh(m).local_calculus(minus)[1].tobytes()
-    with pytest.raises(ValueError):
-        jac[0] = 0.0
-    assert m.inverse_jacobian(plus).tobytes() == \
-        fresh(m).inverse_jacobian(plus).tobytes()
-    assert len(calls) == 1
-    other = 1.5 * plus
-    _, jac_other, _ = m.local_calculus(other)
-    assert len(calls) == 2
-    assert jac_other.tobytes() == fresh(m).inverse_jacobian(other).tobytes()
+def test_readers_leave_the_map_as_constructed(dim):
+    rng = np.random.default_rng(80 + dim)
+    m = RegularizedMap(1e-2, dim=dim)
+    built = {key: np.copy(value) for key, value in vars(m).items()}
+    bad = np.zeros((3, dim))
+    bad[1, 0] = np.nan
+    for k, method in enumerate(READERS * 3):
+        getattr(m, method)(rng.normal(size=(1 + 7 * k % 30, dim)))
+        with pytest.raises(NumericDomainError):
+            getattr(m, method)(bad)
+    assert vars(m).keys() == built.keys()
+    for key, value in vars(m).items():
+        assert np.array_equal(value, built[key]), key

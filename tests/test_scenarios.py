@@ -184,10 +184,10 @@ def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
     states = [init]
-    tensions = [constitutive_tension(init, rmap)]
+    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
-    evolve(init, horizon, rmap, g_minus, cfg, observer=lambda s, dt, it: (
-        states.append(s), tensions.append(constitutive_tension(s, rmap))))
+    evolve(init, horizon, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
+        states.append(s), tensions.append(constitutive_tension(s, flux))))
     return Trajectory(states=tuple(states), gravity=g_minus,
                       tensions=tuple(tensions))
 

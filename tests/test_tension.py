@@ -305,7 +305,7 @@ def test_tension_bounded_by_arclength_along_run(gravity2):
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
     excess = []
 
-    def observer(state, dt, iters):
+    def observer(state, dt, iters, flux, pot):
         sigma = tension_for_state(state, gravity2).values
         excess.append(float((np.abs(sigma) - grid.nodes).max()))
 
