@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -37,10 +38,11 @@ from .flow import TIME_TOL, ArcState, GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegularizedMap
 from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
-                     run_path, write_json, write_run, write_table,
-                     write_trajectory)
+                     run_path, write_json, write_run, write_table)
+from .run_io import write_trajectory  # noqa: F401  (perfbench's spans.WRAPS)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
-                        eps_equilibrium, mollify, mollify_scales)
+                        eps_equilibrium, mollify, mollify_scales,
+                        upright_release)
 from .tension import counterexample_tension
 from .tension import tension_for_state  # also looked up by spans.WRAPS
 
@@ -129,7 +131,7 @@ SETTINGS = (
     Setting("dt_min", float, 1e-9, _EVOLVE),
     Setting("dt_max", float, 0.02, _EVOLVE),
     Setting("out", str, None, (*_EVOLVE, "tension", "counterexample")),
-    Setting("snapshots", list, [], _RUNS, help="comma list of snapshot times"),
+    Setting("snapshots", list, [], _EVOLVE, help="comma list of snapshot times"),
     Setting("seed", int, ScenarioSpec.seed, _BUILD),
     Setting("alpha0", float, ScenarioSpec.alpha0, (*_BUILD, "counterexample")),
     Setting("dim", int, 2, (*_BUILD, "nonuniqueness"), choices=(2, 3)),
@@ -239,11 +241,24 @@ def _initial_state(cfg) -> ArcState:
     return mollify(build(spec, grid, GravitySpec.down(cfg["dim"])), spec)
 
 
+def _evolution(cfg, rmap: RegularizedMap, init: ArcState,
+               stepper: StepperConfig):
+    """run_simulation's ``advance`` of simulate and sweep-eps: ``evolve``
+    from ``init`` to cfg["T"] under gravity down."""
+    return partial(evolve, init, cfg["T"], rmap, GravitySpec.down(cfg["dim"]),
+                   stepper)
+
+
 def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
-                   stepper: StepperConfig, directory: Path) -> RunRecord:
-    """Shared pipeline of simulate and sweep-eps: evolve the initial state
-    under ``rmap``, record, persist.  Writes a partial record with a
-    failure marker when the solver fails hard (the caller decides the exit
+                   advance, directory: Path) -> RunRecord:
+    """The recording pipeline of simulate, sweep-eps and nonuniqueness:
+    ``advance(observer=, stats=, stops=)`` evolves ``init`` under ``rmap``
+    to cfg["T"], stopping at each requested snapshot time and calling
+    ``observer(state, dt, iters, flux, pot)`` after each accepted step, as
+    ``evolve`` does.  This records a Reporter row per state, keeps the
+    states at the requested times, summarizes and writes the run to
+    ``directory`` (write_run).  When the solver fails hard it writes the
+    partial record with a failure marker (the caller decides the exit
     code)."""
     g = GravitySpec.down(cfg["dim"])
     eps = rmap.eps
@@ -253,7 +268,7 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
     reporter.add(init, flux, pot)
     dts = [0.0]
     iters_list = [0]
-    # evolve stops at each request: a state is kept if its time is one
+    # the run stops at each request: a state is kept if its time is one
     requests = set(cfg["snapshots"])
     kept = [init] if init.time in requests else []
 
@@ -267,8 +282,7 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
     stats: dict = {}
     failure = None
     try:
-        evolve(init, cfg["T"], rmap, g, stepper, observer=observer,
-               stats=stats, stops=cfg["snapshots"])
+        advance(observer=observer, stats=stats, stops=cfg["snapshots"])
     except SolverFailure as exc:
         failure = {"reason": str(exc), **exc.diagnostics}
     finally:
@@ -347,7 +361,8 @@ def cmd_simulate(cfg) -> int:
     # made before the run, so that an unusable --out fails before any step;
     # write_run echoes the settings to its config.json
     directory = run_path(cfg)
-    record = run_simulation(cfg, rmap, init, stepper, directory)
+    record = run_simulation(cfg, rmap, init,
+                            _evolution(cfg, rmap, init, stepper), directory)
     print(f"wrote {directory}")
     if record.summary["failed"] is not None:
         print(f"solver failed: {record.summary['failed']['reason']}", file=sys.stderr)
@@ -368,7 +383,8 @@ def cmd_sweep_eps(cfg) -> int:
     failed = False
     for eps, rmap in zip(eps_list, rmaps):
         directory = eps_directory(base, eps)
-        record = run_simulation(cfg, rmap, init, stepper, directory)
+        record = run_simulation(cfg, rmap, init,
+                                _evolution(cfg, rmap, init, stepper), directory)
         if record.summary["failed"] is not None:
             failed = True
         dts = np.array(record.step_dts)
@@ -424,23 +440,29 @@ def cmd_counterexample(cfg) -> int:
 
 
 def cmd_nonuniqueness(cfg) -> int:
-    grid = Grid(cfg["cells"])
-    g = GravitySpec.down(cfg["dim"])
     if len(cfg["eps"]) != 1:
         raise UsageError("nonuniqueness takes exactly one --eps value")
-    try:
-        pair = branching_pair(cfg["T"], cfg["eps"][0], grid, g, _stepper(cfg))
-    except SolverFailure as exc:
-        # the partial record: the settings and the failure, as simulate's
-        directory = run_directory(cfg)
-        write_json(directory / "summary.json", {
-            "failed": {"reason": str(exc), **exc.diagnostics}})
-        print(f"wrote {directory}")
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    grid = Grid(cfg["cells"])
+    g = GravitySpec.down(cfg["dim"])
+    rmap = RegularizedMap(cfg["eps"][0], dim=cfg["dim"])
+    init, stepper = upright_release(grid, g), _stepper(cfg)
+    pairs = []
+
+    def advance(**kwargs):
+        pairs.append(branching_pair(cfg["T"], rmap.eps, grid, g, stepper,
+                                    **kwargs))
+
     directory = run_directory(cfg)
-    write_trajectory(pair.falling, directory / "falling")
-    write_trajectory(pair.stationary, directory / "stationary")
+    record = run_simulation(cfg, rmap, init, advance, directory / "falling")
+    failed = record.summary["failed"]
+    if failed is not None:
+        # the top-level summary holds the failure alone; falling/ holds
+        # the partial record, as simulate's directory does
+        write_json(directory / "summary.json", {"failed": failed})
+        print(f"wrote {directory}")
+        print(f"solver failed: {failed['reason']}", file=sys.stderr)
+        return EXIT_NUMERIC
+    pair, = pairs
     write_json(directory / "summary.json", {
         "separation_L2_at_T": pair.separation,
         "falling_residual": dataclasses.asdict(pair.falling_residual),

@@ -1,7 +1,8 @@
 """Scalar functionals and verification residuals.
 
 Everything the test batteries assert lives here: potential and perturbed
-energies, the dissipation identity, weak-solution residuals, the weighted
+energies, the dissipation identity, weak-solution residuals (taken as
+running sums, state by state, by a ResidualAccumulator), the weighted
 Hardy ratio, exponential-decay fits, tension tail integrals, and the
 compatibility predicate that detects initial data admitting no smooth
 evolution.
@@ -216,79 +217,104 @@ class GeneralizedResidual:
     diss_inequality_slack: float
 
 
-def _tension_flux_divergence(state: ArcState, tension: TensionProfile) -> np.ndarray:
-    """Node-centered divergence of sigma * d_s eta on nodes 0..n-1.
+def _tension_flux_divergence(grid: Grid, u: np.ndarray,
+                             tension: TensionProfile) -> np.ndarray:
+    """Node-centered divergence of sigma * d_s eta on nodes 0..n-1, for the
+    tangents ``u`` of a state on ``grid``.
 
     The flux is reflected oddly below s = 0 (consistent with sigma(0) = 0),
     which makes the stationary profiles exact: their residual vanishes at
     the free end as well.
     """
-    grid = state.grid
-    u = state.tangents
     flux = tension.at_midpoints[:, None] * u
-    div = np.empty((grid.n_cells, state.dim))
+    div = np.empty((grid.n_cells, u.shape[1]))
     div[0] = 2.0 * flux[0] / grid.h
     div[1:] = (flux[1:] - flux[:-1]) / grid.h
     return div
+
+
+class ResidualAccumulator:
+    """The discrete residuals of the weak-solution conditions, taken one
+    (state, tension) pair at a time, in increasing time; ``result()`` is
+    the GeneralizedResidual of the pairs added so far.
+
+    Time derivatives are backward differences between consecutive
+    snapshots (matching the implicit stepper); spatial terms are evaluated
+    at the newer level.  The result holds the L2(space-time) norms of the
+    PDE residual and of the tension-times-stretch product, the largest
+    positive stretch excess, and the worst slack of the dissipation
+    inequality int g . d_t eta - int |d_t eta|^2 (nonnegative for a true
+    weak solution).  Each term reads the newest pair and the previous
+    state alone, so the accumulator keeps only that state and running
+    sums.  ``sigma_min`` and ``sigma_max`` are the running extremes of the
+    tensions added.
+    """
+
+    def __init__(self, g: GravitySpec):
+        self._g_vec = g.direction
+        self._prev = None
+        self._count = 0
+        self._pde_sq = 0.0
+        self._constraint_sq = 0.0
+        self._stretch = 0.0
+        self._slack = np.inf
+        self.sigma_min = np.inf
+        self.sigma_max = -np.inf
+
+    def add(self, state: ArcState, tension: TensionProfile) -> None:
+        prev = self._prev
+        grid = state.grid
+        n = grid.n_cells if prev is None else prev.grid.n_cells
+        if grid.n_cells != n or tension.grid.n_cells != n:
+            raise ShapeError("all snapshots must share one grid")
+        u = state.tangents
+        speeds = np.linalg.norm(u, axis=1)
+        self._stretch = max(self._stretch, float((speeds - 1.0).max()))
+        self.sigma_min = min(self.sigma_min, float(tension.values.min()))
+        self.sigma_max = max(self.sigma_max, float(tension.values.max()))
+        self._prev = state
+        self._count += 1
+        if prev is None:
+            return
+        h = grid.h
+        dt = state.time - prev.time
+        if not (dt > 0.0):
+            raise ValueError("snapshot times must be strictly increasing")
+        velocity = (state.positions - prev.positions) / dt
+
+        div = _tension_flux_divergence(grid, u, tension)
+        pde_rows = velocity[:-1] - div - self._g_vec
+        self._pde_sq += dt * h * float(np.sum(pde_rows ** 2))
+
+        product = tension.at_midpoints * (np.sum(u * u, axis=1) - 1.0)
+        self._constraint_sq += dt * h * float(np.sum(product ** 2))
+
+        vel_rows = velocity[:-1]
+        slack = h * float(np.sum(vel_rows @ self._g_vec) - np.sum(vel_rows ** 2))
+        self._slack = min(self._slack, slack)
+
+    def result(self) -> GeneralizedResidual:
+        """The residuals so far; ShapeError before a second pair."""
+        if self._count < 2:
+            raise ShapeError("need at least two snapshots")
+        return GeneralizedResidual(
+            pde_residual_L2=float(np.sqrt(self._pde_sq)),
+            constraint_product_L2=float(np.sqrt(self._constraint_sq)),
+            stretch_violation=max(self._stretch, 0.0),
+            diss_inequality_slack=float(self._slack),
+        )
 
 
 def generalized_residual(
     pairs: Sequence[tuple[ArcState, TensionProfile]], g: GravitySpec
 ) -> GeneralizedResidual:
     """Measure how well a sampled trajectory satisfies the weak-solution
-    conditions of the constrained flow.
-
-    Time derivatives are backward differences between consecutive
-    snapshots (matching the implicit stepper); spatial terms are evaluated
-    at the newer level.  Returns the L2(space-time) norms of the PDE
-    residual and of the tension-times-stretch product, the largest positive
-    stretch excess, and the worst slack of the dissipation inequality
-    int g . d_t eta - int |d_t eta|^2 (nonnegative for a true weak
-    solution).
-    """
-    if len(pairs) < 2:
-        raise ShapeError("need at least two snapshots")
-    grid = pairs[0][0].grid
-    g_vec = g.direction
-    h = grid.h
+    conditions of the constrained flow: the ResidualAccumulator of its
+    (state, tension) pairs."""
+    acc = ResidualAccumulator(g)
     for state, tension in pairs:
-        if state.grid.n_cells != grid.n_cells or tension.grid.n_cells != grid.n_cells:
-            raise ShapeError("all snapshots must share one grid")
-
-    pde_sq = 0.0
-    constraint_sq = 0.0
-    stretch = 0.0
-    slack = np.inf
-    for k in range(len(pairs)):
-        state, tension = pairs[k]
-        speeds = np.linalg.norm(state.tangents, axis=1)
-        stretch = max(stretch, float((speeds - 1.0).max()))
-        if k == 0:
-            continue
-        prev_state = pairs[k - 1][0]
-        dt = state.time - prev_state.time
-        if not (dt > 0.0):
-            raise ValueError("snapshot times must be strictly increasing")
-        velocity = (state.positions - prev_state.positions) / dt
-
-        div = _tension_flux_divergence(state, tension)
-        pde_rows = velocity[:-1] - div - g_vec
-        pde_sq += dt * h * float(np.sum(pde_rows ** 2))
-
-        u = state.tangents
-        product = tension.at_midpoints * (np.sum(u * u, axis=1) - 1.0)
-        constraint_sq += dt * h * float(np.sum(product ** 2))
-
-        vel_rows = velocity[:-1]
-        slack_k = h * float(np.sum(vel_rows @ g_vec) - np.sum(vel_rows ** 2))
-        slack = min(slack, slack_k)
-
-    return GeneralizedResidual(
-        pde_residual_L2=float(np.sqrt(pde_sq)),
-        constraint_product_L2=float(np.sqrt(constraint_sq)),
-        stretch_violation=max(stretch, 0.0),
-        diss_inequality_slack=float(slack),
-    )
+        acc.add(state, tension)
+    return acc.result()
 
 
 def relative_energy_identity_check(

@@ -18,9 +18,12 @@ A simulate run directory (write_run, read_run) holds
                          max_energy_increase, running_sup_tangent,
                          verdicts, failed), solver_stats, snapshot_times
 
-and a trajectory directory (write_trajectory) holds one snapshot_t<t>.csv
-for each of at most 50 evenly spaced states plus index.json (their times
-and the gravity).
+and the falling branch of a nonuniqueness run is such a directory,
+``falling/``, beside the run's config.json and its summary.json of
+residuals.  No command writes a trajectory directory any more:
+write_trajectory (at most 50 evenly spaced snapshot_t<t>.csv of a
+trajectory plus index.json with their times and the gravity) stays only
+because perfbench's span table names it.
 
 Every CSV table goes through write_table: a header line, then one row of
 floats with 17 significant digits per line, CRLF line ends.  The rows are

@@ -11,12 +11,14 @@ pinned tail at the fixed end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import (GeneralizedResidual, constitutive_tension,
-                          generalized_residual)
+from .diagnostics import (GeneralizedResidual, ResidualAccumulator,
+                          constitutive_tension)
+from .diagnostics import generalized_residual  # noqa: F401  (spans.WRAPS)
 from .errors import ContractError, ShapeError, UnderResolvedError
 from .flow import (TIME_TOL, ArcState, GravitySpec, StepperConfig, Trajectory,
                    evolve)
@@ -250,13 +252,16 @@ def backward_transform(traj: Trajectory, g: GravitySpec) -> Trajectory:
 
 @dataclass(frozen=True)
 class BranchingPair:
-    """Two generalized trajectories from the upright state."""
+    """Two generalized trajectories from the upright state, as their
+    residuals, the L2 distance of their states at the horizon, and their
+    realized tension signs: the least tension of the falling run and the
+    largest of the stationary one, each over every state."""
 
-    falling: Trajectory
-    stationary: Trajectory
     falling_residual: GeneralizedResidual
     stationary_residual: GeneralizedResidual
     separation: float
+    falling_sigma_min: float
+    stationary_sigma_max: float
 
 
 def stationary_upright(grid: Grid, g: GravitySpec) -> tuple[ArcState, TensionProfile]:
@@ -266,64 +271,70 @@ def stationary_upright(grid: Grid, g: GravitySpec) -> tuple[ArcState, TensionPro
     return state, tension
 
 
+def upright_release(grid: Grid, g: GravitySpec) -> ArcState:
+    """The upright state mollified at the scales of its grid: the start of
+    the falling run of :func:`branching_pair`."""
+    radius, width = mollify_scales(grid.h)
+    spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,
+                        taper_width=width)
+    return mollify(build(spec, grid, g), spec)
+
+
 def branching_pair(
     horizon: float,
     eps: float,
     grid: Grid,
     g: GravitySpec,
     cfg: StepperConfig,
+    *,
+    observer=None,
+    stats: Optional[dict] = None,
+    stops: Sequence[float] = (),
 ) -> BranchingPair:
     """Demonstrate non-uniqueness from the upright state.
 
-    Trajectory one evolves the (mollified) upright state under the
-    regularized flow, which cannot hold the compressive tension and drops
-    toward the downward equilibrium; trajectory two holds the exact
+    Trajectory one evolves the upright state (``upright_release``) under
+    the regularized flow, which cannot hold the compressive tension and
+    drops toward the downward equilibrium; trajectory two holds the exact
     upright pair fixed, which satisfies the weak-solution conditions
-    identically.  Returns both with their residuals and the L2 distance of
-    the endpoints at the horizon.  A horizon of at most TIME_TOL takes no
-    step and raises ValueError before the run.
+    identically.  The falling run is one ``evolve`` call, with ``observer``,
+    ``stats`` and ``stops`` passed on: each accepted state goes into a
+    running ResidualAccumulator with the tension it realizes, then to
+    ``observer``, and no state is kept but the last.  A horizon of at most
+    TIME_TOL takes no step and raises ValueError before the run.
     """
     if not horizon > TIME_TOL:
         raise ValueError(f"horizon T = {horizon:g} takes no step: it must "
                          f"exceed evolve's time tolerance {TIME_TOL:g}")
     rmap = RegularizedMap(eps, dim=g.dim)
-    radius, width = mollify_scales(grid.h)
-    spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,
-                        taper_width=width)
-    init = mollify(build(spec, grid, g), spec)
+    init = upright_release(grid, g)
 
     # the falling run pairs with the multiplier it actually realizes,
     # which is nonnegative by construction
-    states = [init]
-    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
+    falling = ResidualAccumulator(g)
+    falling.add(init, constitutive_tension(init, rmap.invert(init.tangents)))
 
-    def observer(state, dt, iters, flux, pot):
-        states.append(state)
-        tensions.append(constitutive_tension(state, flux))
+    def record(state, dt, iters, flux, pot):
+        falling.add(state, constitutive_tension(state, flux))
+        if observer is not None:
+            observer(state, dt, iters, flux, pot)
 
-    evolve(init, horizon, rmap, g, cfg, observer=observer)
-    falling = Trajectory(states=tuple(states), gravity=g, tensions=tuple(tensions))
+    last = evolve(init, horizon, rmap, g, cfg, observer=record, stats=stats,
+                  stops=stops)
 
     up_state, up_tension = stationary_upright(grid, g)
-    frozen_states = []
-    frozen_tensions = []
+    stationary = ResidualAccumulator(g)
     for t in (0.0, 0.5 * horizon, horizon):
-        frozen_states.append(
-            ArcState(grid=grid, positions=up_state.positions, time=t)
-        )
-        frozen_tensions.append(up_tension)
-    stationary = Trajectory(
-        states=tuple(frozen_states), gravity=g, tensions=tuple(frozen_tensions)
-    )
+        stationary.add(replace(up_state, time=t), up_tension)
 
-    diff = falling.states[-1].positions - up_state.positions
+    diff = last.positions - up_state.positions
     separation = float(
         np.sqrt(grid.quad_trapezoid(np.sum(diff * diff, axis=1)))
     )
     return BranchingPair(
-        falling=falling,
-        stationary=stationary,
-        falling_residual=generalized_residual(falling.pairs(), g),
-        stationary_residual=generalized_residual(stationary.pairs(), g),
+        falling_residual=falling.result(),
+        stationary_residual=stationary.result(),
         separation=separation,
+        falling_sigma_min=falling.sigma_min,
+        stationary_sigma_max=stationary.sigma_max,
     )

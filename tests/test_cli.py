@@ -200,7 +200,29 @@ def test_nonuniqueness_reports_separation(out_env, only_run_dir):
     assert doc["separation_L2_at_T"] > 0.5
     assert doc["stationary_residual"]["pde_residual_L2"] <= 1e-10
     assert "config" not in doc  # the echo is in config.json
-    assert (run_dir / "falling" / "index.json").exists()
+    # the falling branch is a simulate-style run; the stationary one is
+    # closed-form and writes nothing
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "config.json", "falling", "summary.json"]
+    falling = read_run(run_dir / "falling")
+    assert falling.summary["failed"] is None
+    assert falling.solver_stats["steps"] == len(falling.reports) - 1
+    assert falling.reports[-1].t == 2.5
+    assert falling.config_echo == json.loads(
+        (run_dir / "config.json").read_text())["config"]
+
+
+def test_nonuniqueness_falling_run_round_trips_with_its_snapshots(
+        out_env, only_run_dir):
+    assert run_cli("nonuniqueness", "--T", "0.5", "--eps", "1e-2",
+                   "--cells", "60", "--snapshots", "0,0.25") == 0
+    falling = only_run_dir(out_env) / "falling"
+    record = read_run(falling)
+    assert [s.state.time for s in record.snapshots] == [0.0, 0.25]
+    assert 0.25 in [r.t for r in record.reports]
+    copy = out_env / "copy"
+    write_run(record, copy)
+    assert _tree_bytes(copy) == _tree_bytes(falling)
 
 
 def test_nonuniqueness_horizon_that_takes_no_step_is_named(out_env, capsys):
@@ -224,8 +246,9 @@ def test_failed_nonuniqueness_leaves_config_and_failure(out_env,
     assert run_cli(*argv) == 2
     assert "solver failed: time step underflow" in capsys.readouterr().err
     run_dir = only_run_dir(out_env)
-    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json",
-                                                         "summary.json"]
+    assert sorted(p.name for p in run_dir.rglob("*")) == [
+        "config.json", "config.json", "falling", "summary.json",
+        "summary.json", "timeseries.csv"]
     config = json.loads((run_dir / "config.json").read_text())["config"]
     assert run_dir.name == run_name(config)
     summary = json.loads((run_dir / "summary.json").read_text())
@@ -234,6 +257,12 @@ def test_failed_nonuniqueness_leaves_config_and_failure(out_env,
     assert set(failed) == {"reason", "time", "dt", "rejections"}
     assert failed["reason"].startswith("time step underflow at t = 0")
     assert (failed["time"], failed["dt"], failed["rejections"]) == (0.0, 10.0, 1)
+    # falling/ keeps what the run reached, the initial state's row, with
+    # the same failure marker, as a failed simulate run does
+    falling = read_run(run_dir / "falling")
+    assert falling.config_echo == config
+    assert falling.summary["failed"] == failed
+    assert [r.t for r in falling.reports] == [0.0]
 
 
 def test_config_file_roundtrip(out_env, tmp_path):
@@ -351,7 +380,7 @@ def test_config_file_wrong_type_exits_one(out_env, tmp_path, config, capsys):
 @pytest.mark.parametrize("argv", [
     ("tension", "--scenario", "vertical_down", "--T", "1"),
     ("counterexample", "--dt-max", "1"),
-    ("nonuniqueness", "--snapshots", "0.1"),
+    ("nonuniqueness", "--scenario", "vertical_up"),
     ("simulate", "--scenario", "vertical_down", "--mollify-radius", "0.05"),
 ])
 def test_flag_outside_the_commands_row_exits_one(out_env, argv):
@@ -425,6 +454,7 @@ OUT_OF_DOMAIN_RUNS = [
      "20"),
     ("sweep-eps", "--scenario", "quarter_circle", "--eps", "1e-2,1e-3",
      "--T", "1e-13", "--cells", "20"),
+    ("nonuniqueness", "--cells", "20", "--T", "0.05", "--snapshots", "0.1"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
-                      ScenarioSpec, StepperConfig, Trajectory,
+from whipflow import (ArcState, GeneralizedResidual, GravitySpec, Grid,
+                      RegularizedMap, ScenarioSpec, StepperConfig, Trajectory,
                       backward_transform, branching_pair, build,
-                      constitutive_tension, evolve, mollify, potential_energy)
-from whipflow.diagnostics import EQUILIBRIUM_ENERGY
+                      constitutive_tension, evolve, generalized_residual,
+                      mollify, potential_energy)
+from whipflow.diagnostics import EQUILIBRIUM_ENERGY, ResidualAccumulator
+from whipflow.scenarios import stationary_upright
 from whipflow.errors import ContractError, ShapeError, UnderResolvedError
 
 ALL_KINDS_2D = ("vertical_down", "vertical_up", "straight_angle",
@@ -253,8 +257,105 @@ def test_branching_pair_quick(gravity2):
     assert pair.stationary_residual.pde_residual_L2 <= 1e-10
     assert pair.stationary_residual.constraint_product_L2 <= 1e-10
     assert pair.stationary_residual.diss_inequality_slack >= -1e-10
-    # realized tension signs: falling nonnegative, frozen nonpositive
-    for tension in pair.falling.tensions:
-        assert tension.values.min() >= -1e-12
-    for tension in pair.stationary.tensions:
-        assert tension.values.max() <= 0.0
+    # realized tension signs over every state: falling nonnegative, frozen
+    # nonpositive
+    assert pair.falling_sigma_min >= -1e-12
+    assert pair.stationary_sigma_max <= 0.0
+
+
+def _batch_residual(pairs, g):
+    """The weak-solution residuals of a sampled trajectory, written out in
+    one pass over all pairs: the reference the running accumulator must
+    reproduce bit for bit."""
+    grid = pairs[0][0].grid
+    h = grid.h
+    pde_sq = constraint_sq = stretch = 0.0
+    slack = np.inf
+    for k, (state, tension) in enumerate(pairs):
+        u = state.tangents
+        stretch = max(stretch, float((np.linalg.norm(u, axis=1) - 1.0).max()))
+        if k == 0:
+            continue
+        prev = pairs[k - 1][0]
+        dt = state.time - prev.time
+        velocity = (state.positions - prev.positions) / dt
+        flux = tension.at_midpoints[:, None] * u
+        div = np.empty((grid.n_cells, state.dim))
+        div[0] = 2.0 * flux[0] / h
+        div[1:] = (flux[1:] - flux[:-1]) / h
+        pde_sq += dt * h * float(np.sum((velocity[:-1] - div - g.direction) ** 2))
+        product = tension.at_midpoints * (np.sum(u * u, axis=1) - 1.0)
+        constraint_sq += dt * h * float(np.sum(product ** 2))
+        vel = velocity[:-1]
+        slack = min(slack, h * float(np.sum(vel @ g.direction) - np.sum(vel ** 2)))
+    return GeneralizedResidual(float(np.sqrt(pde_sq)),
+                               float(np.sqrt(constraint_sq)),
+                               max(stretch, 0.0), float(slack))
+
+
+def _upright_pairs(grid, g, horizon):
+    up, tension = stationary_upright(grid, g)
+    return [(ArcState(grid=grid, positions=up.positions, time=t), tension)
+            for t in (0.0, 0.5 * horizon, horizon)]
+
+
+@pytest.mark.parametrize("which", ["forward_run", "frozen_upright"])
+def test_residual_accumulator_is_bitwise_the_batch_residual(gravity2, which):
+    if which == "forward_run":
+        g = gravity2.flipped()
+        pairs = small_forward_run(g).pairs()
+    else:
+        g = gravity2
+        pairs = _upright_pairs(Grid(100), g, 3.0)
+    acc = ResidualAccumulator(g)
+    for state, tension in pairs:
+        acc.add(state, tension)
+    expected = _batch_residual(pairs, g)
+    assert acc.result() == expected == generalized_residual(pairs, g)
+    assert acc.sigma_min == min(t.values.min() for _, t in pairs)
+    assert acc.sigma_max == max(t.values.max() for _, t in pairs)
+
+
+def test_residual_accumulator_needs_two_pairs_on_one_grid(gravity2):
+    acc = ResidualAccumulator(gravity2)
+    with pytest.raises(ShapeError, match="two snapshots"):
+        acc.result()
+    pairs = _upright_pairs(Grid(10), gravity2, 1.0)
+    acc.add(*pairs[0])
+    with pytest.raises(ShapeError, match="two snapshots"):
+        acc.result()
+    with pytest.raises(ShapeError, match="one grid"):
+        acc.add(*_upright_pairs(Grid(11), gravity2, 1.0)[1])
+
+
+def _branching_peak_bytes(horizon, gravity2):
+    grid = Grid(100)
+    cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02)
+    tracemalloc.start()
+    try:
+        branching_pair(horizon, 1e-2, grid, gravity2, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_branching_pair_memory_does_not_grow_with_the_horizon(gravity2):
+    # a run four times as long takes several times the steps; a pair that
+    # kept its states would need several times the memory
+    short = _branching_peak_bytes(1.0, gravity2)
+    long = _branching_peak_bytes(4.0, gravity2)
+    assert long <= 1.25 * short, (short, long)
+
+
+def test_branching_pair_forwards_each_accepted_step(gravity2):
+    grid = Grid(60)
+    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
+    seen, stats = [], {}
+    pair = branching_pair(0.5, 1e-2, grid, gravity2, cfg, stats=stats,
+                          stops=(0.25,),
+                          observer=lambda s, dt, it, flux, pot: seen.append(s))
+    assert len(seen) == stats["steps"]
+    assert 0.25 in [s.time for s in seen] and seen[-1].time == 0.5
+    diff = seen[-1].positions - stationary_upright(grid, gravity2)[0].positions
+    assert pair.separation == float(
+        np.sqrt(grid.quad_trapezoid(np.sum(diff * diff, axis=1))))
