@@ -449,7 +449,7 @@ def cmd_nonuniqueness(cfg) -> int:
     pairs = []
 
     def advance(**kwargs):
-        pairs.append(branching_pair(cfg["T"], rmap.eps, grid, g, stepper,
+        pairs.append(branching_pair(cfg["T"], rmap, init, g, stepper,
                                     **kwargs))
 
     directory = run_directory(cfg)

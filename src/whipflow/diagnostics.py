@@ -2,29 +2,31 @@
 
 Everything the test batteries assert lives here: potential and perturbed
 energies, the dissipation identity, weak-solution residuals (taken as
-running sums, state by state, by a ResidualAccumulator), the weighted
-Hardy ratio, exponential-decay fits, tension tail integrals, and the
-compatibility predicate that detects initial data admitting no smooth
-evolution.
+running sums, state by state or block by block, by a
+ResidualAccumulator), the weighted Hardy ratio, exponential-decay fits,
+tension tail integrals, and the compatibility predicate that detects
+initial data admitting no smooth evolution.
 
-A run's energy report (one EnergyReport, one ``timeseries.csv`` row, per
-accepted state) is taken by a Reporter in two parts.  The columns that
-read the state's flux, potential and tangents, E_eps, max_stretch and
-constraint_L1 (and the state's largest tangent norm), are taken per
-step, as each state arrives with the flux and the potential the stepper
-handed out, so no row inverts the map.  The columns that read the
-positions alone, E, E_alt, E_rel, E_rel_back, cos_alpha, D and
-sigma_at_1, are taken per block of states: the positions of at most
-BLOCK_FLOATS floats are kept, and each full block (and the last, partial
-one) is reported at once, its tensions from one tridiagonal solve.
-``report`` is the one-state case, so every column has one implementation
-and a block's rows are bitwise those of ``report``.
+The consumers of a run's states take them per block.  A state arrives as
+``evolve``'s observer receives it, with the flux and the potential density
+the stepper handed out, so no consumer inverts the map; its positions,
+time, flux (and potential) are copied into a block of at most
+BLOCK_FLOATS floats, and every column is computed for the whole block at
+once when it is full (and for the last, partial one at ``flush``).  A
+Reporter takes a run's energy report (one EnergyReport, one
+``timeseries.csv`` row, per state), its tensions from one tridiagonal
+solve per block; a RealizedResidual takes the weak-solution residual of
+the states paired with the tensions they realize.  ``report`` and
+``constitutive_tension`` are the one-state cases, so every column has one
+implementation, and a running value is added to in state order, so a
+block's rows and sums are bitwise those of its states taken one by one.
+Reductions over the vector axis are ``grid.row_dot``'s component sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import ShapeError
 from .flow import (ArcState, GravitySpec, Trajectory, _check_compatible,
                    _energy)
 from .flow import discrete_energy  # noqa: F401  (perfbench's spans.WRAPS)
-from .grid import Grid
+from .grid import Grid, row_dot
 from .regmap import RegularizedMap
 from .tension import (TensionProfile, end_cos_alpha, flow_tensions,
                       second_differences)
@@ -86,8 +88,8 @@ class DecayFit:
     cbar0_check: float
 
 
-# Positions a Reporter keeps at most, in floats: the size of its block of
-# states.  That is 40 states at n = 200 in 2-D and 5 at n = 1500.
+# Floats a consumer of a run's states keeps at most, its block of states
+# included: 16 states of a Reporter at n = 200 in 2-D and 2 at n = 1500.
 BLOCK_FLOATS = 16384
 
 
@@ -104,75 +106,99 @@ def potential_energy(state: ArcState, g: GravitySpec) -> float:
                                      g.direction))
 
 
-class Reporter:
-    """The EnergyReports of a run's states, in the order they are added.
+class _StateBlock:
+    """A block of a run's states, taken as ``evolve``'s observer receives
+    them: ``add(state, flux[, pot])`` copies the state's positions, time and
+    flux (and, if the block keeps them, its potential density) into arrays
+    that hold, with the ``reserve`` floats their owner keeps besides, at
+    most BLOCK_FLOATS floats, or one state if that is larger.  A full
+    block is handed to ``_take(m)`` at once; ``flush`` hands on the
+    partial one.  Arrays of another shape are refused with ShapeError, not
+    broadcast."""
 
-    ``add(state, flux, pot)`` takes a state's per-step columns from its
-    flux invert(state.tangents) and potential density, as ``evolve``'s
-    observer receives them, and copies its positions into the block; a
-    full block is reported at once.  Call ``flush`` after the last state
-    (also when the run failed) to report the partial block.  ``reports``
-    holds the rows reported so far and ``sup_u`` each added state's
-    largest tangent norm.  The boundary tension comes from the two-point
-    solve, so D reproduces the dissipation identity of the exact flow
-    rather than the regularized surrogate (which is reported separately
-    through constraint_L1).
-    """
+    def __init__(self, grid: Grid, dim: int, with_pot: bool, reserve: int = 0):
+        n = grid.n_cells
+        per_state = (n + 1) * dim + n * dim + (n if with_pot else 0) + 1
+        size = max(1, (BLOCK_FLOATS - reserve) // per_state)
+        self._positions = np.empty((size, n + 1, dim))
+        self._flux = np.empty((size, n, dim))
+        self._pot = np.empty((size, n)) if with_pot else None
+        self._times = np.empty(size)
+        self._count = 0
 
-    def __init__(self, grid: Grid, g: GravitySpec):
-        self.reports: list[EnergyReport] = []
-        self.sup_u: list[float] = []
-        self._grid, self._g = grid, g
-        shape = (grid.n_nodes, g.dim)
-        self._block = np.empty((max(1, BLOCK_FLOATS // (shape[0] * shape[1])),
-                                *shape))
-        # (t, E_eps, max_stretch, constraint_L1) of each state in the block
-        self._pending: list[tuple[float, float, float, float]] = []
-
-    def add(self, state: ArcState, flux: np.ndarray, pot: np.ndarray) -> None:
-        if state.positions.shape != self._block.shape[1:]:
-            raise ShapeError(
-                f"state of shape {state.positions.shape} in a report of "
-                f"{self._block.shape[1:]} positions")
-        grid = self._grid
-        speeds = np.linalg.norm(state.tangents, axis=1)
-        flux_norm = np.linalg.norm(flux, axis=1)
-        self._block[len(self._pending)] = state.positions
-        self._pending.append((
-            state.time,
-            float(_energy(state.positions, pot, grid.h, self._g.direction)),
-            float(np.abs(speeds - 1.0).max()),
-            float(grid.quad_midpoint(flux_norm * np.abs(speeds ** 2 - 1.0))),
-        ))
-        self.sup_u.append(float(speeds.max()))
-        if len(self._pending) == len(self._block):
+    def add(self, state: ArcState, flux: np.ndarray,
+            pot: Optional[np.ndarray] = None) -> None:
+        given = [("state", state.positions, self._positions),
+                 ("flux", flux, self._flux)]
+        if self._pot is not None:
+            given.append(("potential", pot, self._pot))
+        for name, value, block in given:
+            if np.shape(value) != block.shape[1:]:
+                raise ShapeError(f"{name} of shape {np.shape(value)} in a "
+                                 f"block of {block.shape[1:]}")
+        k = self._count
+        for _, value, block in given:
+            block[k] = value
+        self._times[k] = state.time
+        self._count = k + 1
+        if self._count == len(self._times):
             self.flush()
 
     def flush(self) -> None:
-        """Report the states added since the last report."""
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        h = self._grid.h
+        """Take the states added since the last block was taken."""
+        m, self._count = self._count, 0
+        if m:
+            self._take(m)
+
+    def _take(self, m: int) -> None:
+        raise NotImplementedError
+
+
+class Reporter(_StateBlock):
+    """The EnergyReports of a run's states, in the order they are added.
+
+    ``add(state, flux, pot)`` takes a state with its flux
+    invert(state.tangents) and potential density, as ``evolve``'s observer
+    receives them, and copies them into the block; a full block is
+    reported at once.  Call ``flush`` after the last state (also when the
+    run failed) to report the partial block.  ``reports`` holds the rows
+    reported so far and ``sup_u`` each reported state's largest tangent
+    norm.  The boundary tension comes from the two-point solve, so D
+    reproduces the dissipation identity of the exact flow rather than the
+    regularized surrogate (which is reported separately through
+    constraint_L1).
+    """
+
+    def __init__(self, grid: Grid, g: GravitySpec):
+        super().__init__(grid, g.dim, with_pot=True)
+        self.reports: list[EnergyReport] = []
+        self.sup_u: list[float] = []
+        self._grid, self._g = grid, g
+
+    def _take(self, m: int) -> None:
+        grid = self._grid
+        h = grid.h
         g_vec = self._g.direction
-        eta = self._block[:len(pending)]
-        E = _potential_energies(eta, h, g_vec)
+        eta, flux = self._positions[:m], self._flux[:m]
         u = (eta[:, 1:] - eta[:, :-1]) / h
-        E_alt = h * (self._grid.midpoints * (u @ g_vec)).sum(axis=-1)
+        speeds = np.sqrt(row_dot(u, u))
+        E_eps = _energy(eta, self._pot[:m], h, g_vec)
+        stretch = np.abs(speeds - 1.0).max(axis=-1)
+        constraint = h * (np.sqrt(row_dot(flux, flux))
+                          * np.abs(speeds ** 2 - 1.0)).sum(axis=-1)
+        self.sup_u.extend(speeds.max(axis=-1).tolist())
+        E = _potential_energies(eta, h, g_vec)
+        E_alt = h * (grid.midpoints * (u @ g_vec)).sum(axis=-1)
         sigma, cos_alpha = flow_tensions(eta, h, g_vec)
         sigma_at_1 = sigma[:, -1]
-        columns = zip(pending, E.tolist(), E_alt.tolist(),
+        columns = zip(self._times[:m].tolist(), E.tolist(), E_alt.tolist(),
                       (E - EQUILIBRIUM_ENERGY).tolist(),
-                      (-EQUILIBRIUM_ENERGY - E).tolist(),
+                      (-EQUILIBRIUM_ENERGY - E).tolist(), E_eps.tolist(),
                       (1.0 - sigma_at_1 * cos_alpha).tolist(),
-                      cos_alpha.tolist(), sigma_at_1.tolist())
-        self.reports.extend(
-            EnergyReport(t=t, E=e, E_alt=e_alt, E_rel=e_rel,
-                         E_rel_back=e_back, E_eps=e_eps, D=d, cos_alpha=cos,
-                         max_stretch=stretch, constraint_L1=l1,
-                         sigma_at_1=sigma)
-            for (t, e_eps, stretch, l1), e, e_alt, e_rel, e_back, d, cos, sigma
-            in columns)
+                      cos_alpha.tolist(), stretch.tolist(),
+                      constraint.tolist(), sigma_at_1.tolist())
+        # the columns in EnergyReport.FIELDS order
+        self.reports.extend(EnergyReport(*row) for row in columns)
 
 
 def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyReport:
@@ -186,10 +212,24 @@ def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyRepor
     return reporter.reports[0]
 
 
+def constitutive_tensions(flux: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The node values of constitutive_tension over leading axes: ``flux``
+    and the tangents ``u`` of shape (..., n, d) give shape (..., n+1)."""
+    mid = row_dot(flux, u)
+    values = np.empty((*mid.shape[:-1], mid.shape[-1] + 1))
+    values[..., 0] = 0.0
+    values[..., 1:-1] = 0.5 * (mid[..., :-1] + mid[..., 1:])
+    # linear extrapolation, clamped: the multiplier cannot be negative,
+    # but extrapolating a profile that dips toward the pin could be
+    values[..., -1] = np.maximum(1.5 * mid[..., -1] - 0.5 * mid[..., -2], 0.0)
+    return values
+
+
 def constitutive_tension(state: ArcState, flux: np.ndarray) -> TensionProfile:
     """The multiplier the regularized flow realizes: flux . u, with u the
     state's tangents and ``flux`` = invert(u) (as ``evolve``'s observer
-    receives it), interpolated from the midpoints to the nodes.
+    receives it), interpolated from the midpoints to the nodes; the
+    one-curve case of constitutive_tensions.
 
     It is nonnegative by the radial structure of the map (the flux is
     parallel to the tangent), vanishes where the tangent does, and is the
@@ -197,14 +237,8 @@ def constitutive_tension(state: ArcState, flux: np.ndarray) -> TensionProfile:
     weak-solution conditions.  The node at s = 0 is zero by the free-end
     condition; the node at s = 1 is linearly extrapolated.
     """
-    mid = np.sum(flux * state.tangents, axis=1)
-    values = np.empty(state.grid.n_nodes)
-    values[0] = 0.0
-    values[1:-1] = 0.5 * (mid[:-1] + mid[1:])
-    # linear extrapolation, clamped: the multiplier cannot be negative,
-    # but extrapolating a profile that dips toward the pin could be
-    values[-1] = max(1.5 * mid[-1] - 0.5 * mid[-2], 0.0)
-    return TensionProfile(grid=state.grid, values=values)
+    return TensionProfile(grid=state.grid,
+                          values=constitutive_tensions(flux, state.tangents))
 
 
 @dataclass(frozen=True)
@@ -217,26 +251,28 @@ class GeneralizedResidual:
     diss_inequality_slack: float
 
 
-def _tension_flux_divergence(grid: Grid, u: np.ndarray,
-                             tension: TensionProfile) -> np.ndarray:
-    """Node-centered divergence of sigma * d_s eta on nodes 0..n-1, for the
-    tangents ``u`` of a state on ``grid``.
+def _tension_flux_divergence(h: float, u: np.ndarray,
+                             sigma_mid: np.ndarray) -> np.ndarray:
+    """Node-centered divergence of sigma * d_s eta on nodes 0..n-1, over
+    leading axes: tangents ``u`` of shape (..., n, d) and midpoint tensions
+    ``sigma_mid`` of shape (..., n), on a grid of spacing h.
 
     The flux is reflected oddly below s = 0 (consistent with sigma(0) = 0),
     which makes the stationary profiles exact: their residual vanishes at
     the free end as well.
     """
-    flux = tension.at_midpoints[:, None] * u
-    div = np.empty((grid.n_cells, u.shape[1]))
-    div[0] = 2.0 * flux[0] / grid.h
-    div[1:] = (flux[1:] - flux[:-1]) / grid.h
+    flux = sigma_mid[..., None] * u
+    div = np.empty(u.shape)
+    div[..., 0, :] = 2.0 * flux[..., 0, :] / h
+    div[..., 1:, :] = (flux[..., 1:, :] - flux[..., :-1, :]) / h
     return div
 
 
 class ResidualAccumulator:
     """The discrete residuals of the weak-solution conditions, taken one
-    (state, tension) pair at a time, in increasing time; ``result()`` is
-    the GeneralizedResidual of the pairs added so far.
+    (state, tension) pair at a time (``add``), or a block of them
+    (``add_block``), in increasing time; ``result()`` is the
+    GeneralizedResidual of the pairs added so far.
 
     Time derivatives are backward differences between consecutive
     snapshots (matching the implicit stepper); spatial terms are evaluated
@@ -245,14 +281,17 @@ class ResidualAccumulator:
     positive stretch excess, and the worst slack of the dissipation
     inequality int g . d_t eta - int |d_t eta|^2 (nonnegative for a true
     weak solution).  Each term reads the newest pair and the previous
-    state alone, so the accumulator keeps only that state and running
-    sums.  ``sigma_min`` and ``sigma_max`` are the running extremes of the
-    tensions added.
+    state alone, so the accumulator keeps only that state's free nodes
+    and running sums, which it adds to in state order: a block's result is
+    bitwise that of its pairs added one by one.  ``sigma_min`` and
+    ``sigma_max`` are the running extremes of the tensions added.  An add
+    that raises leaves every running value as it was.
     """
 
     def __init__(self, g: GravitySpec):
         self._g_vec = g.direction
-        self._prev = None
+        self._n = None
+        self._prev = None  # (time, free node positions) of the last state
         self._count = 0
         self._pde_sq = 0.0
         self._constraint_sq = 0.0
@@ -262,36 +301,67 @@ class ResidualAccumulator:
         self.sigma_max = -np.inf
 
     def add(self, state: ArcState, tension: TensionProfile) -> None:
-        prev = self._prev
-        grid = state.grid
-        n = grid.n_cells if prev is None else prev.grid.n_cells
-        if grid.n_cells != n or tension.grid.n_cells != n:
+        """add_block of one pair."""
+        if tension.grid.n_cells != state.grid.n_cells:
             raise ShapeError("all snapshots must share one grid")
-        u = state.tangents
-        speeds = np.linalg.norm(u, axis=1)
-        self._stretch = max(self._stretch, float((speeds - 1.0).max()))
-        self.sigma_min = min(self.sigma_min, float(tension.values.min()))
-        self.sigma_max = max(self.sigma_max, float(tension.values.max()))
-        self._prev = state
-        self._count += 1
-        if prev is None:
+        self.add_block(state.grid, state.positions[None], state.tangents[None],
+                       np.array([state.time]), tension.values[None])
+
+    def add_block(self, grid: Grid, positions: np.ndarray, u: np.ndarray,
+                  times: np.ndarray, sigma: np.ndarray) -> None:
+        """Add m states on ``grid``, in increasing time: node positions of
+        shape (m, n+1, d), their tangents (m, n, d), times (m,) and node
+        tensions (m, n+1)."""
+        n, d = grid.n_cells, self._g_vec.shape[0]
+        m = len(times)
+        if ((self._n is not None and n != self._n)
+                or positions.shape != (m, n + 1, d) or u.shape != (m, n, d)
+                or sigma.shape != (m, n + 1)):
+            raise ShapeError("all snapshots must share one grid and "
+                             "the dimension of gravity")
+        if m == 0:
             return
-        h = grid.h
-        dt = state.time - prev.time
-        if not (dt > 0.0):
+        # the pairs end at the block's states, bar the first state of all;
+        # old holds the free nodes of each pair's older state
+        first = 1 if self._prev is None else 0
+        new = positions[first:, :-1]
+        if first:
+            t_old, old = times[:-1], positions[:-1, :-1]
+        else:
+            t_prev, prev = self._prev
+            t_old = np.concatenate(([t_prev], times[:-1]))
+            old = np.concatenate((prev[None], positions[:-1, :-1]))
+        dts = times[first:] - t_old
+        if not np.all(dts > 0.0):
             raise ValueError("snapshot times must be strictly increasing")
-        velocity = (state.positions - prev.positions) / dt
 
-        div = _tension_flux_divergence(grid, u, tension)
-        pde_rows = velocity[:-1] - div - self._g_vec
-        self._pde_sq += dt * h * float(np.sum(pde_rows ** 2))
+        h = grid.h
+        u_sq = row_dot(u, u)
+        stretch = (np.sqrt(u_sq) - 1.0).max(axis=-1)
+        velocity = (new - old) / dts[:, None, None]
+        sigma_mid = 0.5 * (sigma[first:, :-1] + sigma[first:, 1:])
+        div = _tension_flux_divergence(h, u[first:], sigma_mid)
+        pde = ((velocity - div - self._g_vec) ** 2).sum(axis=(1, 2))
+        product = sigma_mid * (u_sq[first:] - 1.0)
+        constraint = (product ** 2).sum(axis=-1)
+        slack = (velocity @ self._g_vec).sum(axis=-1) \
+            - (velocity ** 2).sum(axis=(1, 2))
 
-        product = tension.at_midpoints * (np.sum(u * u, axis=1) - 1.0)
-        self._constraint_sq += dt * h * float(np.sum(product ** 2))
-
-        vel_rows = velocity[:-1]
-        slack = h * float(np.sum(vel_rows @ self._g_vec) - np.sum(vel_rows ** 2))
-        self._slack = min(self._slack, slack)
+        for value in stretch.tolist():
+            self._stretch = max(self._stretch, value)
+        for value in sigma.min(axis=-1).tolist():
+            self.sigma_min = min(self.sigma_min, value)
+        for value in sigma.max(axis=-1).tolist():
+            self.sigma_max = max(self.sigma_max, value)
+        for dt, pde_k, constraint_k, slack_k in zip(
+                dts.tolist(), pde.tolist(), constraint.tolist(),
+                slack.tolist()):
+            self._pde_sq += dt * h * pde_k
+            self._constraint_sq += dt * h * constraint_k
+            self._slack = min(self._slack, h * slack_k)
+        self._n = n
+        self._prev = (times[-1], positions[-1, :-1].copy())
+        self._count += m
 
     def result(self) -> GeneralizedResidual:
         """The residuals so far; ShapeError before a second pair."""
@@ -303,6 +373,28 @@ class ResidualAccumulator:
             stretch_violation=max(self._stretch, 0.0),
             diss_inequality_slack=float(self._slack),
         )
+
+
+class RealizedResidual(_StateBlock):
+    """The ResidualAccumulator ``residual`` of a run's states, each paired
+    with the tension it realizes, constitutive_tension(state, flux), and
+    taken per block: ``add(state, flux)`` copies the state in, as
+    ``evolve``'s observer receives it, and each full block goes into the
+    accumulator at once.  Call ``flush`` after the last state.  The block
+    and the accumulator's previous state together hold at most
+    BLOCK_FLOATS floats."""
+
+    def __init__(self, grid: Grid, g: GravitySpec):
+        super().__init__(grid, g.dim, with_pot=False,
+                         reserve=grid.n_cells * g.dim)
+        self.residual = ResidualAccumulator(g)
+        self._grid = grid
+
+    def _take(self, m: int) -> None:
+        eta = self._positions[:m]
+        u = (eta[:, 1:] - eta[:, :-1]) / self._grid.h
+        self.residual.add_block(self._grid, eta, u, self._times[:m],
+                                constitutive_tensions(self._flux[:m], u))
 
 
 def generalized_residual(

@@ -62,7 +62,7 @@ import numpy as np
 
 from ._lapack import pbsv
 from .errors import NumericDomainError, ShapeError, SolverFailure, StepRejected
-from .grid import Grid
+from .grid import Grid, row_dot
 from .regmap import RegularizedMap
 
 _MACH = np.finfo(float).eps
@@ -196,8 +196,10 @@ def _check_compatible(state: ArcState, rmap: RegularizedMap, g: GravitySpec):
 
 def _energy(pos, pot, h, g_vec):
     """h times the cell sum of the flux potential ``pot`` plus h times the
-    sum of the gravity heights of the n free nodes of ``pos``."""
-    return h * pot.sum() + h * (pos[:-1] @ (-g_vec)).sum()
+    sum of the gravity heights of the n free nodes of ``pos``, over leading
+    axes: ``pos`` of shape (..., n+1, d) and ``pot`` of shape (..., n)."""
+    return h * pot.sum(axis=-1) \
+        + h * (pos[..., :-1, :] @ (-g_vec)).sum(axis=-1)
 
 
 def discrete_energy(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> float:
@@ -317,7 +319,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     # decrement exit below covers that regime.
     u = grid.diff_forward(prev_pos)
     pos_scale = max(1.0, float(np.abs(prev_pos).max()))
-    u_scale = 1.0 + float(np.linalg.norm(u, axis=1).max())
+    u_scale = 1.0 + float(np.sqrt(row_dot(u, u).max()))
     floor = 64.0 * _MACH * (pos_scale / dt + u_scale / (rmap.eps * h))
     tol = max(NEWTON_TOL, floor)
 

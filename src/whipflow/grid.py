@@ -16,6 +16,21 @@ import numpy as np
 from .errors import ShapeError
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum over p of a[..., p]*b[..., p], added left to right from
+    numpy's start value +0.0.
+
+    Over a vector axis of length 2 or 3 this is bitwise np.sum(a*b,
+    axis=-1), and its square root with a = b is bitwise np.linalg.norm(a,
+    axis=-1), at a third of their cost.  (The start value only turns an
+    all -0 sum into +0.)"""
+    out = a[..., 0] * b[..., 0]
+    out += 0.0
+    for p in range(1, a.shape[-1]):
+        out += a[..., p] * b[..., p]
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on (0, 1) with ``n_cells`` intervals."""

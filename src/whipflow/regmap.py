@@ -15,12 +15,13 @@ flow).
 Everything is vectorized over leading axes: inputs of shape ``(..., d)``
 produce outputs with matching leading shape.
 
-Each reader checks its tangent field and inverts its radial profile; only
-``local_calculus`` and ``inverse_jacobian`` build the Jacobian.  The map
-keeps nothing between calls: what a reader returns depends on eps, the
-dimension and its input alone.  The stepper hands each accepted state's
-flux and potential to its consumers, so none of them inverts that state
-again.
+Each reader checks its tangent field and inverts its radial profile, the
+norm |tau| taken as ``grid.row_dot``'s component sum; only
+``local_calculus`` and ``inverse_jacobian`` build the Jacobian, which they
+fill entry by entry from one value per point.  The map keeps nothing
+between calls: what a reader returns depends on eps, the dimension and
+its input alone.  The stepper hands each accepted state's flux and
+potential to its consumers, so none of them inverts that state again.
 
 The map's domain: eps in [EPS_MIN, EPS_MAX] = [1e-14, 4.6e4] (check_eps,
 else ValueError), and every entry x of a vector it reads with |x| <=
@@ -49,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InversionError, NumericDomainError
+from .grid import row_dot
 
 
 # residual tolerance and number of Newton updates of the radial inversion
@@ -78,7 +80,6 @@ class RegularizedMap:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         self.eps = eps
         self.dim = dim
-        self._eye = np.eye(dim)
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
         x = np.concatenate(
             ([0.0], np.geomspace(1e-3, 1e4 * np.float64(eps) ** -1.5, 256)))
@@ -151,7 +152,7 @@ class RegularizedMap:
         |invert(tau)| and w = (eps + rho^2)^(-1/2).  Readers build
         kappa = tau*scale, keeping the signs of tau's zeros."""
         tau = self._check_vec(tau, "tau")
-        r = np.sqrt(np.sum(tau * tau, axis=-1))
+        r = np.sqrt(row_dot(tau, tau))
         rho = self._invert_radial(r)
         scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
         return tau, scale, rho, (self.eps + rho * rho) ** -0.5
@@ -184,12 +185,22 @@ class RegularizedMap:
 
     def _jacobian(self, kappa, rho, w):
         """inverse_jacobian at kappa with |kappa| = rho and
-        w = (eps + rho^2)^(-1/2)."""
+        w = (eps + rho^2)^(-1/2), filled entry by entry: entry (p, q) is
+        [p == q]/c1 + (k_p k_q)*gain, with the radial gain
+        c3/(c1 (c1 - c3 rho^2))."""
         c1 = self.eps + w
         c3 = w ** 3
-        outer = kappa[..., :, None] * kappa[..., None, :]
-        radial_gain = c3 / (c1 * (c1 - c3 * (rho * rho)))
-        return self._eye / c1[..., None, None] + outer * radial_gain[..., None, None]
+        gain = c3 / (c1 * (c1 - c3 * (rho * rho)))
+        inv_c1 = 1.0 / c1
+        jac = np.empty((*np.shape(c1), self.dim, self.dim))
+        for p in range(self.dim):
+            k_p = kappa[..., p]
+            jac[..., p, p] = inv_c1 + (k_p * k_p) * gain
+            for q in range(p):
+                # + 0.0 is the off-diagonal 0.0/c1 (c1 > 0): a -0 turns +0
+                off = (k_p * kappa[..., q]) * gain + 0.0
+                jac[..., p, q] = jac[..., q, p] = off
+        return jac
 
     def spectral_bounds(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form eigenvalue bounds (lo, hi) of the inverse Jacobian.

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import (GeneralizedResidual, ResidualAccumulator,
-                          constitutive_tension)
+from .diagnostics import (GeneralizedResidual, RealizedResidual,
+                          ResidualAccumulator, constitutive_tension)
 from .diagnostics import generalized_residual  # noqa: F401  (spans.WRAPS)
 from .errors import ContractError, ShapeError, UnderResolvedError
 from .flow import (TIME_TOL, ArcState, GravitySpec, StepperConfig, Trajectory,
@@ -282,8 +282,8 @@ def upright_release(grid: Grid, g: GravitySpec) -> ArcState:
 
 def branching_pair(
     horizon: float,
-    eps: float,
-    grid: Grid,
+    rmap: RegularizedMap,
+    init: ArcState,
     g: GravitySpec,
     cfg: StepperConfig,
     *,
@@ -293,34 +293,36 @@ def branching_pair(
 ) -> BranchingPair:
     """Demonstrate non-uniqueness from the upright state.
 
-    Trajectory one evolves the upright state (``upright_release``) under
-    the regularized flow, which cannot hold the compressive tension and
-    drops toward the downward equilibrium; trajectory two holds the exact
-    upright pair fixed, which satisfies the weak-solution conditions
-    identically.  The falling run is one ``evolve`` call, with ``observer``,
-    ``stats`` and ``stops`` passed on: each accepted state goes into a
-    running ResidualAccumulator with the tension it realizes, then to
-    ``observer``, and no state is kept but the last.  A horizon of at most
-    TIME_TOL takes no step and raises ValueError before the run.
+    Trajectory one evolves ``init`` (the upright state as
+    ``upright_release`` builds it) under the regularized flow of ``rmap``,
+    which cannot hold the compressive tension and drops toward the
+    downward equilibrium; trajectory two holds the exact upright pair
+    fixed on init's grid, which satisfies the weak-solution conditions
+    identically.  The falling run is one ``evolve`` call, with
+    ``observer``, ``stats`` and ``stops`` passed on: each accepted state
+    goes into a RealizedResidual, paired with the tension it realizes,
+    then to ``observer``, and no state is kept but the last.  A horizon of
+    at most TIME_TOL takes no step and raises ValueError before the run.
     """
     if not horizon > TIME_TOL:
         raise ValueError(f"horizon T = {horizon:g} takes no step: it must "
                          f"exceed evolve's time tolerance {TIME_TOL:g}")
-    rmap = RegularizedMap(eps, dim=g.dim)
-    init = upright_release(grid, g)
+    grid = init.grid
 
     # the falling run pairs with the multiplier it actually realizes,
     # which is nonnegative by construction
-    falling = ResidualAccumulator(g)
-    falling.add(init, constitutive_tension(init, rmap.invert(init.tangents)))
+    falling = RealizedResidual(grid, g)
+    init_tension = constitutive_tension(init, rmap.invert(init.tangents))
+    falling.residual.add(init, init_tension)
 
     def record(state, dt, iters, flux, pot):
-        falling.add(state, constitutive_tension(state, flux))
+        falling.add(state, flux)
         if observer is not None:
             observer(state, dt, iters, flux, pot)
 
     last = evolve(init, horizon, rmap, g, cfg, observer=record, stats=stats,
                   stops=stops)
+    falling.flush()
 
     up_state, up_tension = stationary_upright(grid, g)
     stationary = ResidualAccumulator(g)
@@ -332,9 +334,9 @@ def branching_pair(
         np.sqrt(grid.quad_trapezoid(np.sum(diff * diff, axis=1)))
     )
     return BranchingPair(
-        falling_residual=falling.result(),
+        falling_residual=falling.residual.result(),
         stationary_residual=stationary.result(),
         separation=separation,
-        falling_sigma_min=falling.sigma_min,
+        falling_sigma_min=falling.residual.sigma_min,
         stationary_sigma_max=stationary.sigma_max,
     )

@@ -25,7 +25,7 @@ import numpy as np
 from ._lapack import ptsv
 from .errors import ShapeError, TensionSolveError, UnderResolvedError
 from .flow import ArcState, GravitySpec
-from .grid import Grid
+from .grid import Grid, row_dot
 from .regmap import EPS_MAX, check_eps
 
 
@@ -186,7 +186,7 @@ def flow_tensions(eta: np.ndarray, h: float,
     if eta.shape[-2] < 3:
         raise ShapeError("the flow tension needs at least 3 nodes")
     second = second_differences(eta, h)
-    curvature_sq = np.sum(second * second, axis=-1)
+    curvature_sq = row_dot(second, second)
     if not np.all(np.isfinite(curvature_sq)):
         raise ValueError("coefficients must be finite")
     cos_alpha = _end_slopes(eta, h, g_vec)

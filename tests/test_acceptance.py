@@ -32,7 +32,7 @@ from whipflow.cli import _summarize as cli_summarize
 from whipflow.cli import main as cli_main
 from whipflow.diagnostics import EQUILIBRIUM_ENERGY, REFERENCE_DECAY_RATE
 from whipflow.run_io import records_equal
-from whipflow.scenarios import eps_equilibrium
+from whipflow.scenarios import eps_equilibrium, upright_release
 
 
 def announce(number, ok, detail):
@@ -307,7 +307,8 @@ def test_criterion_10_hardy_sampling():
 def test_criterion_11_non_uniqueness(gravity2):
     start = time.perf_counter()
     grid = Grid(200)
-    pair = branching_pair(5.0, 1e-2, grid, gravity2,
+    pair = branching_pair(5.0, RegularizedMap(1e-2, dim=2),
+                          upright_release(grid, gravity2), gravity2,
                           StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02))
     stat = pair.stationary_residual
     fall = pair.falling_residual

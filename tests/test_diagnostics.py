@@ -10,6 +10,7 @@ from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
                       decay_fit, evolve, generalized_residual, hardy_check,
                       mollify, relative_energy_identity_check, report,
                       sigma_decay_check)
+from whipflow import diagnostics
 from whipflow.diagnostics import BLOCK_FLOATS, EQUILIBRIUM_ENERGY, Reporter
 from whipflow.errors import ShapeError
 from whipflow.scenarios import mollify_scales
@@ -178,6 +179,47 @@ def test_reporter_refuses_a_state_of_another_grid(gravity2, rmap):
     state = build(ScenarioSpec(kind="vertical_down"), Grid(11), gravity2)
     with pytest.raises(ShapeError):
         reporter.add(state, *calculus(rmap, state))
+
+
+@pytest.mark.parametrize("per_block", [1, 3, "run"])
+def test_block_size_does_not_change_the_rows(pendulum_run, monkeypatch,
+                                             per_block):
+    # 100 states: blocks of one state, of three (the last one partial) and
+    # one block for the whole run
+    run = pendulum_run
+    states = run.states[:100]
+    size = len(states) if per_block == "run" else per_block
+    n = run.grid.n_cells
+    # a Reporter's floats per state: positions, flux, potential, time
+    per_state = (n + 1) * 2 + n * 2 + n + 1
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", size * per_state)
+    reporter = Reporter(run.grid, run.gravity)
+    assert reporter._times.shape == (size,)
+    for added, state in enumerate(states, start=1):
+        reporter.add(state, *calculus(run.rmap, state))
+        assert len(reporter.reports) == added - added % size
+    reporter.flush()
+    assert np.array_equal(report_bits(reporter.reports),
+                          report_bits(run.reports[:100]))
+    assert reporter.sup_u == run.sup_tangent[:100]
+
+
+def test_reporter_refuses_a_flux_or_potential_of_another_shape(gravity2,
+                                                               rmap):
+    # copied into the block, a flux of one vector or a potential of the
+    # wrong length would broadcast silently
+    grid = Grid(10)
+    state = build(ScenarioSpec(kind="quarter_circle"), grid, gravity2)
+    flux, pot = calculus(rmap, state)
+    reporter = Reporter(grid, gravity2)
+    for bad in [(flux[0], pot), (flux[:1], pot), (flux[:, :1], pot),
+                (flux, pot[:-1]), (flux, pot[:1]), (flux, pot[:, None])]:
+        with pytest.raises(ShapeError):
+            reporter.add(state, *bad)
+    # the refused adds left the block as it was
+    reporter.add(state, flux, pot)
+    reporter.flush()
+    assert reporter.reports == [report(state, rmap, gravity2)]
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -89,3 +89,36 @@ def test_quadratures_are_second_order(rule):
         errors.append(abs(approx - exact))
     ratio = errors[0] / errors[1]
     assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
+
+
+def edge_vectors(rng, shape):
+    """Random vectors with +-0, subnormal entries and entries up to
+    +-VEC_MAX, the largest the map reads."""
+    from whipflow.regmap import VEC_MAX
+
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 80, size=shape)
+    pick = rng.random(shape)
+    v[pick < 0.1] = 0.0
+    v[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    tiny = (pick >= 0.2) & (pick < 0.3)
+    v[tiny] = 5e-324 * rng.integers(-1000, 1000, size=tiny.sum())
+    big = (pick >= 0.3) & (pick < 0.35)
+    v[big] = VEC_MAX * rng.choice([-1.0, 1.0], size=big.sum())
+    return v
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_dot_is_bitwise_numpys_sum_and_norm(dim):
+    # the hot path swapped these reductions for row_dot on the promise that
+    # no bit moves; if a numpy release reorders its reduction, this fails
+    from whipflow.grid import row_dot
+
+    rng = np.random.default_rng(dim)
+    for shape in [(20000, dim), (7, 300, dim), (dim,)]:
+        a, b = edge_vectors(rng, shape), edge_vectors(rng, shape)
+        assert np.array_equal(
+            np.asarray(row_dot(a, b)).view(np.uint64),
+            np.asarray(np.sum(a * b, axis=-1)).view(np.uint64))
+        assert np.array_equal(
+            np.asarray(np.sqrt(row_dot(a, a))).view(np.uint64),
+            np.asarray(np.linalg.norm(a, axis=-1)).view(np.uint64))

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_grid import edge_vectors
 
 from whipflow import RegularizedMap, regmap
 from whipflow.errors import InversionError, NumericDomainError
@@ -375,6 +376,37 @@ def test_an_entry_beyond_the_bound_is_refused(eps, dim):
         for op in (m.local_calculus, m.spectral_bounds, m.forward):
             with pytest.raises(NumericDomainError, match="beyond"):
                 op(bad)
+
+
+def broadcast_jacobian(m, tau):
+    """inverse_jacobian as the (..., d, d) broadcast of Sherman-Morrison,
+    the reference its entry-by-entry fill must reproduce bit for bit."""
+    tau, scale, rho, w = m._field(tau)
+    kappa = tau * scale[..., None]
+    c1 = m.eps + w
+    c3 = w ** 3
+    outer = kappa[..., :, None] * kappa[..., None, :]
+    radial_gain = c3 / (c1 * (c1 - c3 * (rho * rho)))
+    return np.eye(m.dim) / c1[..., None, None] \
+        + outer * radial_gain[..., None, None]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps",
+                         [EPS_MIN, *np.geomspace(1e-4, 1.0, 5), EPS_MAX])
+def test_jacobian_is_bitwise_the_broadcast_form(eps, dim):
+    rng = np.random.default_rng(dim)
+    m = RegularizedMap(eps, dim=dim)
+    tau = np.concatenate((edge_vectors(rng, (3000, dim)),
+                          domain_edge_field(dim)))
+    expected = broadcast_jacobian(m, tau)
+    # signbits included: off the diagonal the broadcast adds 0.0/c1 = +0.0
+    for got in (m.inverse_jacobian(tau), m.local_calculus(tau)[1]):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # a single vector takes numpy's scalar path, in both forms
+    for v in tau[:50]:
+        assert np.array_equal(m.inverse_jacobian(v).view(np.uint64),
+                              broadcast_jacobian(m, v).view(np.uint64))
 
 
 def test_a_tangent_whose_jacobian_would_overflow_is_refused():

@@ -1,15 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from whipflow import (ArcState, GeneralizedResidual, GravitySpec, Grid,
-                      RegularizedMap, ScenarioSpec, StepperConfig, Trajectory,
+                      RegularizedMap, ScenarioSpec, StepperConfig,
+                      TensionProfile, Trajectory,
                       backward_transform, branching_pair, build,
                       constitutive_tension, evolve, generalized_residual,
                       mollify, potential_energy)
-from whipflow.diagnostics import EQUILIBRIUM_ENERGY, ResidualAccumulator
-from whipflow.scenarios import stationary_upright
+from whipflow import diagnostics
+from whipflow.diagnostics import (EQUILIBRIUM_ENERGY, RealizedResidual,
+                                  ResidualAccumulator)
+from whipflow.scenarios import stationary_upright, upright_release
 from whipflow.errors import ContractError, ShapeError, UnderResolvedError
 
 ALL_KINDS_2D = ("vertical_down", "vertical_up", "straight_angle",
@@ -250,7 +254,8 @@ def test_backward_transform_gravity_contract(gravity2):
 
 def test_branching_pair_quick(gravity2):
     grid = Grid(100)
-    pair = branching_pair(3.0, 1e-2, grid, gravity2,
+    pair = branching_pair(3.0, RegularizedMap(1e-2, dim=2),
+                          upright_release(grid, gravity2), gravity2,
                           StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02))
     assert pair.separation >= 0.5
     # the frozen upright pair is an exact weak solution
@@ -328,12 +333,108 @@ def test_residual_accumulator_needs_two_pairs_on_one_grid(gravity2):
         acc.add(*_upright_pairs(Grid(11), gravity2, 1.0)[1])
 
 
+def _residual_bits(acc):
+    return np.array([*dataclasses.astuple(acc.result()), acc.sigma_min,
+                     acc.sigma_max]).view(np.uint64)
+
+
+def _forward_run_with_fluxes(g, eps=1e-2, n=80, horizon=0.8):
+    """small_forward_run's states, each with the flux evolve handed out (the
+    start state's from invert)."""
+    grid = Grid(n)
+    rmap = RegularizedMap(eps, dim=2)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
+                        mollify_radius=0.03, taper_width=0.05)
+    init = mollify(build(spec, grid, g), spec)
+    seen = [(init, rmap.invert(init.tangents))]
+    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
+    evolve(init, horizon, rmap, g, cfg, observer=lambda s, dt, it, flux, pot:
+           seen.append((s, flux)))
+    return seen
+
+
+@pytest.mark.parametrize("start", ["in_the_block", "added_alone"])
+@pytest.mark.parametrize("per_block", [1, 3, "run"])
+def test_block_size_does_not_change_the_realized_residual(gravity2,
+                                                          monkeypatch,
+                                                          per_block, start):
+    # blocks of one state, of three (the last one partial) and one block
+    # for the whole run; the start state either opens the first block or
+    # is added alone before it, as branching_pair adds it
+    g = gravity2.flipped()
+    # 53 states: blocks of three end partial whether the start is in them
+    seen = _forward_run_with_fluxes(g)[:53]
+    grid = seen[0][0].grid
+    n = grid.n_cells
+    blocked = seen if start == "in_the_block" else seen[1:]
+    size = len(blocked) if per_block == "run" else per_block
+    assert len(blocked) % 3 != 0
+    # floats per state (positions, flux, time) and the kept previous state
+    per_state = (n + 1) * 2 + n * 2 + 1
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS",
+                        n * 2 + size * per_state)
+    realized = RealizedResidual(grid, g)
+    assert realized._times.shape == (size,)
+    if start == "added_alone":
+        realized.residual.add(seen[0][0], constitutive_tension(*seen[0]))
+    for state, flux in blocked:
+        realized.add(state, flux)
+    realized.flush()
+    one_by_one = ResidualAccumulator(g)
+    for state, flux in seen:
+        one_by_one.add(state, constitutive_tension(state, flux))
+    assert np.array_equal(_residual_bits(realized.residual),
+                          _residual_bits(one_by_one))
+
+
+def test_a_residual_add_that_raises_leaves_the_accumulator_as_it_was(
+        gravity2):
+    g = gravity2.flipped()
+    pairs = small_forward_run(g).pairs()
+    acc = ResidualAccumulator(g)
+    for pair in pairs[:3]:
+        acc.add(*pair)
+    before = _residual_bits(acc)
+    # a later state with a larger tension and stretch, at a time that does
+    # not increase, then a state of another grid
+    (state, tension), (late, late_tension) = pairs[2], pairs[-1]
+    late_positions = late.positions * 1.5
+    late_positions[-1] = 0.0
+    stale = ArcState(grid=late.grid, positions=late_positions,
+                     time=state.time)
+    raised = late_tension.values.copy()
+    raised[1:] += 7.0
+    big = TensionProfile(grid=late.grid, values=raised)
+    with pytest.raises(ValueError, match="increasing"):
+        acc.add(stale, big)
+    with pytest.raises(ShapeError, match="one grid"):
+        acc.add(*_upright_pairs(Grid(81), g, 1.0)[1])
+    u = np.stack([stale.tangents, late.tangents])
+    with pytest.raises(ValueError, match="increasing"):
+        acc.add_block(late.grid, np.stack([late.positions, stale.positions]),
+                      u, np.array([late.time, stale.time]),
+                      np.stack([big.values, big.values]))
+    assert np.array_equal(_residual_bits(acc), before)
+    for pair in pairs[3:]:
+        acc.add(*pair)
+    assert np.array_equal(_residual_bits(acc),
+                          _residual_bits(_accumulated(pairs, g)))
+
+
+def _accumulated(pairs, g):
+    acc = ResidualAccumulator(g)
+    for pair in pairs:
+        acc.add(*pair)
+    return acc
+
+
 def _branching_peak_bytes(horizon, gravity2):
     grid = Grid(100)
     cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02)
     tracemalloc.start()
     try:
-        branching_pair(horizon, 1e-2, grid, gravity2, cfg)
+        branching_pair(horizon, RegularizedMap(1e-2, dim=2),
+                       upright_release(grid, gravity2), gravity2, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,7 +452,9 @@ def test_branching_pair_forwards_each_accepted_step(gravity2):
     grid = Grid(60)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     seen, stats = [], {}
-    pair = branching_pair(0.5, 1e-2, grid, gravity2, cfg, stats=stats,
+    pair = branching_pair(0.5, RegularizedMap(1e-2, dim=2),
+                          upright_release(grid, gravity2), gravity2, cfg,
+                          stats=stats,
                           stops=(0.25,),
                           observer=lambda s, dt, it, flux, pot: seen.append(s))
     assert len(seen) == stats["steps"]
