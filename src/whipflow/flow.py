@@ -24,12 +24,16 @@ Each Newton system is the Hessian of that strictly convex functional, so it
 is symmetric positive definite and block tridiagonal: it is solved by
 banded Cholesky (LAPACK ``pbsv``, which ``_lapack`` takes from scipy's
 compiled wrapper) on its lower band alone, and a failed factorization
-rejects the step as a loss of convexity.
+rejects the step as a loss of convexity.  The flux Jacobian arrives in
+radial form, inv_c1 I + gain k k^T (``RegularizedMap.local_calculus``),
+and ``_newton_band`` writes the band from it straight into the
+Fortran-ordered array ``pbsv`` factors in place; no dense Jacobian is
+built.
 
 A step's last Newton evaluation is at the state it accepts, so the step
-hands that state's flux, Jacobian and potential on: the next step starts
-from them, and ``evolve``'s observer gets the flux and the potential, so
-the map is inverted at each accepted state once.
+hands that state's flux, Jacobian radial form and potential on: the next
+step starts from them, and ``evolve``'s observer gets the flux and the
+potential, so the map is inverted at each accepted state once.
 
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
@@ -63,7 +67,7 @@ import numpy as np
 from ._lapack import pbsv
 from .errors import NumericDomainError, ShapeError, SolverFailure, StepRejected
 from .grid import Grid, row_dot
-from .regmap import RegularizedMap
+from .regmap import _ZERO, RegularizedMap
 
 _MACH = np.finfo(float).eps
 # Newton's update cap per step and the tolerance of its residual test
@@ -240,32 +244,24 @@ def residual(
 
 def _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec):
     n = flux.shape[0]
-    out = np.empty_like(pos)
-    out[0] = (pos[0] - prev_pos[0]) / dt - flux[0] / h - g_vec
-    out[1:n] = (pos[1:n] - prev_pos[1:n]) / dt \
-        - (flux[1:] - flux[:-1]) / h - g_vec
+    div = np.empty_like(flux)
+    div[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=div[1:])
+    div /= h
+    out = pos - prev_pos
+    out /= dt
+    rows = out[:n]
+    rows -= div
+    rows -= g_vec
     out[n] = pos[n]
     return out
 
 
-def _banded_from_blocks(diag, lower, d):
-    """Pack a symmetric block-tridiagonal matrix (d x d blocks) into LAPACK
-    lower band storage: ``ab[i - j, j] = A[i, j]`` for the 2d - 1
-    subdiagonals and the diagonal."""
-    n_blocks = diag.shape[0]
-    ab = np.zeros((2 * d, n_blocks * d))
-    for p in range(d):
-        for q in range(d):
-            if p >= q:
-                ab[p - q, q::d] = diag[:, p, q]
-            ab[d + p - q, q::d][: n_blocks - 1] = lower[:, p, q]
-    return ab
-
-
 def solve_banded(ab, rhs):
     """Solve the symmetric positive definite system whose lower band
-    ``_banded_from_blocks`` packed, by banded Cholesky.  Both arguments are
-    overwritten.
+    ``_newton_band`` wrote, by banded Cholesky.  Both arguments are
+    overwritten: the band is Fortran-ordered and the right-hand side
+    contiguous, so pbsv works in them without a copy.
 
     A factorization that fails certifies that the matrix is not positive
     definite; for the Newton Hessian of the convex incremental functional
@@ -280,25 +276,61 @@ def solve_banded(ab, rhs):
     return x
 
 
-def _newton_update(jac, res, h, eye_dt):
+def _newton_band(kappa, radial, h, dt):
+    """LAPACK lower band storage, ``ab[i - j, j] = A[i, j]`` in a
+    Fortran-ordered (2d, n d) array, of the Newton matrix A = M/dt + K over
+    the n free nodes, written from the flux ``kappa`` and the radial form
+    ``radial`` = (inv_c1, gain) of its Jacobian J = inv_c1 I + gain kappa
+    kappa^T (``RegularizedMap.local_calculus``).
+
+    With b = J/h^2, diagonal block i is (b[i] + I/dt) + b[i-1] (no b[-1])
+    and the block below it is -b[i].  Each entry keeps the float order of
+    the dense fill: J_pq = (k_p k_q) gain + inv_c1 on the diagonal and
+    + 0.0 off it, where the + 0.0 turns a -0 into +0; I/dt adds + 0.0 off
+    the diagonal too."""
+    inv_c1, gain = radial
+    n, d = kappa.shape
+    hh = np.array(h * h)
+    inv_dt = np.array(1.0 / dt)
+    ab = np.zeros((2 * d, n * d), order="F")
+    for q in range(d):
+        for p in range(q, d):
+            b = kappa[:, p] * kappa[:, q]
+            b *= gain
+            b += inv_c1 if p == q else _ZERO
+            b /= hh
+            head = b[:-1]
+            # ab[p - q, q::d] holds entry (p, q) of each diagonal block and
+            # ab[d + p - q, q::d] entry (p, q) of each block below it
+            diag = ab[p - q, q::d]
+            np.add(b, inv_dt if p == q else _ZERO, out=diag)
+            diag[1:] += head
+            lower = ab[d + p - q, q::d][:-1]
+            np.negative(head, out=lower)
+            if p != q:
+                ab[d + q - p, p::d][:-1] = lower
+    return ab
+
+
+def _newton_update(kappa, radial, res, h, dt):
     """The Newton update of the incremental objective at a state whose
-    flux Jacobian blocks are ``jac`` and whose residual is ``res``: the
-    solution of (M/dt + K) delta = -res over the n free nodes, K the
-    stiffness of the flux divergence."""
-    n, d = res.shape[0] - 1, res.shape[1]
-    blocks = jac / (h * h)
-    diag = blocks + eye_dt
-    diag[1:] += blocks[:-1]
-    ab = _banded_from_blocks(diag, -blocks[:-1], d)
-    return solve_banded(ab, -res[:-1].reshape(-1)).reshape(n, d)
+    flux is ``kappa``, with its Jacobian's radial form ``radial``, and
+    whose residual is ``res``: the solution of (M/dt + K) delta = -res over
+    the n free nodes, K the stiffness of the flux divergence."""
+    n, d = kappa.shape
+    return solve_banded(_newton_band(kappa, radial, h, dt),
+                        -res[:-1].reshape(-1)).reshape(n, d)
 
 
 def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
                g: GravitySpec, calc: tuple) -> tuple[ArcState, int, str, tuple]:
     """One implicit step from ``prev``, starting from ``calc``, prev's
-    (flux, Jacobian, potential) as ``rmap.local_calculus(prev.tangents)``
-    returns them.  Returns the new state, the Newton iteration count, the
-    test that accepted it (``"residual"`` or ``"decrement"``) and the new
+    (flux, (inv_c1, gain), potential) as
+    ``rmap.local_calculus(prev.tangents)`` returns them.  Each Newton
+    iteration evaluates its trials through ``rmap.local_calculus`` and
+    solves through the module's ``solve_banded``, the names a tracer
+    wraps.  Returns the new state, the Newton iteration count, the test
+    that accepted it (``"residual"`` or ``"decrement"``) and the new
     state's own triple, from the last evaluation; or raises
     StepRejected."""
     grid = prev.grid
@@ -307,7 +339,6 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     prev_pos = prev.positions
 
     pos = prev_pos.copy()
-    eye_dt = np.eye(prev.dim) / dt
 
     # Residual entries are assembled from terms of size |eta|/dt and
     # |flux|/h, and the flux itself carries an inversion noise of a few
@@ -326,10 +357,10 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     def incremental(pos_trial, pot_density):
         # strictly convex objective whose critical point is the new state:
         # the scheme's energy plus the proximal term of the step
-        prox = (h / (2.0 * dt)) * np.sum((pos_trial[:-1] - prev_pos[:-1]) ** 2)
+        prox = (h / (2.0 * dt)) * ((pos_trial[:-1] - prev_pos[:-1]) ** 2).sum()
         return _energy(pos_trial, pot_density, h, g_vec) + prox
 
-    flux, jac, pot = calc
+    flux, radial, pot = calc
     phi = incremental(pos, pot)
     res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
     res_norm = np.abs(res).max()
@@ -349,13 +380,13 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
                 f"{iters} iterations"
             )
 
-        delta = _newton_update(jac, res, h, eye_dt)
+        delta = _newton_update(flux, radial, res, h, dt)
 
         # Armijo backtracking on the incremental objective.  Near the
         # minimum the required decrease falls below the float resolution
         # of the objective itself; the rounding allowance keeps the search
         # from thrashing there.
-        slope = h * float(np.sum(res[:-1] * delta))
+        slope = h * float((res[:-1] * delta).sum())
         rounding = 16.0 * _MACH * (abs(phi) + 1.0)
         # The Newton decrement -slope is twice the decrease the full step
         # predicts on this convex objective.  Once it is within phi's
@@ -370,7 +401,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
             trial[:-1] += alpha * delta
             u = grid.diff_forward(trial)
             try:
-                flux, jac, pot = rmap.local_calculus(u)
+                flux, radial, pot = rmap.local_calculus(u)
             except NumericDomainError:
                 resolved = False
                 cause = "line search left the numeric domain"
@@ -383,7 +414,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
             alpha *= 0.5
             if alpha < 1e-10:
                 raise StepRejected(cause)
-        if np.array_equal(trial, pos):
+        if (trial == pos).all():
             # every later iteration would repeat this residual, solve and
             # trial, so the step can only end rejected
             raise StepRejected(
@@ -400,7 +431,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     # a decrement exit leaves the error of one more update, bounded in the
     # module docstring
     return (ArcState(grid=grid, positions=pos, time=prev.time + dt), iters,
-            "residual" if res_norm <= tol else "decrement", (flux, jac, pot))
+            "residual" if res_norm <= tol else "decrement", (flux, radial, pot))
 
 
 def step(prev: ArcState, dt: float, rmap: RegularizedMap,

@@ -16,12 +16,14 @@ Everything is vectorized over leading axes: inputs of shape ``(..., d)``
 produce outputs with matching leading shape.
 
 Each reader checks its tangent field and inverts its radial profile, the
-norm |tau| taken as ``grid.row_dot``'s component sum; only
-``local_calculus`` and ``inverse_jacobian`` build the Jacobian, which they
-fill entry by entry from one value per point.  The map keeps nothing
-between calls: what a reader returns depends on eps, the dimension and
-its input alone.  The stepper hands each accepted state's flux and
-potential to its consumers, so none of them inverts that state again.
+norm |tau| taken as ``grid.row_dot``'s component sum.  The Jacobian of
+the inverse is inv_c1*I + gain*k k^T: ``local_calculus`` returns it in
+that radial form, two values per point, for the stepper to write its
+Newton band from, and ``inverse_jacobian`` alone expands it into the
+dense (..., d, d) array, entry by entry.  The map keeps nothing between
+calls: what a reader returns depends on eps, the dimension and its input
+alone.  The stepper hands each accepted state's flux and potential to
+its consumers, so none of them inverts that state again.
 
 The map's domain: eps in [EPS_MIN, EPS_MAX] = [1e-14, 4.6e4] (check_eps,
 else ValueError), and every entry x of a vector it reads with |x| <=
@@ -43,6 +45,10 @@ them, and InversionError is raised if it fails.
 The last two updates polish the root to its floating point fixed point.
 Each update costs one square root, so an inversion costs the same work on
 every call, and it depends on r and eps only, never on earlier calls.
+The updates work in place and take eps and 0 as 0-d arrays, never as
+Python floats, which numpy dispatches more slowly; every value keeps the
+float order of the plain expressions (``tests/test_regmap.py`` holds them
+as the reference).
 """
 
 from __future__ import annotations
@@ -62,6 +68,10 @@ EPS_MIN = 1e-14
 EPS_MAX = 4.6e4
 VEC_MAX = 1e80
 
+# 0 as a 0-d array: numpy takes a Python float operand by a slower path
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
 
 def check_eps(eps: float) -> None:
     """Raise ValueError unless EPS_MIN <= eps <= EPS_MAX (NaN fails)."""
@@ -80,6 +90,9 @@ class RegularizedMap:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         self.eps = eps
         self.dim = dim
+        # eps as a 0-d array, like _ZERO; a Python float operand is
+        # promoted to this very float64 value
+        self._eps = np.array(eps, dtype=float)
         # start table of the radial inversion: f sampled at rho = sqrt(eps)*x
         x = np.concatenate(
             ([0.0], np.geomspace(1e-3, 1e4 * np.float64(eps) ** -1.5, 256)))
@@ -112,32 +125,45 @@ class RegularizedMap:
         eps.
         """
         r = np.asarray(r, dtype=float)
-        rho = np.where(r > self._f_tab[-1], (r - 1.0) / self.eps,
+        if r.ndim == 0:  # the updates work in place, on arrays
+            return self._invert_radial(r.reshape(1))[0]
+        rho = np.where(r > self._f_tab[-1], (r - 1.0) / self._eps,
                        np.interp(r, self._f_tab, self._rho_tab))
         for k in range(INVERT_UPDATES):
             resid, step = self._newton_step(rho, r)
-            if k == INVERT_UPDATES - 2 and \
-                    not np.all(np.abs(resid) <= INVERT_TOL * (1.0 + r)):
+            if k == INVERT_UPDATES - 2 and not (
+                    np.abs(resid) <= INVERT_TOL * (1.0 + r)).all():
                 raise InversionError(
                     "radial inversion did not converge within "
                     f"{INVERT_UPDATES - 2} updates"
                 )
-            rho = np.maximum(rho - step, 0.0)
+            rho -= step
+            np.maximum(rho, _ZERO, out=rho)
         return rho
 
     def _newton_step(self, rho, r):
         """(f(rho) - r, the Newton update (f(rho) - r)/f'(rho)) from one
-        square root.  The residual is bitwise _radial(rho) - r."""
-        eps = self.eps
-        q = np.sqrt(eps + rho * rho)
-        resid = eps * rho + rho / q - r
-        return resid, resid / (eps + eps / (q * q * q))
+        square root.  The residual is bitwise _radial(rho) - r; each call
+        returns a new residual array."""
+        eps = self._eps
+        q = rho * rho
+        q += eps
+        np.sqrt(q, out=q)
+        resid = eps * rho
+        slope = np.divide(rho, q)
+        resid += slope
+        resid -= r
+        np.multiply(q, q, out=slope)
+        slope *= q
+        np.divide(eps, slope, out=slope)
+        slope += eps
+        return resid, np.divide(resid, slope, out=slope)
 
     # -- vector operations -----------------------------------------------
 
     def _check_vec(self, v, name):
         v = np.asarray(v, dtype=float)
-        if not np.all(np.abs(v) <= VEC_MAX):
+        if not (np.abs(v) <= VEC_MAX).all():
             raise NumericDomainError(
                 f"{name} has non-finite entries or entries beyond {VEC_MAX:g}")
         if v.shape[-1] != self.dim:
@@ -147,15 +173,16 @@ class RegularizedMap:
         return v
 
     def _field(self, tau):
-        """(tau, scale, rho, w) of a tangent field: tau as a checked float
-        array, the flux scale rho/|tau| (0 at tau = 0), rho =
-        |invert(tau)| and w = (eps + rho^2)^(-1/2).  Readers build
-        kappa = tau*scale, keeping the signs of tau's zeros."""
+        """(tau, scale, rho2, w) of a tangent field: tau as a checked float
+        array, the flux scale rho/|tau| (0 at tau = 0), rho2 = rho^2 and
+        w = (eps + rho^2)^(-1/2), where rho = |invert(tau)|.  Readers
+        build kappa = tau*scale, keeping the signs of tau's zeros."""
         tau = self._check_vec(tau, "tau")
         r = np.sqrt(row_dot(tau, tau))
         rho = self._invert_radial(r)
-        scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
-        return tau, scale, rho, (self.eps + rho * rho) ** -0.5
+        scale = np.divide(rho, r, out=np.zeros(r.shape), where=r > _ZERO)
+        rho2 = rho * rho
+        return tau, scale, rho2, (rho2 + self._eps) ** -0.5
 
     def forward(self, kappa: np.ndarray) -> np.ndarray:
         """Map a flux vector to a tangent vector; output is parallel to the
@@ -180,19 +207,24 @@ class RegularizedMap:
         and its inverse follows from Sherman-Morrison.  Symmetric positive
         definite for every tau.
         """
-        tau, scale, rho, w = self._field(tau)
-        return self._jacobian(tau * scale[..., None], rho, w)
+        tau, scale, rho2, w = self._field(tau)
+        return self._jacobian(tau * scale[..., None],
+                              *self._radial_form(rho2, w))
 
-    def _jacobian(self, kappa, rho, w):
-        """inverse_jacobian at kappa with |kappa| = rho and
-        w = (eps + rho^2)^(-1/2), filled entry by entry: entry (p, q) is
-        [p == q]/c1 + (k_p k_q)*gain, with the radial gain
-        c3/(c1 (c1 - c3 rho^2))."""
-        c1 = self.eps + w
+    def _radial_form(self, rho2, w):
+        """(inv_c1, gain) at |kappa|^2 = rho2 and w = (eps + rho2)^(-1/2):
+        the inverse Jacobian at kappa is inv_c1*I + gain*kappa kappa^T, with
+        c1 = eps + w, c3 = w^3, inv_c1 = 1/c1 and the radial gain
+        c3/(c1 (c1 - c3 rho2))."""
+        c1 = w + self._eps
         c3 = w ** 3
-        gain = c3 / (c1 * (c1 - c3 * (rho * rho)))
-        inv_c1 = 1.0 / c1
-        jac = np.empty((*np.shape(c1), self.dim, self.dim))
+        return 1.0 / c1, c3 / (c1 * (c1 - c3 * rho2))
+
+    def _jacobian(self, kappa, inv_c1, gain):
+        """The radial form (inv_c1, gain) at kappa expanded into the dense
+        inverse Jacobian, entry by entry: entry (p, q) is inv_c1*[p == q] +
+        (k_p k_q)*gain."""
+        jac = np.empty((*np.shape(inv_c1), self.dim, self.dim))
         for p in range(self.dim):
             k_p = kappa[..., p]
             jac[..., p, p] = inv_c1 + (k_p * k_p) * gain
@@ -220,16 +252,17 @@ class RegularizedMap:
         Its gradient with respect to tau is invert(tau), and it is bounded
         below by -sqrt(eps) (attained at tau = 0).
         """
-        _, _, rho, w = self._field(tau)
-        return self.eps * (0.5 * (rho * rho) - w)
+        _, _, rho2, w = self._field(tau)
+        return self._eps * (0.5 * rho2 - w)
 
     def local_calculus(
         self, tau: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (invert(tau), inverse_jacobian(tau), potential(tau)) from
-        one inversion.  Used by the implicit stepper, where all three are
-        needed at the same points."""
-        tau, scale, rho, w = self._field(tau)
-        kappa = tau * scale[..., None]
-        return (kappa, self._jacobian(kappa, rho, w),
-                self.eps * (0.5 * (rho * rho) - w))
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """Return (invert(tau), (inv_c1, gain), potential(tau)) from one
+        inversion, where inverse_jacobian(tau) = inv_c1*I + gain*kappa
+        kappa^T at kappa = invert(tau) (``_jacobian`` expands it).  Used by
+        the implicit stepper, which writes its Newton band from that radial
+        form without building the dense Jacobian."""
+        tau, scale, rho2, w = self._field(tau)
+        return (tau * scale[..., None], self._radial_form(rho2, w),
+                self._eps * (0.5 * rho2 - w))

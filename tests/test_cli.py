@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from whipflow import (GravitySpec, RegularizedMap, read_run, report,
+from whipflow import (GravitySpec, Grid, RegularizedMap, read_run, report,
                       write_run)
 from whipflow import cli
 from whipflow.cli import (_COMMANDS, build_parser, main, resolve_config,
                           settings_of)
-from whipflow.diagnostics import BLOCK_FLOATS
+from whipflow.diagnostics import Reporter
 from whipflow.run_io import run_directory, run_name
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -330,7 +330,7 @@ def test_failed_run_reports_its_partial_block(out_env, only_run_dir,
     record = read_run(only_run_dir(out_env))
     rmap = RegularizedMap(1e-4, dim=2)
     g = GravitySpec.down(2)
-    assert 0 < len(states) < BLOCK_FLOATS // (101 * 2)
+    assert 0 < len(states) < len(Reporter(Grid(100), g)._times)
     assert record.reports == [report(s, rmap, g) for s in states]
 
 
@@ -343,7 +343,7 @@ def test_run_reports_every_block_as_per_state_reports(out_env, only_run_dir,
     record = read_run(only_run_dir(out_env))
     rmap = RegularizedMap(1e-2, dim=2)
     g = GravitySpec.down(2)
-    assert len(states) > 3 * (BLOCK_FLOATS // (2001 * 2))
+    assert len(states) > 3 * len(Reporter(Grid(2000), g)._times)
     assert record.reports == [report(s, rmap, g) for s in states]
 
 

@@ -72,8 +72,8 @@ def test_report_energy_forms_agree(gravity2, rmap):
 
 
 def block_states(grid, dim):
-    """States per block of a Reporter."""
-    return BLOCK_FLOATS // (grid.n_nodes * dim)
+    """States per block of a Reporter, as the Reporter sizes its block."""
+    return len(Reporter(grid, GravitySpec.down(dim))._times)
 
 
 def report_bits(reports):

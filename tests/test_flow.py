@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_regmap import broadcast_jacobian
 
 from whipflow import flow
 from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
@@ -16,6 +17,7 @@ from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
 from whipflow.diagnostics import Reporter
 from whipflow.errors import (NumericDomainError, ShapeError, SolverFailure,
                              StepRejected, UnderResolvedError)
+from whipflow.regmap import EPS_MAX, EPS_MIN
 from whipflow.scenarios import KINDS, mollify_scales
 
 
@@ -304,42 +306,103 @@ def test_hard_failure_reports_diagnostics(gravity2, monkeypatch):
     assert "time" in err.value.diagnostics
 
 
+def banded_from_blocks(diag, lower, d):
+    """Pack a symmetric block-tridiagonal matrix (d x d blocks) into LAPACK
+    lower band storage, ``ab[i - j, j] = A[i, j]``, from its diagonal
+    blocks and the blocks below them: the dense path ``flow._newton_band``
+    replaced, kept as its reference."""
+    n_blocks = diag.shape[0]
+    ab = np.zeros((2 * d, n_blocks * d))
+    for p in range(d):
+        for q in range(d):
+            if p >= q:
+                ab[p - q, q::d] = diag[:, p, q]
+            ab[d + p - q, q::d][: n_blocks - 1] = lower[:, p, q]
+    return ab
+
+
+def dense_newton_blocks(jac, h, dt):
+    """(diagonal blocks, blocks below them) of M/dt + K from the dense flux
+    Jacobians ``jac``, in the dense path's float order."""
+    blocks = jac / (h * h)
+    diag = blocks + np.eye(jac.shape[-1]) / dt
+    diag[1:] += blocks[:-1]
+    return diag, -blocks[:-1]
+
+
 def test_banded_packing_matches_dense_solve():
-    # the lower-band packing and the banded Cholesky solve against a dense
-    # reference, for both ambient dimensions
+    # the band written from the radial form and the banded Cholesky solve
+    # against a dense reference, for both ambient dimensions
     rng = np.random.default_rng(33)
-    from whipflow.flow import _banded_from_blocks, solve_banded
+    from whipflow.flow import _newton_band, solve_banded
+    h, dt = 0.5, 0.25
     for d in (2, 3):
         n = 7
-        base = rng.normal(size=(n, d, d))
-        blocks = base @ np.transpose(base, (0, 2, 1)) + 3.0 * np.eye(d)
-        diag = blocks + np.eye(d)
-        diag[1:] += blocks[:-1]
+        # a random flux and radial form whose Jacobians are positive definite
+        kappa = rng.normal(size=(n, d))
+        inv_c1 = rng.uniform(0.5, 3.0, size=n)
+        gain = rng.uniform(0.0, 2.0, size=n)
+        jac = inv_c1[:, None, None] * np.eye(d) \
+            + gain[:, None, None] * kappa[:, :, None] * kappa[:, None, :]
+        diag, lower = dense_newton_blocks(jac, h, dt)
         dense = np.zeros((n * d, n * d))
         for i in range(n):
             dense[i * d:(i + 1) * d, i * d:(i + 1) * d] = diag[i]
             if i < n - 1:
-                dense[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = -blocks[i]
-                dense[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = -blocks[i]
+                dense[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = lower[i]
+                dense[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = lower[i]
         rhs = rng.normal(size=n * d)
         expected = np.linalg.solve(dense, rhs)
-        ab = _banded_from_blocks(diag, -blocks[:-1], d)
+        ab = _newton_band(kappa, (inv_c1, gain), h, dt)
         got = solve_banded(ab, rhs.copy())
         assert np.abs(got - expected).max() <= 1e-10
 
 
 def test_indefinite_newton_band_rejects_the_step_naming_the_row():
     # Cholesky certifies convexity: a band whose leading 3 x 3 minor is
-    # positive definite but whose 4 x 4 minor is not fails at row 3
-    from whipflow.flow import _banded_from_blocks, solve_banded
+    # positive definite but whose 4 x 4 minor is not fails at row 3.  With
+    # h = dt = 1 the diagonal blocks are J_0 + I = 1.5 I, then J_1 + J_0 + I
+    # with J_1 = diag(0.5, -3), and the block between them is -J_0 = -0.5 I
+    from whipflow.flow import _newton_band, solve_banded
     d, n = 2, 4
-    diag = np.tile(2.0 * np.eye(d), (n, 1, 1))
-    lower = np.tile(-0.5 * np.eye(d), (n - 1, 1, 1))
-    diag[1, 1, 1] = -1.0
-    ab = _banded_from_blocks(diag, lower, d)
+    kappa = np.zeros((n, d))
+    kappa[1, 1] = 1.0
+    inv_c1 = np.full(n, 0.5)
+    gain = np.zeros(n)
+    gain[1] = -3.5
+    ab = _newton_band(kappa, (inv_c1, gain), 1.0, 1.0)
     with pytest.raises(StepRejected,
                        match="Newton Hessian not positive definite at row 3"):
         solve_banded(ab, np.ones(n * d))
+
+
+@pytest.mark.parametrize("n_cells", [2, 7, 200])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps", [EPS_MIN, 1e-2, EPS_MAX])
+def test_newton_band_is_bitwise_the_dense_path(eps, dim, n_cells):
+    # the band written from the radial form against the broadcast Jacobian
+    # packed block by block, signbits included: a -0 product k_p k_q off
+    # the diagonal turns +0 in J, so the block below carries -0
+    rng = np.random.default_rng(10 * n_cells + dim)
+    rmap = RegularizedMap(eps, dim=dim)
+    tau = rng.normal(size=(n_cells, dim)) \
+        * 10.0 ** rng.uniform(-3.0, 3.0, size=(n_cells, 1))
+    pick = rng.random(tau.shape)
+    tau[pick < 0.15] = 0.0
+    tau[pick > 0.85] = -0.0
+    tau[0] = 0.0
+    tau[0, :2] = -0.0, 0.7  # a -0 component of a nonzero flux
+    tau[-1] = -0.0  # an all-zero row
+    if n_cells > 2:
+        tau[1] = 0.0  # an all +0 row
+        tau[2, 0] = -5e-320  # subnormal products round to +-0
+    h, dt = 1.0 / n_cells, 1e-3
+    kappa, radial, _ = rmap.local_calculus(tau)
+    got = flow._newton_band(kappa, radial, h, dt)
+    expected = banded_from_blocks(
+        *dense_newton_blocks(broadcast_jacobian(rmap, tau), h, dt), dim)
+    assert got.flags.f_contiguous and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_three_dimensional_evolution(gravity3):
@@ -505,9 +568,9 @@ def test_decrement_exit_leaves_a_solve_error_below_1e_12(monkeypatch):
     assert len(accepted) > 10
     h = init.grid.h
     for prev, dt, state in accepted:
-        _, jac, _ = rmap.local_calculus(state.tangents)
+        kappa, radial, _ = rmap.local_calculus(state.tangents)
         res = residual(state, prev, dt, rmap, g)
-        update = flow._newton_update(jac, res, h, np.eye(2) / dt)
+        update = flow._newton_update(kappa, radial, res, h, dt)
         assert np.abs(update).max() <= 1e-12
 
 

@@ -166,6 +166,45 @@ def test_radial_inversion_raises_when_out_of_updates(monkeypatch):
         m.invert(tau)
 
 
+def expression_loop_inversion(m, r):
+    """The radial inversion written as plain expressions, with Python-float
+    operands and a new array at every operation: the reference the in-place
+    kernel must reproduce bit for bit."""
+    r = np.asarray(r, dtype=float)
+    rho = np.where(r > m._f_tab[-1], (r - 1.0) / m.eps,
+                   np.interp(r, m._f_tab, m._rho_tab))
+    for _ in range(regmap.INVERT_UPDATES):
+        q = np.sqrt(m.eps + rho * rho)
+        resid = m.eps * rho + rho / q - r
+        rho = np.maximum(rho - resid / (m.eps + m.eps / (q * q * q)), 0.0)
+    return rho
+
+
+@pytest.mark.parametrize("eps", np.geomspace(EPS_MIN, EPS_MAX, 19))
+def test_radial_inversion_is_bitwise_the_expression_loop(eps):
+    m = RegularizedMap(eps, dim=3)
+    for r in (RADII, DOMAIN_RADII):
+        assert np.array_equal(m._invert_radial(r).view(np.uint64),
+                              expression_loop_inversion(m, r).view(np.uint64))
+    for r in (0.0, 0.8, 1e8, DOMAIN_RADII[-1]):
+        got = m._invert_radial(r)
+        assert np.shape(got) == ()
+        assert got.tobytes() == expression_loop_inversion(m, r).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flux_scale_is_bitwise_the_where_form(dim):
+    # one masked divide in place of two np.where, +0 at tau = 0
+    rng = np.random.default_rng(70 + dim)
+    m = RegularizedMap(1e-2, dim=dim)
+    tau = edge_vectors(rng, (2000, dim))
+    r = np.sqrt(np.sum(tau * tau, axis=-1))
+    rho = expression_loop_inversion(m, r)
+    scale = np.where(r > 0.0, rho / np.where(r > 0.0, r, 1.0), 0.0)
+    assert np.array_equal(m.invert(tau).view(np.uint64),
+                          (tau * scale[..., None]).view(np.uint64))
+
+
 def test_round_trip_battery():
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -310,10 +349,14 @@ def test_local_calculus_consistency():
     rng = np.random.default_rng(17)
     m = RegularizedMap(0.05, dim=3)
     taus = rng.normal(size=(50, 3))
-    kappa, jac, pot = m.local_calculus(taus)
+    kappa, radial, pot = m.local_calculus(taus)
+    # the radial form (inv_c1, gain) expands into inverse_jacobian
+    jac = m._jacobian(kappa, *radial)
     np.testing.assert_allclose(kappa, m.invert(taus), atol=1e-14)
     np.testing.assert_allclose(jac, m.inverse_jacobian(taus), atol=1e-12)
     np.testing.assert_allclose(pot, m.potential(taus), atol=1e-14)
+    assert np.array_equal(jac.view(np.uint64),
+                          m.inverse_jacobian(taus).view(np.uint64))
 
 
 def test_non_finite_inputs_rejected():
@@ -359,8 +402,9 @@ def test_entries_at_the_bound_give_finite_values(eps, dim):
     field = domain_edge_field(dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = (*m.local_calculus(field), *m.spectral_bounds(field),
-                  m.forward(field))
+        kappa, radial, pot = m.local_calculus(field)
+        values = (kappa, *radial, m._jacobian(kappa, *radial), pot,
+                  *m.spectral_bounds(field), m.forward(field))
     for value in values:
         assert np.all(np.isfinite(value))
 
@@ -381,12 +425,12 @@ def test_an_entry_beyond_the_bound_is_refused(eps, dim):
 def broadcast_jacobian(m, tau):
     """inverse_jacobian as the (..., d, d) broadcast of Sherman-Morrison,
     the reference its entry-by-entry fill must reproduce bit for bit."""
-    tau, scale, rho, w = m._field(tau)
+    tau, scale, rho2, w = m._field(tau)
     kappa = tau * scale[..., None]
     c1 = m.eps + w
     c3 = w ** 3
     outer = kappa[..., :, None] * kappa[..., None, :]
-    radial_gain = c3 / (c1 * (c1 - c3 * (rho * rho)))
+    radial_gain = c3 / (c1 * (c1 - c3 * rho2))
     return np.eye(m.dim) / c1[..., None, None] \
         + outer * radial_gain[..., None, None]
 
@@ -401,7 +445,8 @@ def test_jacobian_is_bitwise_the_broadcast_form(eps, dim):
                           domain_edge_field(dim)))
     expected = broadcast_jacobian(m, tau)
     # signbits included: off the diagonal the broadcast adds 0.0/c1 = +0.0
-    for got in (m.inverse_jacobian(tau), m.local_calculus(tau)[1]):
+    kappa, radial, _ = m.local_calculus(tau)
+    for got in (m.inverse_jacobian(tau), m._jacobian(kappa, *radial)):
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     # a single vector takes numpy's scalar path, in both forms
     for v in tau[:50]:
