@@ -1,11 +1,9 @@
 """Scalar functionals and verification residuals.
 
-Everything the test batteries assert lives here: potential and perturbed
-energies, the dissipation identity, weak-solution residuals (taken as
-running sums, state by state or block by block, by a
-ResidualAccumulator), the weighted Hardy ratio, exponential-decay fits,
-tension tail integrals, and the compatibility predicate that detects
-initial data admitting no smooth evolution.
+The functionals a run reports and the acceptance gate asserts: potential
+and perturbed energies, the dissipation identity, weak-solution residuals
+(taken as running sums, state by state or block by block, by a
+ResidualAccumulator), the weighted Hardy ratio and exponential-decay fits.
 
 The consumers of a run's states take them per block.  A state arrives as
 ``evolve``'s observer receives it, with the flux and the potential density
@@ -31,13 +29,11 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .flow import (ArcState, GravitySpec, Trajectory, _check_compatible,
-                   _energy)
+from .flow import ArcState, GravitySpec, _check_compatible, _energy
 from .flow import discrete_energy  # noqa: F401  (perfbench's spans.WRAPS)
 from .grid import Grid, row_dot
 from .regmap import RegularizedMap
-from .tension import (TensionProfile, end_cos_alpha, flow_tensions,
-                      second_differences)
+from .tension import TensionProfile, flow_tensions
 from .tension import tension_for_state  # noqa: F401  (spans.WRAPS)
 
 # Energy of the downward vertical equilibrium, hard-coded as the reference
@@ -409,27 +405,6 @@ def generalized_residual(
     return acc.result()
 
 
-def relative_energy_identity_check(
-    state: ArcState, g: GravitySpec
-) -> tuple[float, float, float]:
-    """Both sides of the weighted-tangent form of the relative energy.
-
-    lhs is the relative energy in midpoint quadrature, rhs the expression
-    (1/2) int s |d_s(eta - eta_down)|^2 - (1/2) int s (|d_s eta|^2 - 1);
-    the identity is exact for the continuum, so the returned gap is pure
-    rounding when both sides share one quadrature.
-    """
-    grid = state.grid
-    u = state.tangents
-    s_mid = grid.midpoints
-    g_vec = g.direction
-    lhs = grid.quad_midpoint(s_mid * (u @ g_vec)) - EQUILIBRIUM_ENERGY
-    diff = u + g_vec  # d_s eta - d_s eta_down, with eta_down = (1-s) g
-    rhs = 0.5 * grid.quad_midpoint(s_mid * np.sum(diff * diff, axis=1)) \
-        - 0.5 * grid.quad_midpoint(s_mid * (np.sum(u * u, axis=1) - 1.0))
-    return float(lhs), float(rhs), float(abs(lhs - rhs))
-
-
 def hardy_check(samples: np.ndarray, grid) -> float:
     """Weighted Hardy ratio int s^{-1}|f|^2 / int |f'|^2 of a node-sampled
     field vanishing at s = 0.
@@ -489,73 +464,3 @@ def decay_fit(
         r_squared=float(r_squared),
         cbar0_check=float(ratios.max()),
     )
-
-
-@dataclass(frozen=True)
-class SigmaTailEntry:
-    t: float
-    tail_integral: float
-    bound: float
-    within: bool
-
-
-def sigma_decay_check(
-    traj: Trajectory, t_grid: Sequence[float], c0: float
-) -> list[SigmaTailEntry]:
-    """Tail integrals of the weighted tension distance against the decay
-    bound (4 c0)^(-3/2) E_rel(0)^(1/2) exp(-c0 t / 2).
-
-    The infinite tail is truncated at the final snapshot, which is only
-    justified near equilibrium: the run must end with E_rel below 1e-3 of
-    its initial value.  Violations are flagged, not asserted; the stated
-    bound holds for the universal constant, not a fitted rate.
-    """
-    g = traj.gravity
-    first, last = traj.states[0], traj.states[-1]
-    e_rel0 = potential_energy(first, g) - EQUILIBRIUM_ENERGY
-    e_rel_end = potential_energy(last, g) - EQUILIBRIUM_ENERGY
-    # the absolute floor keeps exact-equilibrium trajectories (pure rounding
-    # in both energies) admissible
-    if not (e_rel_end <= max(1e-3 * e_rel0, 1e-12)):
-        raise ValueError(
-            "horizon insufficient for tail truncation: "
-            f"E_rel(end) = {e_rel_end:.3g} vs E_rel(0) = {e_rel0:.3g}"
-        )
-    grid = first.grid
-    s_mid = grid.midpoints
-    times = traj.times
-    weights = np.empty(len(times))
-    for k, tension in enumerate(traj.tensions):
-        weights[k] = grid.quad_midpoint(
-            (tension.at_midpoints - s_mid) ** 2 / s_mid)
-
-    entries = []
-    for t in t_grid:
-        mask = times[:-1] >= t
-        tail = float(np.sum((times[1:] - times[:-1])[mask] * weights[:-1][mask]))
-        bound = (4.0 * c0) ** -1.5 * np.sqrt(max(e_rel0, 0.0)) * np.exp(-0.5 * c0 * t)
-        entries.append(
-            SigmaTailEntry(t=float(t), tail_integral=tail, bound=float(bound),
-                           within=tail <= bound)
-        )
-    return entries
-
-
-def compatibility_predicate(
-    state: ArcState, g: GravitySpec
-) -> tuple[bool, float, float]:
-    """Strict inequality |cos(alpha)| |eta''(1)| < 1 - |cos(alpha)|.
-
-    When it holds, no time-regular solution can balance gravity at the
-    pinned end at the initial instant, so the data admit no smooth
-    evolution.  Returns (holds, lhs, rhs); the equilibria give
-    lhs = rhs = 0, where the strict inequality correctly fails.
-    """
-    if state.grid.n_nodes < 3:
-        raise ShapeError("need at least 3 nodes for the end curvature")
-    cos_alpha = end_cos_alpha(state, g)
-    second = second_differences(state.positions, state.grid.h)
-    curvature_end = float(np.linalg.norm(second[-1]))
-    lhs = abs(cos_alpha) * curvature_end
-    rhs = 1.0 - abs(cos_alpha)
-    return lhs < rhs, lhs, rhs

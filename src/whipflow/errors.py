@@ -42,10 +42,6 @@ class SolverFailure(WhipflowError, RuntimeError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class ContractError(WhipflowError, ValueError):
-    """Caller violated a documented precondition (e.g. gravity mismatch)."""
-
-
 class RunFormatError(WhipflowError, ValueError):
     """A persisted run directory is missing, corrupt, or malformed."""
 

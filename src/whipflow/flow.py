@@ -89,7 +89,7 @@ class GravitySpec:
         direction = np.asarray(self.direction, dtype=float)
         if direction.ndim != 1 or direction.shape[0] not in (2, 3):
             raise ShapeError("gravity must be a 2- or 3-vector")
-        if abs(np.linalg.norm(direction) - 1.0) > 1e-14:
+        if not abs(np.linalg.norm(direction) - 1.0) <= 1e-14:
             raise ValueError("gravity must be a unit vector (within 1e-14)")
         direction = direction.copy()
         direction.flags.writeable = False
@@ -158,37 +158,6 @@ class StepperConfig:
                 "need 0 < dt_min <= dt_init <= dt_max, got "
                 f"{self.dt_min}, {self.dt_init}, {self.dt_max}"
             )
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A completed run: states and their tensions at increasing times,
-    under a fixed gravity."""
-
-    states: tuple
-    gravity: GravitySpec
-    tensions: tuple
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) < 1:
-            raise ValueError("trajectory needs at least one state")
-        times = [s.time for s in states]
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError("trajectory times must be strictly increasing")
-        object.__setattr__(self, "states", states)
-        tensions = tuple(self.tensions)
-        if len(tensions) != len(states):
-            raise ShapeError("one tension profile per state is required")
-        object.__setattr__(self, "tensions", tensions)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
-
-    def pairs(self):
-        """The (state, tension) pairs."""
-        return list(zip(self.states, self.tensions))
 
 
 def _check_compatible(state: ArcState, rmap: RegularizedMap, g: GravitySpec):

@@ -21,9 +21,9 @@ A simulate run directory (write_run, read_run) holds
 and the falling branch of a nonuniqueness run is such a directory,
 ``falling/``, beside the run's config.json and its summary.json of
 residuals.  No command writes a trajectory directory any more:
-write_trajectory (at most 50 evenly spaced snapshot_t<t>.csv of a
-trajectory plus index.json with their times and the gravity) stays only
-because perfbench's span table names it.
+write_trajectory (at most 50 evenly spaced snapshot_t<t>.csv of a list
+of (state, tension) pairs plus index.json with their times and the
+gravity) stays only because perfbench's span table names it.
 
 Every CSV table goes through write_table: a header line, then one row of
 floats with 17 significant digits per line, CRLF line ends.  The rows are
@@ -201,12 +201,12 @@ def write_run(record: RunRecord, directory) -> None:
     })
 
 
-def write_trajectory(traj, directory) -> None:
-    """Persist a trajectory as snapshot CSVs plus an index; thins long runs
-    to 50 evenly spaced states (endpoints kept)."""
+def write_trajectory(pairs, gravity, directory) -> None:
+    """Persist (state, tension) pairs under ``gravity`` as snapshot CSVs
+    plus an index; thins long runs to 50 evenly spaced states (endpoints
+    kept)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pairs = traj.pairs()
     count = len(pairs)
     if count > TRAJECTORY_SNAPSHOTS:
         last = TRAJECTORY_SNAPSHOTS - 1
@@ -215,7 +215,7 @@ def write_trajectory(traj, directory) -> None:
         _write_snapshot(directory, state, tension)
     write_json(directory / "index.json", {
         "times": [state.time for state, _ in pairs],
-        "gravity": [float(x) for x in traj.gravity.direction],
+        "gravity": [float(x) for x in gravity.direction],
     })
 
 

@@ -1,4 +1,5 @@
-"""Initial-data constructors, mollification, and the time-reversal tools.
+"""Initial-data constructors, mollification, the branching pair and the
+eps-equilibrium.
 
 Every builder produces a pinned state whose discrete tangents are unit
 length or shorter (chords of a unit-speed curve never exceed the arc), so
@@ -19,9 +20,8 @@ import numpy as np
 from .diagnostics import (GeneralizedResidual, RealizedResidual,
                           ResidualAccumulator, constitutive_tension)
 from .diagnostics import generalized_residual  # noqa: F401  (spans.WRAPS)
-from .errors import ContractError, ShapeError, UnderResolvedError
-from .flow import (TIME_TOL, ArcState, GravitySpec, StepperConfig, Trajectory,
-                   evolve)
+from .errors import ShapeError, UnderResolvedError
+from .flow import TIME_TOL, ArcState, GravitySpec, StepperConfig, evolve
 from .grid import Grid
 from .regmap import RegularizedMap
 from .tension import TensionProfile
@@ -66,7 +66,7 @@ class ScenarioSpec:
             raise ValueError(f"geom_eps must be positive, got {self.geom_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.mollify_radius < 0.0 or self.taper_width < 0.0:
+        if not (self.mollify_radius >= 0.0 and self.taper_width >= 0.0):
             raise ValueError("mollify_radius and taper_width must be nonnegative")
 
 
@@ -229,27 +229,6 @@ def mollify(state: ArcState, spec: ScenarioSpec) -> ArcState:
     return ArcState(grid=grid, positions=positions, time=state.time)
 
 
-def backward_transform(traj: Trajectory, g: GravitySpec) -> Trajectory:
-    """Map a forward run computed under the opposite gravity to a solution
-    backwards in time under ``g``: reverse time, negate the tension.
-
-    Applying the transform twice restores the input bitwise.
-    """
-    if not np.array_equal(traj.gravity.direction, -g.direction):
-        raise ContractError(
-            "trajectory gravity must be the exact opposite of the target gravity"
-        )
-    states = tuple(
-        ArcState(grid=s.grid, positions=s.positions, time=-s.time)
-        for s in reversed(traj.states)
-    )
-    tensions = tuple(
-        TensionProfile(grid=p.grid, values=-p.values)
-        for p in reversed(traj.tensions)
-    )
-    return Trajectory(states=states, gravity=g, tensions=tensions)
-
-
 @dataclass(frozen=True)
 class BranchingPair:
     """Two generalized trajectories from the upright state, as their
@@ -293,10 +272,10 @@ def branching_pair(
 ) -> BranchingPair:
     """Demonstrate non-uniqueness from the upright state.
 
-    Trajectory one evolves ``init`` (the upright state as
+    The first trajectory evolves ``init`` (the upright state as
     ``upright_release`` builds it) under the regularized flow of ``rmap``,
     which cannot hold the compressive tension and drops toward the
-    downward equilibrium; trajectory two holds the exact upright pair
+    downward equilibrium; the second holds the exact upright pair
     fixed on init's grid, which satisfies the weak-solution conditions
     identically.  The falling run is one ``evolve`` call, with
     ``observer``, ``stats`` and ``stops`` passed on: each accepted state

@@ -18,12 +18,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from paper_checks import time_reversed
 from test_run_io import random_record
 
 from whipflow import (ArcState, GeodesicTensionProblem, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
-                      TensionProfile, Trajectory, branching_pair, build,
-                      backward_transform, constitutive_tension,
+                      TensionProfile, branching_pair, build,
+                      constitutive_tension,
                       counterexample_tension, decay_fit, evolve,
                       generalized_residual, hardy_check, mollify,
                       potential_energy, read_run, report, residual,
@@ -348,23 +349,20 @@ def test_criterion_12_backward_transform(gravity2):
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, 1.0, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
         states.append(s), tensions.append(constitutive_tension(s, flux))))
-    forward = Trajectory(states=tuple(states), gravity=g_minus,
-                         tensions=tuple(tensions))
+    forward = list(zip(states, tensions))
 
-    back = backward_transform(forward, gravity2)
-    sigma_max = max(t.values.max() for t in back.tensions)
+    back = time_reversed(forward)
+    sigma_max = max(t.values.max() for _, t in back)
 
-    again = backward_transform(back, g_minus)
+    again = time_reversed(back)
     involution = all(
         np.array_equal(a.positions, b.positions) and a.time == b.time
-        for a, b in zip(forward.states, again.states)
-    ) and all(
-        np.array_equal(a.values, b.values)
-        for a, b in zip(forward.tensions, again.tensions)
+        and np.array_equal(ta.values, tb.values)
+        for (a, ta), (b, tb) in zip(forward, again)
     )
 
     worst_energy_gap = 0.0
-    for state, source in zip(back.states, reversed(forward.states)):
+    for (state, _), source in zip(back, reversed(states)):
         e_hat = -EQUILIBRIUM_ENERGY - potential_energy(state, gravity2)
         e_rel_minus = potential_energy(source, g_minus) - EQUILIBRIUM_ENERGY
         worst_energy_gap = max(worst_energy_gap, abs(e_hat - e_rel_minus))

@@ -3,13 +3,13 @@ import weakref
 import numpy as np
 import pytest
 
+from paper_checks import (compatibility, relative_energy_identity,
+                          sigma_tails, time_reversed)
 from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
-                      TensionProfile, Trajectory, build,
-                      compatibility_predicate, constitutive_tension,
+                      TensionProfile, build, constitutive_tension,
                       decay_fit, evolve, generalized_residual, hardy_check,
-                      mollify, relative_energy_identity_check, report,
-                      sigma_decay_check)
+                      mollify, report)
 from whipflow import diagnostics
 from whipflow.diagnostics import BLOCK_FLOATS, EQUILIBRIUM_ENERGY, Reporter
 from whipflow.errors import ShapeError
@@ -269,10 +269,10 @@ def test_generalized_residual_needs_two_snapshots(gravity2):
 def test_relative_energy_identity_equilibria(gravity2):
     grid = Grid(300)
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
-    lhs, rhs, gap = relative_energy_identity_check(down, gravity2)
+    lhs, rhs, gap = relative_energy_identity(down, gravity2)
     assert abs(lhs) <= 1e-13 and abs(rhs) <= 1e-13
     up = build(ScenarioSpec(kind="vertical_up"), grid, gravity2)
-    lhs, rhs, gap = relative_energy_identity_check(up, gravity2)
+    lhs, rhs, gap = relative_energy_identity(up, gravity2)
     assert lhs == pytest.approx(1.0, abs=1e-13)
     assert rhs == pytest.approx(1.0, abs=1e-13)
     assert gap <= 1e-13
@@ -283,7 +283,7 @@ def test_relative_energy_identity_random_states(gravity2):
     for seed in range(5):
         state = build(ScenarioSpec(kind="random_lipschitz", seed=seed),
                       grid, gravity2)
-        _, _, gap = relative_energy_identity_check(state, gravity2)
+        _, _, gap = relative_energy_identity(state, gravity2)
         assert gap <= 10.0 * grid.h ** 2
 
 
@@ -364,26 +364,24 @@ def test_decay_fit_refusals():
         decay_fit(synthetic_reports(t[:5], np.exp(-t[:5])), (0.0, 1.0))
 
 
-def constant_trajectory(grid, g, positions, sigma_values, times):
-    states = tuple(
-        ArcState(grid=grid, positions=positions, time=t) for t in times
-    )
-    tensions = tuple(
-        TensionProfile(grid=grid, values=v) for v in sigma_values
-    )
-    return Trajectory(states=states, gravity=g, tensions=tensions)
+def constant_trajectory(grid, positions, sigma_values, times):
+    """(state, tension) pairs of a fixed state under varying tensions."""
+    return [
+        (ArcState(grid=grid, positions=positions, time=t),
+         TensionProfile(grid=grid, values=v))
+        for t, v in zip(times, sigma_values)
+    ]
 
 
 def test_sigma_decay_stationary_tail_is_zero(gravity2):
     grid = Grid(100)
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
     times = np.linspace(0.0, 2.0, 21)
-    traj = constant_trajectory(grid, gravity2, down.positions,
-                               [grid.nodes] * 21, times)
-    entries = sigma_decay_check(traj, [0.0, 0.5, 1.0], c0=1.0 / 16.0)
-    for entry in entries:
-        assert entry.tail_integral == pytest.approx(0.0, abs=1e-13)
-        assert entry.within
+    traj = constant_trajectory(grid, down.positions, [grid.nodes] * 21, times)
+    entries = sigma_tails(traj, gravity2, [0.0, 0.5, 1.0], c0=1.0 / 16.0)
+    for tail, bound in entries:
+        assert tail == pytest.approx(0.0, abs=1e-13)
+        assert tail <= bound
 
 
 def test_sigma_decay_switched_tension(gravity2):
@@ -394,9 +392,9 @@ def test_sigma_decay_switched_tension(gravity2):
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
     times = np.linspace(0.0, 2.0, 41)
     sigmas = [np.zeros(grid.n_nodes) if t < 1.0 else grid.nodes for t in times]
-    traj = constant_trajectory(grid, gravity2, down.positions, sigmas, times)
-    entries = sigma_decay_check(traj, [0.0], c0=1.0 / 16.0)
-    assert entries[0].tail_integral == pytest.approx(0.5, abs=1e-12)
+    traj = constant_trajectory(grid, down.positions, sigmas, times)
+    [(tail, _)] = sigma_tails(traj, gravity2, [0.0], c0=1.0 / 16.0)
+    assert tail == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sigma_decay_tails_nonincreasing(gravity2):
@@ -409,10 +407,10 @@ def test_sigma_decay_tails_nonincreasing(gravity2):
         wobble = np.minimum(grid.nodes, rng.uniform(0.3, 1.0)) * grid.nodes
         wobble[0] = 0.0
         sigmas.append(wobble)
-    traj = constant_trajectory(grid, gravity2, down.positions, sigmas, times)
+    traj = constant_trajectory(grid, down.positions, sigmas, times)
     t_grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-    entries = sigma_decay_check(traj, t_grid, c0=1.0 / 16.0)
-    tails = [e.tail_integral for e in entries]
+    tails = [tail for tail, _ in
+             sigma_tails(traj, gravity2, t_grid, c0=1.0 / 16.0)]
     assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
 
@@ -420,16 +418,15 @@ def test_sigma_decay_requires_near_equilibrium(gravity2):
     grid = Grid(50)
     up = build(ScenarioSpec(kind="vertical_up"), grid, gravity2)
     times = np.linspace(0.0, 1.0, 21)
-    traj = constant_trajectory(grid, gravity2, up.positions,
-                               [-grid.nodes] * 21, times)
+    traj = constant_trajectory(grid, up.positions, [-grid.nodes] * 21, times)
     with pytest.raises(ValueError):
-        sigma_decay_check(traj, [0.0], c0=1.0 / 16.0)
+        sigma_tails(traj, gravity2, [0.0], c0=1.0 / 16.0)
 
 
 def test_compatibility_predicate_equilibrium(gravity2):
     grid = Grid(100)
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
-    holds, lhs, rhs = compatibility_predicate(down, gravity2)
+    holds, lhs, rhs = compatibility(down, gravity2)
     assert not holds
     assert lhs == pytest.approx(0.0, abs=1e-10)
     assert rhs == pytest.approx(0.0, abs=1e-10)
@@ -439,7 +436,7 @@ def test_compatibility_predicate_straight_whip(gravity2):
     grid = Grid(100)
     state = build(ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4),
                   grid, gravity2)
-    holds, lhs, rhs = compatibility_predicate(state, gravity2)
+    holds, lhs, rhs = compatibility(state, gravity2)
     assert holds
     assert lhs == pytest.approx(0.0, abs=1e-9)
     assert rhs == pytest.approx(1.0 - np.sqrt(2.0) / 2.0, abs=1e-10)
@@ -449,7 +446,7 @@ def test_compatibility_predicate_right_angle(gravity2):
     grid = Grid(100)
     state = build(ScenarioSpec(kind="straight_angle", alpha0=np.pi / 2),
                   grid, gravity2)
-    holds, lhs, rhs = compatibility_predicate(state, gravity2)
+    holds, lhs, rhs = compatibility(state, gravity2)
     assert holds
     assert rhs == pytest.approx(1.0, abs=1e-10)
 
@@ -521,9 +518,6 @@ def test_relative_energy_nonnegative_along_run(pendulum_run):
 def test_time_reversed_run_keeps_residual_scale(gravity2):
     # reversing a run (and negating its tension) changes the measured weak
     # residual only through the asymmetry of the time differences
-    from whipflow import (RegularizedMap, ScenarioSpec,
-                          StepperConfig, Trajectory, backward_transform,
-                          build, evolve, mollify)
     g_minus = gravity2.flipped()
     grid = Grid(80)
     rmap = RegularizedMap(1e-2, dim=2)
@@ -535,10 +529,8 @@ def test_time_reversed_run_keeps_residual_scale(gravity2):
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, 0.6, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
         states.append(s), tensions.append(constitutive_tension(s, flux))))
-    forward = Trajectory(states=tuple(states), gravity=g_minus,
-                         tensions=tuple(tensions))
-    source = generalized_residual(forward.pairs(), g_minus)
-    mapped = backward_transform(forward, gravity2)
-    reversed_res = generalized_residual(mapped.pairs(), gravity2)
+    forward = list(zip(states, tensions))
+    source = generalized_residual(forward, g_minus)
+    reversed_res = generalized_residual(time_reversed(forward), gravity2)
     assert reversed_res.pde_residual_L2 <= 2.0 * source.pde_residual_L2
     assert source.pde_residual_L2 <= 2.0 * reversed_res.pde_residual_L2

@@ -11,14 +11,14 @@ from test_regmap import broadcast_jacobian
 
 from whipflow import flow
 from whipflow import (ArcState, GravitySpec, Grid, RegularizedMap,
-                      ScenarioSpec, StepperConfig, TensionProfile, Trajectory,
-                      build, constitutive_tension, discrete_energy, evolve,
+                      ScenarioSpec, StepperConfig, build,
+                      constitutive_tension, discrete_energy, evolve,
                       mollify, report, residual, step)
 from whipflow.diagnostics import Reporter
 from whipflow.errors import (NumericDomainError, ShapeError, SolverFailure,
                              StepRejected, UnderResolvedError)
 from whipflow.regmap import EPS_MAX, EPS_MIN
-from whipflow.scenarios import KINDS, mollify_scales
+from whipflow.scenarios import KINDS, mollify_scales, upright_release
 
 
 def make_map(eps, dim=2):
@@ -43,6 +43,9 @@ def discrete_steady_state(grid, rmap, g):
 def test_gravity_must_be_unit():
     with pytest.raises(ValueError):
         GravitySpec(np.array([0.0, -2.0]))
+    for direction in ([np.nan, 0.0], [0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="unit vector"):
+            GravitySpec(np.array(direction))
     g = GravitySpec.down(3)
     assert g.dim == 3 and g.direction[-1] == -1.0
     assert np.all(g.flipped().direction == -g.direction)
@@ -419,20 +422,6 @@ def test_three_dimensional_evolution(gravity3):
     assert float(np.diff(energies).max()) <= 1e-9
 
 
-def test_trajectory_validation(gravity2):
-    grid = Grid(10)
-    s0 = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
-    s1 = ArcState(grid=grid, positions=s0.positions, time=1.0)
-    tensions = (TensionProfile(grid=grid, values=grid.nodes),) * 2
-    traj = Trajectory(states=(s0, s1), gravity=gravity2, tensions=tensions)
-    assert traj.times.tolist() == [0.0, 1.0]
-    with pytest.raises(ValueError):
-        Trajectory(states=(s1, s0), gravity=gravity2, tensions=tensions)
-    with pytest.raises(ShapeError):
-        Trajectory(states=(s0, s1), gravity=gravity2, tensions=tensions[:1])
-    assert traj.pairs() == list(zip((s0, s1), tensions))
-
-
 def test_no_progress_newton_update_rejects_the_step_at_once(monkeypatch,
                                                             gravity2):
     solves = []
@@ -572,6 +561,33 @@ def test_decrement_exit_leaves_a_solve_error_below_1e_12(monkeypatch):
         res = residual(state, prev, dt, rmap, g)
         update = flow._newton_update(kappa, radial, res, h, dt)
         assert np.abs(update).max() <= 1e-12
+
+
+def test_falling_branch_approaches_the_folding_fall(gravity2):
+    # at eps = 0 the release from upright is a folding fall: the free part
+    # drops at unit speed, the part below the pin hangs,
+    # eta(s, t).e = max(eta_0(s).e - t, -(1 - s)) with e = -g; it is linear
+    # in time, so backward Euler at a fixed dt is exact for it and the L2
+    # distance at T measures eps alone (about 0.3 per decade of eps)
+    grid = Grid(200)
+    init = upright_release(grid, gravity2)
+    e = -gravity2.direction
+    distances = []
+    with wall_clock_budget(20.0):
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            rmap = make_map(eps)
+            state = init
+            for _ in range(200):
+                state = step(state, 0.005, rmap, gravity2)
+            height = np.maximum(init.positions @ e - state.time,
+                                -(1.0 - grid.nodes))
+            diff = state.positions - np.outer(height, e)
+            distances.append(
+                np.sqrt(grid.quad_trapezoid(np.sum(diff * diff, axis=1))))
+    assert abs(state.time - 1.0) <= 1e-12
+    assert all(a > b for a, b in zip(distances, distances[1:]))
+    orders = np.log10(np.array(distances[:-1]) / np.array(distances[1:]))
+    assert np.all((orders >= 0.15) & (orders <= 0.45)), orders
 
 
 def accepted_steps(init, horizon, rmap, g, **kwargs):

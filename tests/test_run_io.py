@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RunRecord,
-                      Snapshot, TensionProfile, Trajectory, read_run,
-                      write_run)
+                      Snapshot, TensionProfile, read_run, write_run)
 from whipflow.errors import RunFormatError, SchemaVersionError
 from whipflow.run_io import (TIMESERIES_COLUMNS, records_equal, write_table,
                              write_trajectory)
@@ -364,28 +363,27 @@ def test_write_table_rejects_a_width_other_than_the_headers(tmp_path, rows):
 def _trajectory(count):
     grid = Grid(3)
     rng = np.random.default_rng(count)
-    states, profiles = [], []
+    pairs = []
     for k in range(count):
         positions = rng.normal(size=(4, 2))
         positions[-1] = 0.0
-        states.append(ArcState(grid=grid, positions=positions, time=0.1 * k))
         sigma = rng.normal(size=4)
         sigma[0] = 0.0
-        profiles.append(TensionProfile(grid=grid, values=sigma))
-    return Trajectory(states=states, gravity=GravitySpec.down(2),
-                      tensions=profiles)
+        pairs.append((ArcState(grid=grid, positions=positions, time=0.1 * k),
+                      TensionProfile(grid=grid, values=sigma)))
+    return pairs
 
 
-def _check_trajectory_files(traj, directory, kept):
+def _check_trajectory_files(pairs, directory, kept):
     index = json.loads((directory / "index.json").read_text())
     assert index["schema_version"] == "1"
     assert index["gravity"] == [0.0, -1.0]
-    assert index["times"] == [traj.states[k].time for k in kept]
+    assert index["times"] == [pairs[k][0].time for k in kept]
     names = sorted(p.name for p in directory.glob("snapshot_t*.csv"))
     assert names == sorted(f"snapshot_t{'%.17g' % t}.csv"
                            for t in index["times"])
     for k in kept:
-        state, tension = traj.states[k], traj.tensions[k]
+        state, tension = pairs[k]
         data = np.loadtxt(directory / f"snapshot_t{'%.17g' % state.time}.csv",
                           delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], state.grid.nodes)
@@ -394,21 +392,21 @@ def _check_trajectory_files(traj, directory, kept):
 
 
 def test_write_trajectory_thins_to_50_states_with_endpoints(tmp_path):
-    traj = _trajectory(120)
-    write_trajectory(traj, tmp_path)
+    pairs = _trajectory(120)
+    write_trajectory(pairs, GravitySpec.down(2), tmp_path)
     index = json.loads((tmp_path / "index.json").read_text())
     kept = [round(t / 0.1) for t in index["times"]]
     assert kept == [round(k * 119 / 49) for k in range(50)]
     assert len(set(kept)) == 50 and kept[0] == 0 and kept[-1] == 119
     assert len(list(tmp_path.glob("snapshot_t*.csv"))) == 50
-    _check_trajectory_files(traj, tmp_path, kept)
+    _check_trajectory_files(pairs, tmp_path, kept)
 
 
 @pytest.mark.parametrize("count", [1, 7, 50])
 def test_write_trajectory_keeps_every_state_of_a_short_run(tmp_path, count):
-    traj = _trajectory(count)
-    write_trajectory(traj, tmp_path)
-    _check_trajectory_files(traj, tmp_path, range(count))
+    pairs = _trajectory(count)
+    write_trajectory(pairs, GravitySpec.down(2), tmp_path)
+    _check_trajectory_files(pairs, tmp_path, range(count))
 
 
 def test_missing_files_reported(tmp_path):

@@ -4,17 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from paper_checks import time_reversed
 from whipflow import (ArcState, GeneralizedResidual, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
-                      TensionProfile, Trajectory,
-                      backward_transform, branching_pair, build,
+                      TensionProfile, branching_pair, build,
                       constitutive_tension, evolve, generalized_residual,
                       mollify, potential_energy)
 from whipflow import diagnostics
 from whipflow.diagnostics import (EQUILIBRIUM_ENERGY, RealizedResidual,
                                   ResidualAccumulator)
 from whipflow.scenarios import stationary_upright, upright_release
-from whipflow.errors import ContractError, ShapeError, UnderResolvedError
+from whipflow.errors import ShapeError, UnderResolvedError
 
 ALL_KINDS_2D = ("vertical_down", "vertical_up", "straight_angle",
                 "quarter_circle", "random_lipschitz")
@@ -25,6 +25,9 @@ def test_spec_validation():
         ScenarioSpec(kind="spiral")
     with pytest.raises(ValueError):
         ScenarioSpec(kind="helix", mollify_radius=-1.0)
+    for scales in ({"mollify_radius": np.nan}, {"taper_width": np.nan}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ScenarioSpec(kind="vertical_up", **scales)
     for geom_eps in (0.0, -0.1):
         with pytest.raises(ValueError, match="geom_eps"):
             ScenarioSpec(kind="helix", geom_eps=geom_eps)
@@ -185,7 +188,8 @@ def test_mollify_under_resolved(gravity2):
 
 
 def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
-    """A short run under reversed gravity, with its realized tensions."""
+    """A short run under reversed gravity: its (state, realized tension)
+    pairs."""
     grid = Grid(n)
     rmap = RegularizedMap(eps, dim=2)
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
@@ -196,60 +200,46 @@ def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, horizon, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
         states.append(s), tensions.append(constitutive_tension(s, flux))))
-    return Trajectory(states=tuple(states), gravity=g_minus,
-                      tensions=tuple(tensions))
+    return list(zip(states, tensions))
 
 
 def test_backward_transform_stationary(gravity2):
     grid = Grid(60)
-    g_minus = gravity2.flipped()
     # the upright state of g is the stable state of -g, with tension +s
     positions = np.outer(grid.nodes - 1.0, gravity2.direction)
-    states = tuple(ArcState(grid=grid, positions=positions, time=t)
-                   for t in (0.0, 1.0, 2.0))
-    from whipflow import TensionProfile
-    tensions = tuple(TensionProfile(grid=grid, values=grid.nodes)
-                     for _ in range(3))
-    forward = Trajectory(states=states, gravity=g_minus, tensions=tensions)
-    back = backward_transform(forward, gravity2)
-    assert np.array_equal(back.states[0].positions, positions)
-    assert back.times.tolist() == [-2.0, -1.0, 0.0]
-    for tension in back.tensions:
+    forward = [(ArcState(grid=grid, positions=positions, time=t),
+                TensionProfile(grid=grid, values=grid.nodes))
+               for t in (0.0, 1.0, 2.0)]
+    back = time_reversed(forward)
+    assert np.array_equal(back[0][0].positions, positions)
+    assert [s.time for s, _ in back] == [-2.0, -1.0, 0.0]
+    for _, tension in back:
         np.testing.assert_array_equal(tension.values, -grid.nodes)
 
 
 def test_backward_transform_involution_and_signs(gravity2):
-    g_minus = gravity2.flipped()
-    forward = small_forward_run(g_minus)
-    back = backward_transform(forward, gravity2)
+    forward = small_forward_run(gravity2.flipped())
+    back = time_reversed(forward)
     # realized tensions are nonnegative, so mapped ones are nonpositive
-    assert max(t.values.max() for t in back.tensions) <= 1e-12
-    again = backward_transform(back, g_minus)
-    assert len(again.states) == len(forward.states)
-    for a, b in zip(forward.states, again.states):
+    assert max(t.values.max() for _, t in back) <= 1e-12
+    again = time_reversed(back)
+    assert len(again) == len(forward)
+    for (a, ta), (b, tb) in zip(forward, again):
         assert np.array_equal(a.positions, b.positions)
         assert a.time == b.time
-    for a, b in zip(forward.tensions, again.tensions):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(ta.values, tb.values)
 
 
 def test_backward_transform_energy_mirror(gravity2):
     g_minus = gravity2.flipped()
     forward = small_forward_run(g_minus)
-    back = backward_transform(forward, gravity2)
     # relative energy from the upright state under g at time t equals the
     # relative energy from the stable state of -g at time -t
-    for state in back.states:
+    for state, _ in time_reversed(forward):
         e_back = -EQUILIBRIUM_ENERGY - potential_energy(state, gravity2)
-        source = next(s for s in forward.states if s.time == -state.time)
+        source = next(s for s, _ in forward if s.time == -state.time)
         e_fwd = potential_energy(source, g_minus) - EQUILIBRIUM_ENERGY
         assert abs(e_back - e_fwd) <= 1e-12
-
-
-def test_backward_transform_gravity_contract(gravity2):
-    forward = small_forward_run(gravity2.flipped())
-    with pytest.raises(ContractError):
-        backward_transform(forward, gravity2.flipped())
 
 
 def test_branching_pair_quick(gravity2):
@@ -308,7 +298,7 @@ def _upright_pairs(grid, g, horizon):
 def test_residual_accumulator_is_bitwise_the_batch_residual(gravity2, which):
     if which == "forward_run":
         g = gravity2.flipped()
-        pairs = small_forward_run(g).pairs()
+        pairs = small_forward_run(g)
     else:
         g = gravity2
         pairs = _upright_pairs(Grid(100), g, 3.0)
@@ -390,7 +380,7 @@ def test_block_size_does_not_change_the_realized_residual(gravity2,
 def test_a_residual_add_that_raises_leaves_the_accumulator_as_it_was(
         gravity2):
     g = gravity2.flipped()
-    pairs = small_forward_run(g).pairs()
+    pairs = small_forward_run(g)
     acc = ResidualAccumulator(g)
     for pair in pairs[:3]:
         acc.add(*pair)
