@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -213,6 +212,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if any(not 0.0 <= t <= cfg["T"] for t in cfg.get("snapshots", ())):
         raise UsageError(f"--snapshots times must lie in [0, T] = "
                          f"[0, {cfg['T']}], got {cfg['snapshots']}")
+    if "snapshots" in cfg:
+        # evolve counts a stop this close after the current time as
+        # reached, so no state would carry the later of two such times;
+        # the run's start and its horizon T are stops too
+        tiny = TIME_TOL * max(1.0, cfg["T"])
+        times = sorted({0.0, *cfg["snapshots"], cfg["T"]})
+        for earlier, later in zip(times, times[1:]):
+            if later - earlier <= tiny:
+                raise UsageError(
+                    f"--snapshots: {earlier!r} and {later!r} lie within "
+                    f"evolve's time tolerance {tiny:g} of each other (0 and "
+                    f"T count), so no state would carry {later!r}")
     if "cells" in cfg and cfg["cells"] < 2:
         raise UsageError("--cells must be at least 2")
     if "scenario" in cfg and cfg["scenario"] is None:
@@ -241,36 +252,29 @@ def _initial_state(cfg) -> ArcState:
     return mollify(build(spec, grid, GravitySpec.down(cfg["dim"])), spec)
 
 
-def _evolution(cfg, rmap: RegularizedMap, init: ArcState,
-               stepper: StepperConfig):
-    """run_simulation's ``advance`` of simulate and sweep-eps: ``evolve``
-    from ``init`` to cfg["T"] under gravity down."""
-    return partial(evolve, init, cfg["T"], rmap, GravitySpec.down(cfg["dim"]),
-                   stepper)
-
-
 def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
-                   advance, directory: Path) -> RunRecord:
-    """The recording pipeline of simulate, sweep-eps and nonuniqueness:
-    ``advance(observer=, stats=, stops=)`` evolves ``init`` under ``rmap``
-    to cfg["T"], stopping at each requested snapshot time and calling
-    ``observer(state, dt, iters, flux, pot)`` after each accepted step, as
-    ``evolve`` does.  This records a Reporter row per state, keeps the
-    states at the requested times, summarizes and writes the run to
-    ``directory`` (write_run).  When the solver fails hard it writes the
-    partial record with a failure marker (the caller decides the exit
+                   stepper: StepperConfig, integrate,
+                   directory: Path) -> tuple[RunRecord, object]:
+    """The recording pipeline of simulate, sweep-eps and nonuniqueness.
+
+    ``integrate`` is ``evolve`` or ``branching_pair``, called with
+    evolve's arguments: it evolves ``init`` under ``rmap`` and gravity
+    down to cfg["T"] with ``stepper``, stopping at each requested
+    snapshot time and calling ``observer(state, dt, iters, flux, pot)``
+    on ``init`` and then after each accepted step, as ``evolve`` does.
+    This records a Reporter row per state, keeps the states at the
+    requested times, summarizes and writes the run to ``directory``
+    (write_run).  Returns the record and what ``integrate`` returned.
+    When the solver fails hard it writes the partial record with a
+    failure marker, and the result is None (the caller decides the exit
     code)."""
     g = GravitySpec.down(cfg["dim"])
     eps = rmap.eps
 
     reporter = Reporter(init.grid, g)
-    flux, _, pot = rmap.local_calculus(init.tangents)
-    reporter.add(init, flux, pot)
-    dts = [0.0]
-    iters_list = [0]
+    dts, iters_list, kept = [], [], []
     # the run stops at each request: a state is kept if its time is one
     requests = set(cfg["snapshots"])
-    kept = [init] if init.time in requests else []
 
     def observer(state, dt, iters, flux, pot):
         reporter.add(state, flux, pot)
@@ -280,9 +284,11 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
             kept.append(state)
 
     stats: dict = {}
-    failure = None
+    failure = result = None
     try:
-        advance(observer=observer, stats=stats, stops=cfg["snapshots"])
+        result = integrate(init, cfg["T"], rmap, g, stepper,
+                           observer=observer, stats=stats,
+                           stops=cfg["snapshots"])
     except SolverFailure as exc:
         failure = {"reason": str(exc), **exc.diagnostics}
     finally:
@@ -308,7 +314,7 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
         summary=summary,
     )
     write_run(record, directory)
-    return record
+    return record, result
 
 
 def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
@@ -361,8 +367,7 @@ def cmd_simulate(cfg) -> int:
     # made before the run, so that an unusable --out fails before any step;
     # write_run echoes the settings to its config.json
     directory = run_path(cfg)
-    record = run_simulation(cfg, rmap, init,
-                            _evolution(cfg, rmap, init, stepper), directory)
+    record, _ = run_simulation(cfg, rmap, init, stepper, evolve, directory)
     print(f"wrote {directory}")
     if record.summary["failed"] is not None:
         print(f"solver failed: {record.summary['failed']['reason']}", file=sys.stderr)
@@ -383,8 +388,8 @@ def cmd_sweep_eps(cfg) -> int:
     failed = False
     for eps, rmap in zip(eps_list, rmaps):
         directory = eps_directory(base, eps)
-        record = run_simulation(cfg, rmap, init,
-                                _evolution(cfg, rmap, init, stepper), directory)
+        record, _ = run_simulation(cfg, rmap, init, stepper, evolve,
+                                   directory)
         if record.summary["failed"] is not None:
             failed = True
         dts = np.array(record.step_dts)
@@ -446,14 +451,9 @@ def cmd_nonuniqueness(cfg) -> int:
     g = GravitySpec.down(cfg["dim"])
     rmap = RegularizedMap(cfg["eps"][0], dim=cfg["dim"])
     init, stepper = upright_release(grid, g), _stepper(cfg)
-    pairs = []
-
-    def advance(**kwargs):
-        pairs.append(branching_pair(cfg["T"], rmap, init, g, stepper,
-                                    **kwargs))
-
     directory = run_directory(cfg)
-    record = run_simulation(cfg, rmap, init, advance, directory / "falling")
+    record, pair = run_simulation(cfg, rmap, init, stepper, branching_pair,
+                                  directory / "falling")
     failed = record.summary["failed"]
     if failed is not None:
         # the top-level summary holds the failure alone; falling/ holds
@@ -462,7 +462,6 @@ def cmd_nonuniqueness(cfg) -> int:
         print(f"wrote {directory}")
         print(f"solver failed: {failed['reason']}", file=sys.stderr)
         return EXIT_NUMERIC
-    pair, = pairs
     write_json(directory / "summary.json", {
         "separation_L2_at_T": pair.separation,
         "falling_residual": dataclasses.asdict(pair.falling_residual),

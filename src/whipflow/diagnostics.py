@@ -7,7 +7,8 @@ ResidualAccumulator), the weighted Hardy ratio and exponential-decay fits.
 
 The consumers of a run's states take them per block.  A state arrives as
 ``evolve``'s observer receives it, with the flux and the potential density
-the stepper handed out, so no consumer inverts the map; its positions,
+the stepper handed out; the observer sees the initial state first, so no
+consumer inverts the map or adds the start by itself.  Its positions,
 time, flux (and potential) are copied into a block of at most
 BLOCK_FLOATS floats, and every column is computed for the whole block at
 once when it is full (and for the last, partial one at ``flush``).  A

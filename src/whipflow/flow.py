@@ -33,7 +33,9 @@ built.
 A step's last Newton evaluation is at the state it accepts, so the step
 hands that state's flux, Jacobian radial form and potential on: the next
 step starts from them, and ``evolve``'s observer gets the flux and the
-potential, so the map is inverted at each accepted state once.
+potential.  The observer sees the initial state first, with the triple
+the first step starts from, so the map is inverted at each state of a
+run once, the initial state included.
 
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
@@ -417,6 +419,14 @@ def step(prev: ArcState, dt: float, rmap: RegularizedMap,
     return _step_core(prev, dt, rmap, g, rmap.local_calculus(prev.tangents))[0]
 
 
+def _hand_out(observer, state, dt, iters, calc):
+    """``observer(state, dt, iters, flux, pot)`` from the state's triple
+    ``calc``, its flux and potential made read-only first."""
+    flux, _, pot = calc
+    flux.flags.writeable = pot.flags.writeable = False
+    observer(state, dt, iters, flux, pot)
+
+
 def evolve(
     init: ArcState,
     horizon: float,
@@ -437,14 +447,18 @@ def evolve(
     close after a state counts as reached.  dt is halved on rejection
     (hard failure below dt_min); by one rule, it grows 1.2x (capped at
     dt_max) after a step of at most 5 Newton iterations and is kept after
-    any other, so a cut step does not shrink the next one.  After every
-    accepted step ``observer(state, dt, newton_iters, flux, pot)`` runs,
+    any other, so a cut step does not shrink the next one.
+    ``observer(state, dt, newton_iters, flux, pot)`` runs on ``init``
+    first, as ``(init, 0.0, 0, ...)``, and then after every accepted step,
     with the state's flux ``rmap.invert(state.tangents)`` and potential
-    density ``rmap.potential(state.tangents)`` from the step's last
-    evaluation; both are read-only, since the next step starts from them.
-    A ``stats`` dict, when given, gets the step and rejection counts
-    and the steps each Newton exit accepted (``residual_exits``,
-    ``decrement_exits``).
+    density ``rmap.potential(state.tangents)``: the initial state's from
+    the evaluation the first step starts from, every other's from its
+    step's last evaluation.  Both are read-only, since the next step
+    starts from them.  With horizon == init.time the observer runs once,
+    on ``init``.  A ``stats`` dict, when given, gets the step and
+    rejection counts and the steps each Newton exit accepted
+    (``residual_exits``, ``decrement_exits``), also when the observer or
+    the run raises.
     """
     if horizon < init.time:
         raise ValueError(f"horizon {horizon} precedes initial time {init.time}")
@@ -460,6 +474,8 @@ def evolve(
     total_iters = 0
     exits = {"residual": 0, "decrement": 0}
     try:
+        if observer is not None:
+            _hand_out(observer, init, 0.0, 0, calc)
         for stop in sorted({*stops, horizon}):
             while stop - state.time > tiny:
                 t_next = state.time + dt
@@ -485,9 +501,7 @@ def evolve(
                 total_iters += iters
                 exits[exit_test] += 1
                 if observer is not None:
-                    flux, _, pot = calc
-                    flux.flags.writeable = pot.flags.writeable = False
-                    observer(state, dt_step, iters, flux, pot)
+                    _hand_out(observer, state, dt_step, iters, calc)
                 if iters <= 5:
                     dt = min(dt * 1.2, cfg.dt_max)
     finally:

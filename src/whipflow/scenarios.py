@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import (GeneralizedResidual, RealizedResidual,
-                          ResidualAccumulator, constitutive_tension)
+                          ResidualAccumulator)
+from .diagnostics import constitutive_tension  # noqa: F401  (spans.WRAPS)
 from .diagnostics import generalized_residual  # noqa: F401  (spans.WRAPS)
 from .errors import ShapeError, UnderResolvedError
 from .flow import TIME_TOL, ArcState, GravitySpec, StepperConfig, evolve
@@ -260,9 +261,9 @@ def upright_release(grid: Grid, g: GravitySpec) -> ArcState:
 
 
 def branching_pair(
+    init: ArcState,
     horizon: float,
     rmap: RegularizedMap,
-    init: ArcState,
     g: GravitySpec,
     cfg: StepperConfig,
     *,
@@ -277,11 +278,13 @@ def branching_pair(
     which cannot hold the compressive tension and drops toward the
     downward equilibrium; the second holds the exact upright pair
     fixed on init's grid, which satisfies the weak-solution conditions
-    identically.  The falling run is one ``evolve`` call, with
-    ``observer``, ``stats`` and ``stops`` passed on: each accepted state
-    goes into a RealizedResidual, paired with the tension it realizes,
-    then to ``observer``, and no state is kept but the last.  A horizon of
-    at most TIME_TOL takes no step and raises ValueError before the run.
+    identically.  The falling run is one ``evolve`` call, which takes the
+    arguments in the same order, with ``observer``, ``stats`` and
+    ``stops`` passed on: each state evolve hands out, the initial one
+    first, goes into a RealizedResidual, paired with the tension it
+    realizes, then to ``observer``, and no state is kept but the last.  A
+    horizon of at most TIME_TOL takes no step and raises ValueError before
+    the run.
     """
     if not horizon > TIME_TOL:
         raise ValueError(f"horizon T = {horizon:g} takes no step: it must "
@@ -291,8 +294,6 @@ def branching_pair(
     # the falling run pairs with the multiplier it actually realizes,
     # which is nonnegative by construction
     falling = RealizedResidual(grid, g)
-    init_tension = constitutive_tension(init, rmap.invert(init.tangents))
-    falling.residual.add(init, init_tension)
 
     def record(state, dt, iters, flux, pot):
         falling.add(state, flux)

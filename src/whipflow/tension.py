@@ -79,7 +79,8 @@ class GeodesicTensionProblem:
         f = np.asarray(self.speed_sq, dtype=float)
         if c.shape != (n,) or f.shape != (n,):
             raise ShapeError(f"coefficients need {n} node values")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f))):
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f))
+                and np.isfinite(self.neumann_value)):
             raise ValueError("coefficients must be finite")
         if c.min() < 0.0 or f.min() < 0.0:
             raise ValueError("curvature_sq and speed_sq must be nonnegative")

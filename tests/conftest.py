@@ -44,14 +44,13 @@ class PendulumRun:
         self.init = mollify(build(spec, self.grid, self.gravity), spec)
         cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
 
-        self.reports = [report(self.init, self.rmap, self.gravity)]
-        self.energies = [discrete_energy(self.init, self.rmap, self.gravity)]
-        self.dts = [0.0]
-        self.sup_tangent = [
-            float(np.linalg.norm(self.init.tangents, axis=1).max())
-        ]
+        # evolve's observer sees the initial state first, with dt 0
+        self.reports = []
+        self.energies = []
+        self.dts = []
+        self.sup_tangent = []
         self.velocity_budget = 0.0
-        self.states = [self.init]
+        self.states = []
 
         def observer(state, dt, iters, flux, pot):
             self.reports.append(report(state, self.rmap, self.gravity))
@@ -60,10 +59,11 @@ class PendulumRun:
             self.sup_tangent.append(
                 float(np.linalg.norm(state.tangents, axis=1).max())
             )
-            velocity = (state.positions - self.states[-1].positions) / dt
-            self.velocity_budget += dt * self.grid.h * float(
-                np.sum(velocity[:-1] ** 2)
-            )
+            if self.states:
+                velocity = (state.positions - self.states[-1].positions) / dt
+                self.velocity_budget += dt * self.grid.h * float(
+                    np.sum(velocity[:-1] ** 2)
+                )
             self.states.append(state)
 
         self.final = evolve(self.init, 8.0, self.rmap, self.gravity, cfg,

@@ -188,6 +188,7 @@ def test_criterion_08_constraint_recovery(gravity2):
     eps_values = (1e-2, 1e-3, 1e-4)
     for eps in eps_values:
         rmap = RegularizedMap(eps, dim=2)
+        # the initial state's row has dt 0 and no weight, as in sweep-eps
         rows = []
         evolve(init, horizon, rmap, gravity2, cfg,
                observer=lambda s, dt, it, flux, pot: rows.append(
@@ -308,8 +309,8 @@ def test_criterion_10_hardy_sampling():
 def test_criterion_11_non_uniqueness(gravity2):
     start = time.perf_counter()
     grid = Grid(200)
-    pair = branching_pair(5.0, RegularizedMap(1e-2, dim=2),
-                          upright_release(grid, gravity2), gravity2,
+    pair = branching_pair(upright_release(grid, gravity2), 5.0,
+                          RegularizedMap(1e-2, dim=2), gravity2,
                           StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02))
     stat = pair.stationary_residual
     fall = pair.falling_residual
@@ -344,8 +345,7 @@ def test_criterion_12_backward_transform(gravity2):
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, g_minus), spec)
-    states = [init]
-    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
+    states, tensions = [], []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, 1.0, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
         states.append(s), tensions.append(constitutive_tension(s, flux))))

@@ -347,14 +347,43 @@ def test_run_reports_every_block_as_per_state_reports(out_env, only_run_dir,
     assert record.reports == [report(s, rmap, g) for s in states]
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "quarter_circle"),
+    ("nonuniqueness",),
+])
+def test_each_run_evaluates_its_start_once(out_env, only_run_dir,
+                                           monkeypatch, argv):
+    # with no rejection and no line-search halving, each Newton iteration
+    # evaluates one trial and the run its initial state once more, and
+    # the report, the snapshots and the residual read the handed flux:
+    # every radial inversion is one of those local_calculus calls
+    calls = {"_invert_radial": 0, "local_calculus": 0, "invert": 0}
+    for name in calls:
+        method = getattr(RegularizedMap, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(RegularizedMap, name, counted)
+    assert run_cli(*argv, "--eps", "1e-2", "--cells", "80", "--T", "0.3",
+                   "--snapshots", "0,0.15") == 0
+    run_dir = only_run_dir(out_env)
+    record = read_run(run_dir / "falling" if argv[0] == "nonuniqueness"
+                      else run_dir)
+    stats = record.solver_stats
+    assert stats["rejections"] == 0 and len(record.snapshots) == 2
+    assert calls["invert"] == 0
+    assert calls["_invert_radial"] == calls["local_calculus"] \
+        == stats["newton_iterations"] + 1
+
+
 def _recording(evolve, states):
-    """evolve, appending the initial state and every accepted one to
-    ``states``."""
+    """evolve, appending every state its observer sees, the initial one
+    first, to ``states``."""
 
     def recording_evolve(init, horizon, rmap, g, cfg, observer, stats,
                          **kwargs):
-        states.append(init)
-
         def recording_observer(state, *args):
             states.append(state)
             observer(state, *args)
@@ -455,6 +484,14 @@ OUT_OF_DOMAIN_RUNS = [
     ("sweep-eps", "--scenario", "quarter_circle", "--eps", "1e-2,1e-3",
      "--T", "1e-13", "--cells", "20"),
     ("nonuniqueness", "--cells", "20", "--T", "0.05", "--snapshots", "0.1"),
+    # a time within evolve's time tolerance of the start, of another
+    # requested time or of the horizon: no state would carry the later one
+    ("simulate", "--scenario", "quarter_circle", "--cells", "20", "--T",
+     "0.1", "--snapshots", "1e-13"),
+    ("nonuniqueness", "--cells", "20", "--T", "0.05", "--snapshots",
+     "0.02,0.0200000000001"),
+    ("simulate", "--scenario", "quarter_circle", "--cells", "20", "--T",
+     "0.1", "--snapshots", "0.0999999999999"),
 ])
 def test_invalid_setting_value_exits_one_and_writes_nothing(out_env, argv,
                                                             capsys):

@@ -104,7 +104,7 @@ def helix_release_states():
                         taper_width=width)
     init = mollify(build(spec, grid, g), spec)
     rmap = RegularizedMap(1e-2, dim=3)
-    states = [init]
+    states = []
     evolve(init, 0.05, rmap, g, StepperConfig(1e-3, 1e-9, 0.02),
            observer=lambda state, *_: states.append(state))
     return states, rmap, g
@@ -524,8 +524,7 @@ def test_time_reversed_run_keeps_residual_scale(gravity2):
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
-    states = [init]
-    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
+    states, tensions = [], []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, 0.6, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
         states.append(s), tensions.append(constitutive_tension(s, flux))))

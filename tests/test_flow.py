@@ -130,9 +130,10 @@ def test_step_decreases_energy_away_from_equilibrium(gravity2):
 
 def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     # the step's last evaluation is at the accepted state, and the observer
-    # gets that state's flux and potential: a run whose reporter and
+    # gets that state's flux and potential, the initial state's from the
+    # evaluation the first step starts from: a run whose reporter and
     # constitutive tension read them inverts the map inside local_calculus
-    # alone, and evaluates each accepted state once
+    # alone, and evaluates each state, the initial one included, once
     grid = Grid(80)
     rmap = make_map(1e-2)
     spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.03,
@@ -156,27 +157,23 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     monkeypatch.setattr(RegularizedMap, "local_calculus", logged_local_calculus)
 
     reporter = Reporter(grid, gravity2)
-    flux, _, pot = rmap.local_calculus(init.tangents)
-    reporter.add(init, flux, pot)
-    tensions = [constitutive_tension(init, flux)]
-    accepted = []
+    tensions, states = [], []
 
     def observer(state, dt, iters, flux, pot):
         reporter.add(state, flux, pot)
         tensions.append(constitutive_tension(state, flux))
-        accepted.append(state)
+        states.append(state)
 
     evolve(init, 0.3, rmap, gravity2,
            StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02),
            observer=observer)
     reporter.flush()
-    assert len(accepted) > 5
+    assert len(states) > 1 + 5 and states[0] is init
     assert len(inversions) == len(evaluated)
-    for state in accepted:
+    for state in states:
         assert evaluated.count(state.tangents.tobytes()) == 1
     # the handed arrays are bitwise those a fresh evaluation gives
     monkeypatch.undo()
-    states = [init, *accepted]
     assert reporter.reports == [report(s, rmap, gravity2) for s in states]
     for state, tension in zip(states, tensions):
         fresh = constitutive_tension(state, rmap.invert(state.tangents))
@@ -193,7 +190,8 @@ def test_pin_exact_after_steps(gravity2):
     seen = []
     evolve(state, 0.3, rmap, gravity2, cfg,
            observer=lambda s, *_: seen.append(s))
-    assert len(seen) > 5
+    # the observer sees the initial state, then each accepted one
+    assert seen[0] is state and len(seen) > 1 + 5
     for s in seen:
         assert np.all(s.positions[-1] == 0.0)
 
@@ -219,9 +217,11 @@ def test_evolve_empty_horizon_returns_input(gravity2):
     calls = []
     out = evolve(state, state.time, rmap, gravity2,
                  StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.1),
-                 observer=lambda *a: calls.append(a))
+                 observer=lambda *a: calls.append(a[:3]))
     assert out is state
-    assert calls == []
+    # the observer sees the initial state alone
+    (seen, dt, iters), = calls
+    assert seen is state and (dt, iters) == (0.0, 0)
     with pytest.raises(ValueError):
         evolve(state, -1.0, rmap, gravity2,
                StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.1))
@@ -234,15 +234,16 @@ def test_energy_monotone_and_dissipation_budget(gravity2):
                         taper_width=0.04)
     init = mollify(build(spec, grid, gravity2), spec)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
-    energies = [discrete_energy(init, rmap, gravity2)]
+    energies = []
     budget = 0.0
     prev = [init]
 
     def observer(state, dt, iters, flux, pot):
         nonlocal budget
         energies.append(discrete_energy(state, rmap, gravity2))
-        v = (state.positions - prev[0].positions) / dt
-        budget += dt * grid.h * float(np.sum(v[:-1] ** 2))
+        if state is not init:
+            v = (state.positions - prev[0].positions) / dt
+            budget += dt * grid.h * float(np.sum(v[:-1] ** 2))
         prev[0] = state
 
     evolve(init, 1.0, rmap, gravity2, cfg, observer=observer)
@@ -415,7 +416,7 @@ def test_three_dimensional_evolution(gravity3):
                         mollify_radius=0.02, taper_width=0.04)
     init = mollify(build(spec, grid, gravity3), spec)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.01)
-    energies = [discrete_energy(init, rmap, gravity3)]
+    energies = []
     evolve(init, 0.3, rmap, gravity3, cfg, observer=lambda s, *_:
            energies.append(discrete_energy(s, rmap, gravity3)))
     assert len(energies) > 10
@@ -591,24 +592,38 @@ def test_falling_branch_approaches_the_folding_fall(gravity2):
 
 
 def accepted_steps(init, horizon, rmap, g, **kwargs):
-    """(state, dt, Newton iterations) of every step ``evolve`` accepts."""
+    """(state, dt, Newton iterations) of every step ``evolve`` accepts:
+    what its observer sees after the initial state."""
     steps = []
     evolve(init, horizon, rmap, g, CLI_STEPPER,
            observer=lambda s, dt, it, *_: steps.append((s, dt, it)),
            **kwargs)
-    return steps
+    start, dt, iters = steps[0]
+    assert start is init and (dt, iters) == (0.0, 0)
+    return steps[1:]
 
 
-@pytest.mark.parametrize("name", ["flux", "pot"])
-def test_an_observer_cannot_write_into_the_handed_arrays(name):
-    # the next step starts from them
+@pytest.mark.parametrize("name, call", [
+    ("flux", 1), ("pot", 1), ("flux", 0), ("pot", 0)],
+    ids=["flux", "pot", "flux-initial", "pot-initial"])
+def test_an_observer_cannot_write_into_the_handed_arrays(name, call):
+    # the next step starts from them, from the initial state's (call 0)
+    # as from an accepted state's (call 1, the first accepted step); stats
+    # are written all the same
     init, rmap, g = release("quarter_circle", 1e-2, 40, 2)
+    calls = []
 
     def observer(state, dt, iters, flux, pot):
-        {"flux": flux, "pot": pot}[name][0] = 0.0
+        calls.append(state)
+        if len(calls) > call:
+            {"flux": flux, "pot": pot}[name][0] = 0.0
 
+    stats = {}
     with pytest.raises(ValueError, match="read-only"):
-        evolve(init, 0.1, rmap, g, CLI_STEPPER, observer=observer)
+        evolve(init, 0.1, rmap, g, CLI_STEPPER, observer=observer,
+               stats=stats)
+    assert len(calls) == call + 1
+    assert stats["steps"] == call
 
 
 def test_stops_the_run_reaches_anyway_keep_every_bit():

@@ -195,8 +195,7 @@ def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g_minus), spec)
-    states = [init]
-    tensions = [constitutive_tension(init, rmap.invert(init.tangents))]
+    states, tensions = [], []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, horizon, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
         states.append(s), tensions.append(constitutive_tension(s, flux))))
@@ -244,8 +243,8 @@ def test_backward_transform_energy_mirror(gravity2):
 
 def test_branching_pair_quick(gravity2):
     grid = Grid(100)
-    pair = branching_pair(3.0, RegularizedMap(1e-2, dim=2),
-                          upright_release(grid, gravity2), gravity2,
+    pair = branching_pair(upright_release(grid, gravity2), 3.0,
+                          RegularizedMap(1e-2, dim=2), gravity2,
                           StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02))
     assert pair.separation >= 0.5
     # the frozen upright pair is an exact weak solution
@@ -329,14 +328,13 @@ def _residual_bits(acc):
 
 
 def _forward_run_with_fluxes(g, eps=1e-2, n=80, horizon=0.8):
-    """small_forward_run's states, each with the flux evolve handed out (the
-    start state's from invert)."""
+    """small_forward_run's states, each with the flux evolve handed out."""
     grid = Grid(n)
     rmap = RegularizedMap(eps, dim=2)
     spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
                         mollify_radius=0.03, taper_width=0.05)
     init = mollify(build(spec, grid, g), spec)
-    seen = [(init, rmap.invert(init.tangents))]
+    seen = []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, horizon, rmap, g, cfg, observer=lambda s, dt, it, flux, pot:
            seen.append((s, flux)))
@@ -349,8 +347,9 @@ def test_block_size_does_not_change_the_realized_residual(gravity2,
                                                           monkeypatch,
                                                           per_block, start):
     # blocks of one state, of three (the last one partial) and one block
-    # for the whole run; the start state either opens the first block or
-    # is added alone before it, as branching_pair adds it
+    # for the whole run; the start state either opens the first block, as
+    # branching_pair adds it, or is added to the accumulator alone before
+    # it
     g = gravity2.flipped()
     # 53 states: blocks of three end partial whether the start is in them
     seen = _forward_run_with_fluxes(g)[:53]
@@ -423,8 +422,8 @@ def _branching_peak_bytes(horizon, gravity2):
     cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=0.02)
     tracemalloc.start()
     try:
-        branching_pair(horizon, RegularizedMap(1e-2, dim=2),
-                       upright_release(grid, gravity2), gravity2, cfg)
+        branching_pair(upright_release(grid, gravity2), horizon,
+                       RegularizedMap(1e-2, dim=2), gravity2, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -441,13 +440,14 @@ def test_branching_pair_memory_does_not_grow_with_the_horizon(gravity2):
 def test_branching_pair_forwards_each_accepted_step(gravity2):
     grid = Grid(60)
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
+    init = upright_release(grid, gravity2)
     seen, stats = [], {}
-    pair = branching_pair(0.5, RegularizedMap(1e-2, dim=2),
-                          upright_release(grid, gravity2), gravity2, cfg,
-                          stats=stats,
+    pair = branching_pair(init, 0.5, RegularizedMap(1e-2, dim=2), gravity2,
+                          cfg, stats=stats,
                           stops=(0.25,),
                           observer=lambda s, dt, it, flux, pot: seen.append(s))
-    assert len(seen) == stats["steps"]
+    # the initial state, then each accepted one
+    assert len(seen) == stats["steps"] + 1 and seen[0] is init
     assert 0.25 in [s.time for s in seen] and seen[-1].time == 0.5
     diff = seen[-1].positions - stationary_upright(grid, gravity2)[0].positions
     assert pair.separation == float(

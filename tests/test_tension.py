@@ -311,7 +311,8 @@ def test_tension_bounded_by_arclength_along_run(gravity2):
 
     evolve(init, 0.5, RegularizedMap(1e-2, dim=2), gravity2, cfg,
            observer=observer)
-    assert len(excess) >= 25  # T / dt_max accepted steps at least
+    # the initial state and T / dt_max accepted steps at least
+    assert len(excess) >= 1 + 25
     assert max(excess) <= 1e-8
 
 
@@ -334,3 +335,7 @@ def test_problem_validation():
     with pytest.raises(ShapeError):
         GeodesicTensionProblem(grid=grid, curvature_sq=np.zeros(10),
                                speed_sq=np.zeros(11), neumann_value=0.0)
+    for nu in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GeodesicTensionProblem(grid=grid, curvature_sq=np.zeros(11),
+                                   speed_sq=np.zeros(11), neumann_value=nu)

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the six reference commands write.
+"""Print the sha256 of every file the seven reference commands write.
 
     PYTHONPATH=<checkout>/src python tools/output_listing.py
 
@@ -43,9 +43,13 @@ COMMANDS = (
     ["nonuniqueness", "--T", "5", "--eps", "1e-3", "--cells", "1000"],
     ["tension", "--scenario", "straight_angle", "--cells", "200"],
     ["counterexample", "--eps", "0.1,0.05,0.01"],
-    # the sweep path; last, so that commands 0-4 keep their keys
+    # the sweep path; after them, so that commands 0-4 keep their keys
     ["sweep-eps", "--scenario", "quarter_circle", "--eps", "1e-2,1e-3",
      "--cells", "100", "--T", "0.05", "--snapshots", "0.025"],
+    # a snapshot of the initial state, on the falling branch; last, so
+    # that commands 0-5 keep their keys
+    ["nonuniqueness", "--T", "0.5", "--eps", "1e-2", "--cells", "60",
+     "--snapshots", "0,0.25"],
 )
 
 
