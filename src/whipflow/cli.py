@@ -33,7 +33,8 @@ from .diagnostics import Reporter, decay_fit, potential_energy
 from .diagnostics import report  # noqa: F401  (perfbench's spans.WRAPS)
 from .errors import (InversionError, SolverFailure, StepRejected,
                      TensionSolveError)
-from .flow import TIME_TOL, ArcState, GravitySpec, StepperConfig, evolve
+from .flow import (TIME_TOL, ArcState, GravitySpec, StepperConfig,
+                   check_times, evolve)
 from .grid import Grid
 from .regmap import RegularizedMap
 from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
@@ -209,21 +210,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if "T" in cfg and not cfg["T"] > TIME_TOL:
         raise UsageError(f"--T = {cfg['T']:g} takes no step: it must exceed "
                          f"evolve's time tolerance {TIME_TOL:g}")
-    if any(not 0.0 <= t <= cfg["T"] for t in cfg.get("snapshots", ())):
-        raise UsageError(f"--snapshots times must lie in [0, T] = "
-                         f"[0, {cfg['T']}], got {cfg['snapshots']}")
     if "snapshots" in cfg:
-        # evolve counts a stop this close after the current time as
-        # reached, so no state would carry the later of two such times;
-        # the run's start and its horizon T are stops too
-        tiny = TIME_TOL * max(1.0, cfg["T"])
-        times = sorted({0.0, *cfg["snapshots"], cfg["T"]})
-        for earlier, later in zip(times, times[1:]):
-            if later - earlier <= tiny:
-                raise UsageError(
-                    f"--snapshots: {earlier!r} and {later!r} lie within "
-                    f"evolve's time tolerance {tiny:g} of each other (0 and "
-                    f"T count), so no state would carry {later!r}")
+        # the times evolve would refuse: outside [0, T], or two of them
+        # within its time tolerance, so no state would carry the later
+        try:
+            check_times(0.0, cfg["T"], cfg["snapshots"])
+        except ValueError as exc:
+            raise UsageError(f"--snapshots: {exc}") from None
     if "cells" in cfg and cfg["cells"] < 2:
         raise UsageError("--cells must be at least 2")
     if "scenario" in cfg and cfg["scenario"] is None:

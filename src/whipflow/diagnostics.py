@@ -179,7 +179,7 @@ class Reporter(_StateBlock):
         eta, flux = self._positions[:m], self._flux[:m]
         u = (eta[:, 1:] - eta[:, :-1]) / h
         speeds = np.sqrt(row_dot(u, u))
-        E_eps = _energy(eta, self._pot[:m], h, g_vec)
+        E_eps = _energy(eta, self._pot[:m], h, -g_vec)
         stretch = np.abs(speeds - 1.0).max(axis=-1)
         constraint = h * (np.sqrt(row_dot(flux, flux))
                           * np.abs(speeds ** 2 - 1.0)).sum(axis=-1)

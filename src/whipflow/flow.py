@@ -31,11 +31,13 @@ Fortran-ordered array ``pbsv`` factors in place; no dense Jacobian is
 built.
 
 A step's last Newton evaluation is at the state it accepts, so the step
-hands that state's flux, Jacobian radial form and potential on: the next
-step starts from them, and ``evolve``'s observer gets the flux and the
-potential.  The observer sees the initial state first, with the triple
-the first step starts from, so the map is inverted at each state of a
-run once, the initial state included.
+hands on what that evaluation found: the state's tangents, its flux,
+Jacobian radial form and potential, and its energy E_eps.  The next step
+starts from them, and ``evolve``'s observer gets the flux and the
+potential.  ``_start`` builds the tuple of the initial state, which the
+observer sees first, so each state of a run is evaluated once, the
+initial state included.  -g, the proximal weight h/(2 dt) and the free
+nodes before the step are derived once per step, not per trial.
 
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
@@ -61,6 +63,7 @@ O(dt) error of backward Euler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -132,6 +135,8 @@ class ArcState:
             raise NumericDomainError("positions contain non-finite entries")
         if np.any(pos[-1] != 0.0):
             raise ValueError("the s = 1 end must be pinned exactly at the origin")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
         pos = pos.copy()
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
@@ -169,12 +174,13 @@ def _check_compatible(state: ArcState, rmap: RegularizedMap, g: GravitySpec):
         )
 
 
-def _energy(pos, pot, h, g_vec):
+def _energy(pos, pot, h, up):
     """h times the cell sum of the flux potential ``pot`` plus h times the
-    sum of the gravity heights of the n free nodes of ``pos``, over leading
-    axes: ``pos`` of shape (..., n+1, d) and ``pot`` of shape (..., n)."""
-    return h * pot.sum(axis=-1) \
-        + h * (pos[..., :-1, :] @ (-g_vec)).sum(axis=-1)
+    sum of the heights along ``up`` = -g of the n free nodes of ``pos``,
+    over leading axes: ``pos`` of shape (..., n+1, d) and ``pot`` of shape
+    (..., n)."""
+    return h * np.add.reduce(pot, axis=-1) \
+        + h * np.add.reduce(pos[..., :-1, :] @ up, axis=-1)
 
 
 def discrete_energy(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> float:
@@ -187,7 +193,7 @@ def discrete_energy(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> fl
     """
     _check_compatible(state, rmap, g)
     return float(_energy(state.positions, rmap.potential(state.tangents),
-                         state.grid.h, g.direction))
+                         state.grid.h, -g.direction))
 
 
 def residual(
@@ -293,21 +299,31 @@ def _newton_update(kappa, radial, res, h, dt):
                         -res[:-1].reshape(-1)).reshape(n, d)
 
 
+def _start(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> tuple:
+    """The tuple a step from ``state`` starts from, as ``_step_core``
+    returns it for the state it accepts: (flux, (inv_c1, gain), potential)
+    as ``rmap.local_calculus(state.tangents)`` returns them, the tangents
+    and the energy E_eps, bitwise ``discrete_energy(state, rmap, g)``."""
+    tangents = state.tangents
+    flux, radial, pot = rmap.local_calculus(tangents)
+    return (flux, radial, pot, tangents,
+            _energy(state.positions, pot, state.grid.h, -g.direction))
+
+
 def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
                g: GravitySpec, calc: tuple) -> tuple[ArcState, int, str, tuple]:
     """One implicit step from ``prev``, starting from ``calc``, prev's
-    (flux, (inv_c1, gain), potential) as
-    ``rmap.local_calculus(prev.tangents)`` returns them.  Each Newton
-    iteration evaluates its trials through ``rmap.local_calculus`` and
-    solves through the module's ``solve_banded``, the names a tracer
-    wraps.  Returns the new state, the Newton iteration count, the test
-    that accepted it (``"residual"`` or ``"decrement"``) and the new
-    state's own triple, from the last evaluation; or raises
-    StepRejected."""
+    (flux, (inv_c1, gain), potential, tangents, energy) as ``_start``
+    builds it.  Each Newton iteration evaluates its trials through
+    ``grid.diff_forward`` and ``rmap.local_calculus`` and solves through
+    the module's ``solve_banded``, the names a tracer wraps.  Returns the
+    new state, the Newton iteration count, the test that accepted it
+    (``"residual"`` or ``"decrement"``) and the new state's own tuple,
+    from the last evaluation; or raises StepRejected."""
     grid = prev.grid
     h = grid.h
-    g_vec = g.direction
     prev_pos = prev.positions
+    flux, radial, pot, u, energy = calc
 
     pos = prev_pos.copy()
 
@@ -319,20 +335,27 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     # larger.  The floor leaves out the rounding of the flux divergence,
     # O(mach |eta| / (eps h^2)), which dominates on fine grids; the
     # decrement exit below covers that regime.
-    u = grid.diff_forward(prev_pos)
     pos_scale = max(1.0, float(np.abs(prev_pos).max()))
     u_scale = 1.0 + float(np.sqrt(row_dot(u, u).max()))
     floor = 64.0 * _MACH * (pos_scale / dt + u_scale / (rmap.eps * h))
     tol = max(NEWTON_TOL, floor)
 
-    def incremental(pos_trial, pot_density):
-        # strictly convex objective whose critical point is the new state:
-        # the scheme's energy plus the proximal term of the step
-        prox = (h / (2.0 * dt)) * ((pos_trial[:-1] - prev_pos[:-1]) ** 2).sum()
-        return _energy(pos_trial, pot_density, h, g_vec) + prox
+    g_vec = g.direction
+    up = -g_vec
+    weight = h / (2.0 * dt)
+    prev_free = prev_pos[:-1]
 
-    flux, radial, pot = calc
-    phi = incremental(pos, pot)
+    def incremental(pos_trial, pot_density):
+        # (E_eps, objective) at a trial: the objective, strictly convex
+        # with the new state as its critical point, is the scheme's energy
+        # plus the proximal term of the step
+        e = _energy(pos_trial, pot_density, h, up)
+        sq = pos_trial[:-1] - prev_free
+        sq *= sq
+        return e, e + weight * np.add.reduce(sq, axis=None)
+
+    # the zero step's proximal term is weight * +0.0 = +0.0
+    phi = energy + 0.0
     res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
     res_norm = np.abs(res).max()
     history = [res_norm]
@@ -377,7 +400,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
                 resolved = False
                 cause = "line search left the numeric domain"
             else:
-                phi_trial = incremental(trial, pot)
+                energy, phi_trial = incremental(trial, pot)
                 armijo = phi + 1e-4 * alpha * slope + rounding
                 if resolved or phi_trial <= armijo:
                     break
@@ -402,7 +425,8 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     # a decrement exit leaves the error of one more update, bounded in the
     # module docstring
     return (ArcState(grid=grid, positions=pos, time=prev.time + dt), iters,
-            "residual" if res_norm <= tol else "decrement", (flux, radial, pot))
+            "residual" if res_norm <= tol else "decrement",
+            (flux, radial, pot, u, energy))
 
 
 def step(prev: ArcState, dt: float, rmap: RegularizedMap,
@@ -416,15 +440,41 @@ def step(prev: ArcState, dt: float, rmap: RegularizedMap,
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     _check_compatible(prev, rmap, g)
-    return _step_core(prev, dt, rmap, g, rmap.local_calculus(prev.tangents))[0]
+    return _step_core(prev, dt, rmap, g, _start(prev, rmap, g))[0]
 
 
 def _hand_out(observer, state, dt, iters, calc):
-    """``observer(state, dt, iters, flux, pot)`` from the state's triple
+    """``observer(state, dt, iters, flux, pot)`` from the state's tuple
     ``calc``, its flux and potential made read-only first."""
-    flux, _, pot = calc
+    flux, _, pot = calc[:3]
     flux.flags.writeable = pot.flags.writeable = False
     observer(state, dt, iters, flux, pot)
+
+
+def check_times(start: float, horizon: float,
+                stops: Sequence[float] = ()) -> None:
+    """Raise ValueError unless a run from ``start`` to ``horizon`` can
+    stop at each time of ``stops``: every time is finite, the stops lie in
+    [start, horizon], and no two distinct times among start, the stops and
+    the horizon lie within evolve's time tolerance TIME_TOL max(1,
+    |horizon|) of each other, since evolve counts a stop that close after
+    the current time as reached and no state would carry the later one.
+    A stop equal to start or to the horizon is allowed."""
+    if not all(map(math.isfinite, (start, horizon, *stops))):
+        raise ValueError(f"times must be finite, got start {start}, "
+                         f"horizon {horizon} and stops {list(stops)}")
+    if horizon < start:
+        raise ValueError(f"horizon {horizon} precedes initial time {start}")
+    if any(not start <= t <= horizon for t in stops):
+        raise ValueError(f"stops {list(stops)} outside [{start}, {horizon}]")
+    tiny = TIME_TOL * max(1.0, abs(horizon))
+    times = sorted({start, *stops, horizon})
+    for earlier, later in zip(times, times[1:]):
+        if later - earlier <= tiny:
+            raise ValueError(
+                f"times {earlier!r} and {later!r} lie within evolve's time "
+                f"tolerance {tiny:g} of each other (the start and the "
+                f"horizon count), so no state would carry {later!r}")
 
 
 def evolve(
@@ -441,7 +491,10 @@ def evolve(
     """Integrate from ``init`` to the time horizon with adaptive dt,
     stopping on the way at each time of ``stops`` (in [init.time, horizon]).
 
-    A step that would pass the next stop, or end short of it by at most
+    The times must pass ``check_times`` (else ValueError before any step):
+    finite, and no two distinct ones among init.time, the stops and the
+    horizon within TIME_TOL max(1, |horizon|) of each other.  A step that
+    would pass the next stop, or end short of it by at most
     TIME_TOL max(1, |horizon|), is cut to end there and carries the stop's
     time exactly; a step that ends on it keeps its dt, and a stop that
     close after a state counts as reached.  dt is halved on rejection
@@ -454,19 +507,18 @@ def evolve(
     density ``rmap.potential(state.tangents)``: the initial state's from
     the evaluation the first step starts from, every other's from its
     step's last evaluation.  Both are read-only, since the next step
-    starts from them.  With horizon == init.time the observer runs once,
-    on ``init``.  A ``stats`` dict, when given, gets the step and
-    rejection counts and the steps each Newton exit accepted
-    (``residual_exits``, ``decrement_exits``), also when the observer or
-    the run raises.
+    starts from them.  Each step starts from the tangents, flux, radial
+    form, potential and energy the step before handed on (``_start``
+    builds the initial state's); a rejected attempt leaves them as they
+    were.  With horizon == init.time the observer runs once, on ``init``.  A
+    ``stats`` dict, when given, gets the step and rejection counts and the
+    steps each Newton exit accepted (``residual_exits``,
+    ``decrement_exits``), also when the observer or the run raises.
     """
-    if horizon < init.time:
-        raise ValueError(f"horizon {horizon} precedes initial time {init.time}")
-    if any(not init.time <= t <= horizon for t in stops):
-        raise ValueError(f"stops {stops} outside [{init.time}, {horizon}]")
+    check_times(init.time, horizon, stops)
     _check_compatible(init, rmap, g)
     state = init
-    calc = rmap.local_calculus(init.tangents)
+    calc = _start(init, rmap, g)
     dt = cfg.dt_init
     tiny = TIME_TOL * max(1.0, abs(horizon))
     rejections = 0

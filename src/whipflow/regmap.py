@@ -27,8 +27,9 @@ its consumers, so none of them inverts that state again.
 
 The map's domain: eps in [EPS_MIN, EPS_MAX] = [1e-14, 4.6e4] (check_eps,
 else ValueError), and every entry x of a vector it reads with |x| <=
-VEC_MAX = 1e80 (else NumericDomainError; NaN and inf fail that comparison
-too).  On it every value below is finite; rho^3 stays below about 1e283.
+VEC_MAX = 1e80 (else NumericDomainError; NaN and inf fail too, an empty
+field passes).  On it every value below is finite; rho^3 stays below
+about 1e283.
 
 The radial inversion solves f(rho) = r for the radial profile
 f(rho) = eps*rho + rho/sqrt(eps + rho^2).  Each map builds a start table
@@ -41,7 +42,8 @@ kernel applies exactly INVERT_UPDATES = 5 Newton updates, each clamped at
 rho >= 0, with no bracket and no early exit.  Three updates reach
 |f(rho) - r| <= INVERT_TOL*(1 + r) for every eps in the domain and every
 r from 0 to sqrt(3)*VEC_MAX; that is checked once, on the iterate after
-them, and InversionError is raised if it fails.
+them, and InversionError is raised exactly when that entrywise test
+fails.
 The last two updates polish the root to its floating point fixed point.
 Each update costs one square root, so an inversion costs the same work on
 every call, and it depends on r and eps only, never on earlier calls.
@@ -110,29 +112,35 @@ class RegularizedMap:
         return eps * rho + rho / np.sqrt(eps + rho * rho)
 
     def _invert_radial(self, r: np.ndarray) -> np.ndarray:
-        """Solve f(rho) = r for rho >= 0, elementwise.
+        """Solve f(rho) = r for rho >= 0, elementwise, given r >= 0.
 
         The start is the start table read backwards, or (r - 1)/eps above
-        it.  Exactly INVERT_UPDATES Newton updates follow, each clamped at
-        rho >= 0; there is no bracket and no early exit.  The iterate
-        before the last two updates must meet |f(rho) - r| <=
-        INVERT_TOL*(1 + r) in every entry, else InversionError is raised;
-        from the table start three updates do that on the map's domain.
-        The last two updates drive the root to its floating point fixed
-        point (quadratic convergence from an already-converged iterate);
-        without them the flux noise floor is set by INVERT_TOL divided by
-        the radial slope, which ruins implicit-solver residuals at small
-        eps.
+        it (built only when some r lies there).  Exactly INVERT_UPDATES
+        Newton updates follow, each clamped at rho >= 0; there is no
+        bracket and no early exit.  The iterate before the last two
+        updates must meet |f(rho) - r| <= INVERT_TOL*(1 + r) in every
+        entry, else InversionError is raised (NaN fails); from the table
+        start three updates do that on the map's domain.  The last two
+        updates drive the root to its floating point fixed point
+        (quadratic convergence from an already-converged iterate); without
+        them the flux noise floor is set by INVERT_TOL divided by the
+        radial slope, which ruins implicit-solver residuals at small eps.
         """
         r = np.asarray(r, dtype=float)
         if r.ndim == 0:  # the updates work in place, on arrays
             return self._invert_radial(r.reshape(1))[0]
-        rho = np.where(r > self._f_tab[-1], (r - 1.0) / self._eps,
-                       np.interp(r, self._f_tab, self._rho_tab))
+        rho = np.interp(r, self._f_tab, self._rho_tab)
+        top = self._f_tab[-1]
+        if np.maximum.reduce(r, axis=None, initial=0.0) > top:
+            rho = np.where(r > top, (r - 1.0) / self._eps, rho)
         for k in range(INVERT_UPDATES):
             resid, step = self._newton_step(rho, r)
+            # every |resid| <= INVERT_TOL passes the entrywise test, which
+            # is made only when the largest |resid| exceeds INVERT_TOL
             if k == INVERT_UPDATES - 2 and not (
-                    np.abs(resid) <= INVERT_TOL * (1.0 + r)).all():
+                    np.maximum.reduce(np.abs(resid), axis=None, initial=0.0)
+                    <= INVERT_TOL
+                    or (np.abs(resid) <= INVERT_TOL * (1.0 + r)).all()):
                 raise InversionError(
                     "radial inversion did not converge within "
                     f"{INVERT_UPDATES - 2} updates"
@@ -163,7 +171,8 @@ class RegularizedMap:
 
     def _check_vec(self, v, name):
         v = np.asarray(v, dtype=float)
-        if not (np.abs(v) <= VEC_MAX).all():
+        # NaN propagates through the maximum; an empty field passes
+        if not np.maximum.reduce(np.abs(v), axis=None, initial=0.0) <= VEC_MAX:
             raise NumericDomainError(
                 f"{name} has non-finite entries or entries beyond {VEC_MAX:g}")
         if v.shape[-1] != self.dim:

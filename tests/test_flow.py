@@ -1,8 +1,10 @@
 import os
+import re
 import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ from whipflow.diagnostics import Reporter
 from whipflow.errors import (NumericDomainError, ShapeError, SolverFailure,
                              StepRejected, UnderResolvedError)
 from whipflow.regmap import EPS_MAX, EPS_MIN
-from whipflow.scenarios import KINDS, mollify_scales, upright_release
+from whipflow.scenarios import (KINDS, branching_pair, mollify_scales,
+                                upright_release)
 
 
 def make_map(eps, dim=2):
@@ -665,6 +668,97 @@ def test_stops_outside_the_run_are_refused():
     for stops in ([-0.1], [0.3]):
         with pytest.raises(ValueError, match="stops"):
             evolve(init, 0.2, rmap, g, CLI_STEPPER, stops=stops)
+
+
+@pytest.mark.parametrize("horizon, stops, named", [
+    (0.1, [1e-13, 0.05, 0.0500000000001], (0.0, 1e-13)),
+    (0.1, [0.05, 0.0500000000001], (0.05, 0.0500000000001)),
+    (0.1, [0.0999999999999], (0.0999999999999, 0.1)),
+    (1000.0, [500.0, 500.0 + 5e-10], (500.0, 500.0 + 5e-10)),
+], ids=["start", "stops", "horizon", "scaled"])
+def test_times_within_the_time_tolerance_of_each_other_are_refused(
+        horizon, stops, named):
+    # evolve counts a stop within TIME_TOL*max(1, |horizon|) after the
+    # current time as reached, so no state would carry the later of two
+    # such times; the start and the horizon count.  Refused before the run
+    init, rmap, g = release("quarter_circle", 1e-2, 20, 2)
+    earlier, later = named
+    calls, stats = [], {}
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{earlier!r} and {later!r}")):
+        evolve(init, horizon, rmap, g, CLI_STEPPER, stops=stops,
+               observer=lambda *a: calls.append(a), stats=stats)
+    assert calls == [] and stats == {}
+    # branching_pair passes its stops on to evolve
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{earlier!r} and {later!r}")):
+        branching_pair(upright_release(init.grid, g), horizon, rmap, g,
+                       CLI_STEPPER, stops=stops)
+
+
+def test_a_stop_at_the_start_or_the_horizon_stays_legal():
+    init, rmap, g = release("quarter_circle", 1e-2, 20, 2)
+    steps = accepted_steps(init, 0.1, rmap, g, stops=[0.0, 0.05, 0.1])
+    assert 0.05 in [s.time for s, _, _ in steps]
+    assert steps[-1][0].time == 0.1
+
+
+@pytest.mark.parametrize("horizon, stops", [
+    (np.nan, ()), (np.inf, ()), (0.1, [np.nan]), (0.1, [0.05, -np.inf]),
+    (np.inf, [np.inf]),
+], ids=["nan-horizon", "inf-horizon", "nan-stop", "inf-stop", "inf-both"])
+def test_non_finite_times_are_refused(horizon, stops):
+    init, rmap, g = release("quarter_circle", 1e-2, 20, 2)
+    calls, stats = [], {}
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve(init, horizon, rmap, g, CLI_STEPPER, stops=stops,
+               observer=lambda *a: calls.append(a), stats=stats)
+    assert calls == [] and stats == {}
+
+
+def test_a_state_time_must_be_finite():
+    grid = Grid(8)
+    positions = np.zeros((9, 2))
+    for time in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            ArcState(grid=grid, positions=positions, time=time)
+    state = ArcState(grid=grid, positions=positions, time=-2.5)
+    with pytest.raises(ValueError, match="time must be finite"):
+        replace(state, time=np.nan)
+
+
+def test_each_step_starts_from_what_the_last_one_finished_with(monkeypatch):
+    # the tuple a step hands on (flux, radial form, potential, tangents,
+    # energy) is bitwise a fresh evaluation of the state it accepts, also
+    # for steps cut to end on a stop; every attempt, the one after a
+    # rejection included, starts from its start state's own tuple
+    init, rmap, g = release("quarter_circle", 1e-2, 80, 2)
+    handed = []  # (state, tuple) at each attempt's start and each end
+    step_core = flow._step_core
+
+    def recording_step_core(prev, dt, rmap, g, calc):
+        handed.append((prev, calc))
+        if len(handed) == 7:
+            raise StepRejected("rejected once, to retry from its tuple")
+        out = step_core(prev, dt, rmap, g, calc)
+        handed.append((out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(flow, "_step_core", recording_step_core)
+    stops = [0.05, 0.1234567, 0.2]
+    steps = accepted_steps(init, 0.3, rmap, g, stops=stops)
+    assert set(stops) <= {s.time for s, _, _ in steps}
+    assert len(handed) == 2 * len(steps) + 1
+    assert handed[0][0] is init
+    for state, (flux, radial, pot, tangents, energy) in handed:
+        assert tangents.tobytes() == state.tangents.tobytes()
+        assert np.float64(energy).tobytes() == \
+            np.float64(discrete_energy(state, rmap, g)).tobytes()
+        fresh_flux, fresh_radial, fresh_pot = rmap.local_calculus(tangents)
+        assert flux.tobytes() == fresh_flux.tobytes()
+        assert pot.tobytes() == fresh_pot.tobytes()
+        for got, want in zip(radial, fresh_radial):
+            assert got.tobytes() == want.tobytes()
 
 
 SRC = Path(flow.__file__).resolve().parents[1]

@@ -192,6 +192,109 @@ def test_radial_inversion_is_bitwise_the_expression_loop(eps):
         assert got.tobytes() == expression_loop_inversion(m, r).tobytes()
 
 
+@pytest.mark.parametrize("eps", [EPS_MIN, 1e-4, 1e-2, 1.0, EPS_MAX])
+def test_a_field_above_the_start_table_is_bitwise_the_expression_loop(eps):
+    # the (r - 1)/eps start is put in only when some r lies above the
+    # table: fields wholly below, wholly above and mixed, flat and 2-d
+    m = RegularizedMap(eps, dim=3)
+    top = m._f_tab[-1]
+    below = np.array([0.0, 0.5 * top, top])
+    above = np.array([np.nextafter(top, np.inf), 2.0 * top, 1e3 * top,
+                      DOMAIN_RADII[-1]])
+    mixed = np.concatenate((above[:3], below))
+    for r in (below, above, mixed, mixed.reshape(2, 3)):
+        got = m._invert_radial(r)
+        assert got.shape == r.shape
+        assert got.tobytes() == expression_loop_inversion(m, r).tobytes()
+
+
+def spoil_checked_residual(m, resid):
+    """Make m's checked Newton evaluation, the one after INVERT_UPDATES - 2
+    updates, return the residual ``resid``; its update is left as it is."""
+    inner = m._newton_step
+    calls = []
+
+    def spoiled(rho, r):
+        out = inner(rho, r)
+        calls.append(1)
+        return (resid, out[1]) if len(calls) == regmap.INVERT_UPDATES - 1 \
+            else out
+
+    m._newton_step = spoiled
+
+
+# radii over two axes, so the check reads every axis
+CHECK_RADII = np.array([[0.0, 3.0, 0.5], [1.0, 7.0, 1e6]])
+CHECK_BOUND = regmap.INVERT_TOL * (1.0 + CHECK_RADII)
+
+
+def _one_above(resid, at):
+    out = resid.copy()
+    out[at] = np.nextafter(CHECK_BOUND[at], np.inf)
+    return out
+
+
+@pytest.mark.parametrize("resid", [
+    np.full(CHECK_RADII.shape, regmap.INVERT_TOL),
+    -np.full(CHECK_RADII.shape, regmap.INVERT_TOL),
+    CHECK_BOUND,
+    -CHECK_BOUND,
+    np.where(CHECK_RADII > 2.0, CHECK_BOUND, 0.0),
+    _one_above(CHECK_BOUND, (1, 1)),
+    -_one_above(CHECK_BOUND, (0, 1)),
+    _one_above(np.zeros(CHECK_RADII.shape), (0, 0)),
+    np.where(CHECK_RADII == 7.0, np.nan, 0.0),
+    np.where(CHECK_RADII == 7.0, -np.inf, 0.0),
+], ids=["tol", "minus-tol", "bound", "minus-bound", "above-tol-within-bound",
+        "one-above-bound", "minus-one-above-bound", "above-tol-at-zero",
+        "nan", "inf"])
+def test_the_inversion_check_raises_exactly_when_the_entrywise_test_fails(
+        resid):
+    # a residual above INVERT_TOL but within INVERT_TOL*(1 + r) passes, by
+    # the entrywise test the largest-residual shortcut falls back on
+    m = RegularizedMap(1e-2, dim=2)
+    spoil_checked_residual(m, resid)
+    if (np.abs(resid) <= CHECK_BOUND).all():
+        rho = m._invert_radial(CHECK_RADII)
+        assert rho.tobytes() == \
+            expression_loop_inversion(m, CHECK_RADII).tobytes()
+    else:
+        with pytest.raises(InversionError):
+            m._invert_radial(CHECK_RADII)
+
+
+def reference_domain_check(v):
+    """The domain check as the entrywise comparison, reduced by all()."""
+    return bool((np.abs(v) <= VEC_MAX).all())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_domain_check_keeps_the_entrywise_verdicts(dim):
+    m = RegularizedMap(1e-2, dim=dim)
+    beyond = VEC_MAX * (1.0 + 2.0 ** -52)
+    assert beyond > VEC_MAX
+    fields = [np.zeros((0, dim)), np.zeros((4, 0, dim)),
+              domain_edge_field(dim)]
+    for value in (np.nan, np.inf, -np.inf, beyond, -beyond, VEC_MAX,
+                  -VEC_MAX, -0.0):
+        field = domain_edge_field(dim)
+        field[2, -1] = value
+        fields.append(field)
+    verdicts = []
+    for field in fields:
+        verdicts.append(reference_domain_check(field))
+        if verdicts[-1]:
+            assert m._check_vec(field, "tau").tobytes() == field.tobytes()
+        else:
+            with pytest.raises(NumericDomainError, match="beyond"):
+                m._check_vec(field, "tau")
+    assert verdicts == [True, True, True] + [False] * 5 + [True] * 3
+    # an empty field passes to the end
+    kappa, (inv_c1, gain), pot = m.local_calculus(np.zeros((0, dim)))
+    assert kappa.shape == (0, dim)
+    assert inv_c1.shape == gain.shape == pot.shape == (0,)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_flux_scale_is_bitwise_the_where_form(dim):
     # one masked divide in place of two np.where, +0 at tau = 0
