@@ -317,15 +317,20 @@ def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
     # over [1e-4, 0.5] of its initial excess (criterion 9's window); E_rel
     # and the E_rel_* entries keep the constrained reference
     e_eq = potential_energy(eps_equilibrium(grid, rmap, g), g)
-    excess = [dataclasses.replace(r, E_rel=r.E - e_eq) for r in reports]
-    excess0 = excess[0].E_rel
+    excess = [r.E - e_eq for r in reports]
+    excess0 = excess[0]
     fit_doc = None
     if excess0 > 0.0:
-        in_band = [r for r in excess
-                   if 1e-4 * excess0 <= r.E_rel <= 0.5 * excess0]
+        in_band = [r.t for r, e in zip(reports, excess)
+                   if 1e-4 * excess0 <= e <= 0.5 * excess0]
         if len(in_band) >= 10:
+            window = (in_band[0], in_band[-1])
+            # decay_fit reads only the reports inside its window
+            windowed = [dataclasses.replace(r, E_rel=e)
+                        for r, e in zip(reports, excess)
+                        if window[0] <= r.t <= window[1]]
             try:
-                fit = decay_fit(excess, (in_band[0].t, in_band[-1].t))
+                fit = decay_fit(windowed, window)
                 fit_doc = {
                     "window": list(fit.window),
                     "rate": fit.rate,

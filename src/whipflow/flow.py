@@ -39,6 +39,12 @@ observer sees first, so each state of a run is evaluated once, the
 initial state included.  -g, the proximal weight h/(2 dt) and the free
 nodes before the step are derived once per step, not per trial.
 
+The per-iteration arithmetic takes its float operands as 0-d arrays, which
+numpy dispatches faster than Python floats, and every value keeps the
+float order of the plain expressions; only the map's power exponents
+(see ``regmap``) and the step length of a halved line-search trial stay
+Python numbers.
+
 Newton accepts a step by one of two exits, and ``evolve``'s stats count
 each (``residual_exits``, ``decrement_exits``):
 
@@ -71,8 +77,8 @@ import numpy as np
 
 from ._lapack import pbsv
 from .errors import NumericDomainError, ShapeError, SolverFailure, StepRejected
-from .grid import Grid, row_dot
-from .regmap import _ZERO, RegularizedMap
+from .grid import _ZERO, Grid, row_dot
+from .regmap import RegularizedMap
 
 _MACH = np.finfo(float).eps
 # Newton's update cap per step and the tolerance of its residual test
@@ -131,9 +137,9 @@ class ArcState:
             )
         if pos.shape[1] not in (2, 3):
             raise ShapeError("ambient dimension must be 2 or 3")
-        if not np.all(np.isfinite(pos)):
+        if not np.logical_and.reduce(np.isfinite(pos), axis=None):
             raise NumericDomainError("positions contain non-finite entries")
-        if np.any(pos[-1] != 0.0):
+        if np.logical_or.reduce(pos[-1] != _ZERO, axis=None):
             raise ValueError("the s = 1 end must be pinned exactly at the origin")
         if not math.isfinite(self.time):
             raise ValueError(f"time must be finite, got {self.time}")
@@ -207,19 +213,24 @@ def residual(
 
     Rows 0..n-1 are (eta - eta_prev)/dt - divergence(flux) - g with zero
     ghost flux below the free end; the last row returns the pin violation
-    eta(1) itself.
+    eta(1) itself.  A dt that is not positive and finite raises ValueError.
     """
     if state.grid.n_cells != prev.grid.n_cells or state.dim != prev.dim:
         raise ShapeError("state and prev must share one grid and dimension")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     _check_compatible(state, rmap, g)
     flux = rmap.invert(state.tangents)
-    return _residual_from_flux(state.positions, prev.positions, dt, flux,
-                               state.grid.h, g.direction)
+    return _residual_from_flux(state.positions, prev.positions, np.array(dt),
+                               flux, state.grid._h, g.direction)
+
+
+def _check_dt(dt):
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 def _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec):
+    # h and dt come as 0-d arrays, like _ZERO
     n = flux.shape[0]
     div = np.empty_like(flux)
     div[0] = flux[0]
@@ -322,6 +333,8 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     from the last evaluation; or raises StepRejected."""
     grid = prev.grid
     h = grid.h
+    h_array = grid._h
+    dt_array = np.array(dt)
     prev_pos = prev.positions
     flux, radial, pot, u, energy = calc
 
@@ -335,8 +348,8 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
     # larger.  The floor leaves out the rounding of the flux divergence,
     # O(mach |eta| / (eps h^2)), which dominates on fine grids; the
     # decrement exit below covers that regime.
-    pos_scale = max(1.0, float(np.abs(prev_pos).max()))
-    u_scale = 1.0 + float(np.sqrt(row_dot(u, u).max()))
+    pos_scale = max(1.0, float(np.maximum.reduce(np.abs(prev_pos), axis=None)))
+    u_scale = 1.0 + float(np.sqrt(np.maximum.reduce(row_dot(u, u), axis=None)))
     floor = 64.0 * _MACH * (pos_scale / dt + u_scale / (rmap.eps * h))
     tol = max(NEWTON_TOL, floor)
 
@@ -356,8 +369,8 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
 
     # the zero step's proximal term is weight * +0.0 = +0.0
     phi = energy + 0.0
-    res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
-    res_norm = np.abs(res).max()
+    res = _residual_from_flux(pos, prev_pos, dt_array, flux, h_array, g_vec)
+    res_norm = np.maximum.reduce(np.abs(res), axis=None)
     history = [res_norm]
 
     iters = 0
@@ -380,7 +393,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
         # minimum the required decrease falls below the float resolution
         # of the objective itself; the rounding allowance keeps the search
         # from thrashing there.
-        slope = h * float((res[:-1] * delta).sum())
+        slope = h * float(np.add.reduce(res[:-1] * delta, axis=None))
         rounding = 16.0 * _MACH * (abs(phi) + 1.0)
         # The Newton decrement -slope is twice the decrease the full step
         # predicts on this convex objective.  Once it is within phi's
@@ -392,7 +405,8 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
         alpha = 1.0
         while True:
             trial = pos.copy()
-            trial[:-1] += alpha * delta
+            # 1.0 * delta is delta exactly
+            trial[:-1] += delta if alpha == 1.0 else alpha * delta
             u = grid.diff_forward(trial)
             try:
                 flux, radial, pot = rmap.local_calculus(u)
@@ -408,7 +422,7 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
             alpha *= 0.5
             if alpha < 1e-10:
                 raise StepRejected(cause)
-        if (trial == pos).all():
+        if np.logical_and.reduce(trial == pos, axis=None):
             # every later iteration would repeat this residual, solve and
             # trial, so the step can only end rejected
             raise StepRejected(
@@ -417,8 +431,9 @@ def _step_core(prev: ArcState, dt: float, rmap: RegularizedMap,
             )
         pos = trial
         phi = phi_trial
-        res = _residual_from_flux(pos, prev_pos, dt, flux, h, g_vec)
-        res_norm = np.abs(res).max()
+        res = _residual_from_flux(pos, prev_pos, dt_array, flux, h_array,
+                                  g_vec)
+        res_norm = np.maximum.reduce(np.abs(res), axis=None)
         iters += 1
         history.append(res_norm)
 
@@ -436,9 +451,9 @@ def step(prev: ArcState, dt: float, rmap: RegularizedMap,
     Raises StepRejected when Newton fails to converge; no partial state
     escapes.  The returned state passed one of the two Newton exits (see
     the module docstring) and has its pinned end exactly at the origin.
+    A dt that is not positive and finite raises ValueError before any work.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     _check_compatible(prev, rmap, g)
     return _step_core(prev, dt, rmap, g, _start(prev, rmap, g))[0]
 

@@ -9,11 +9,16 @@ single-valued.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
+
+# 0 as a 0-d array: numpy takes a Python float operand by a slower path
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -25,7 +30,7 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     axis=-1), at a third of their cost.  (The start value only turns an
     all -0 sum into +0.)"""
     out = a[..., 0] * b[..., 0]
-    out += 0.0
+    out += _ZERO
     for p in range(1, a.shape[-1]):
         out += a[..., p] * b[..., p]
     return out
@@ -39,18 +44,25 @@ class Grid:
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
     midpoints: np.ndarray = field(init=False, repr=False)
+    # h as a 0-d array, like _ZERO, for the per-step differences
+    _h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
+        # finite first: int() of inf or NaN raises its own error
+        if not (math.isfinite(self.n_cells) and int(self.n_cells) == self.n_cells
+                and self.n_cells >= 1):
             raise ValueError(f"n_cells must be a positive integer, got {self.n_cells}")
         n = int(self.n_cells)
         h = 1.0 / n
+        h_array = np.array(h)
+        h_array.flags.writeable = False
         nodes = np.linspace(0.0, 1.0, n + 1)
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         nodes.flags.writeable = False
         mids.flags.writeable = False
         object.__setattr__(self, "n_cells", n)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_h", h_array)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "midpoints", mids)
 
@@ -81,7 +93,7 @@ class Grid:
         fields ``(n+1, d)`` alike.
         """
         values = self._check_nodal(values)
-        return (values[1:] - values[:-1]) / self.h
+        return (values[1:] - values[:-1]) / self._h
 
     def quad_trapezoid(self, values: np.ndarray) -> float:
         """Trapezoid rule for a node-sampled scalar field; exact for affine

@@ -58,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InversionError, NumericDomainError
-from .grid import row_dot
+from .grid import _ZERO, row_dot
 
 
 # residual tolerance and number of Newton updates of the radial inversion
@@ -70,9 +70,15 @@ EPS_MIN = 1e-14
 EPS_MAX = 4.6e4
 VEC_MAX = 1e80
 
-# 0 as a 0-d array: numpy takes a Python float operand by a slower path
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
+# 1 and 1/2 as 0-d arrays, like grid._ZERO: numpy takes a Python float
+# operand by a slower path, to the same result.  The exponents of the
+# powers stay Python numbers: on a single vector numpy takes its scalar
+# path, whose power is the C library's, and a 0-d exponent would move it
+# to the array loop's power, which can round differently
+_ONE = np.ones(())
+_ONE.flags.writeable = False
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 def check_eps(eps: float) -> None:
@@ -227,7 +233,7 @@ class RegularizedMap:
         c3/(c1 (c1 - c3 rho2))."""
         c1 = w + self._eps
         c3 = w ** 3
-        return 1.0 / c1, c3 / (c1 * (c1 - c3 * rho2))
+        return _ONE / c1, c3 / (c1 * (c1 - c3 * rho2))
 
     def _jacobian(self, kappa, inv_c1, gain):
         """The radial form (inv_c1, gain) at kappa expanded into the dense
@@ -262,7 +268,7 @@ class RegularizedMap:
         below by -sqrt(eps) (attained at tau = 0).
         """
         _, _, rho2, w = self._field(tau)
-        return self._eps * (0.5 * rho2 - w)
+        return self._eps * (_HALF * rho2 - w)
 
     def local_calculus(
         self, tau: np.ndarray
@@ -274,4 +280,4 @@ class RegularizedMap:
         form without building the dense Jacobian."""
         tau, scale, rho2, w = self._field(tau)
         return (tau * scale[..., None], self._radial_form(rho2, w),
-                self._eps * (0.5 * rho2 - w))
+                self._eps * (_HALF * rho2 - w))

@@ -62,6 +62,32 @@ def test_state_validation():
         ArcState(grid=grid, positions=np.zeros((8, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_checks_give_the_same_verdicts_on_every_entry(bad):
+    # any non-finite entry fails the finite check, also one in the pinned
+    # row; a pinned-row entry other than +-0, however small, fails the pin
+    grid = Grid(3)
+    base = np.arange(8.0).reshape(4, 2)
+    base[-1] = 0.0
+    for i in range(4):
+        for p in range(2):
+            pos = base.copy()
+            pos[i, p] = bad
+            with pytest.raises(NumericDomainError, match="non-finite"):
+                ArcState(grid=grid, positions=pos)
+    for pinned in ([5e-324, 0.0], [0.0, 5e-324], [1.0, 0.0], [0.0, -1.0],
+                   [1.0, 1.0]):
+        pos = base.copy()
+        pos[-1] = pinned
+        with pytest.raises(ValueError, match="pinned exactly"):
+            ArcState(grid=grid, positions=pos)
+    for pinned in ([-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]):
+        pos = base.copy()
+        pos[-1] = pinned
+        state = ArcState(grid=grid, positions=pos)
+        assert state.positions.tobytes() == pos.tobytes()
+
+
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt_init=1e-3, dt_min=1e-2, dt_max=1.0)
@@ -108,6 +134,19 @@ def test_residual_validation(gravity2):
         residual(state, other, 0.1, make_map(0.1), gravity2)
     with pytest.raises(ValueError):
         residual(state, state, -0.1, make_map(0.1), gravity2)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -np.inf])
+def test_a_step_size_must_be_positive_and_finite(monkeypatch, gravity2, dt):
+    # refused before any work: no evaluation and no Newton iteration
+    grid = Grid(20)
+    init = build(ScenarioSpec(kind="quarter_circle"), grid, gravity2)
+    rmap = make_map(0.1)
+    monkeypatch.setattr(flow, "_start", None)
+    monkeypatch.setattr(rmap, "invert", None)
+    for call in (step, lambda s, dt, m, g: residual(s, s, dt, m, g)):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            call(init, dt, rmap, gravity2)
 
 
 def test_step_fixed_point_returns_same_state(gravity2):
@@ -759,6 +798,66 @@ def test_each_step_starts_from_what_the_last_one_finished_with(monkeypatch):
         assert pot.tobytes() == fresh_pot.tobytes()
         for got, want in zip(radial, fresh_radial):
             assert got.tobytes() == want.tobytes()
+
+
+def _assert_checked_and_own(state, calc):
+    # bitwise the state the checked constructor builds from the same
+    # positions and time, read-only, and sharing no memory with the tuple
+    # the step hands on
+    checked = ArcState(state.grid, state.positions.copy(), state.time)
+    assert state.positions.tobytes() == checked.positions.tobytes()
+    assert state.positions.dtype == checked.positions.dtype
+    assert state.positions.shape == checked.positions.shape
+    assert state.time == checked.time
+    assert not state.positions.flags.writeable
+    flux, radial, pot, tangents, _ = calc
+    for array in (flux, *radial, pot, tangents):
+        assert not np.shares_memory(state.positions, array)
+
+
+def test_each_accepted_state_is_checked_read_only_and_its_own(monkeypatch):
+    init, rmap, g = release("quarter_circle", 1e-2, 80, 2)
+    # a plain step
+    new, iters, _, calc = flow._step_core(init, 1e-3, rmap, g,
+                                          flow._start(init, rmap, g))
+    assert iters > 0
+    _assert_checked_and_own(new, calc)
+    assert not np.shares_memory(new.positions, init.positions)
+    # a run with steps cut to a stop and one attempt rejected: every state
+    # a step returns, and every state the observer sees
+    returned = []
+    step_core = flow._step_core
+    attempts = []
+
+    def recording_step_core(prev, dt, rmap, g, calc):
+        attempts.append(dt)
+        if len(attempts) == 4:
+            raise StepRejected("rejected once, to retry")
+        out = step_core(prev, dt, rmap, g, calc)
+        returned.append((prev, out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(flow, "_step_core", recording_step_core)
+    stops = [0.0123456789, 0.05]
+    observed = []
+    evolve(init, 0.1, rmap, g, CLI_STEPPER, stops=stops,
+           observer=lambda s, dt, it, flux, pot: observed.append((s, flux)))
+    assert attempts[4] == 0.5 * attempts[3]  # the retry after the rejection
+    assert len(observed) == len(returned) + 1
+    ends = {*stops, 0.1}  # the horizon is a stop too
+    cut = 0
+    for (prev, state, calc), (seen, flux) in zip(returned, observed[1:]):
+        _assert_checked_and_own(state, calc)
+        assert not np.shares_memory(state.positions, prev.positions)
+        assert seen.positions.tobytes() == state.positions.tobytes()
+        if seen.time in ends and seen is not state:
+            # a step cut to a stop carries the stop's time exactly
+            cut += 1
+            _assert_checked_and_own(seen, calc)
+        else:
+            assert seen is state
+        assert flux is calc[0]
+    assert cut == len(ends)
 
 
 SRC = Path(flow.__file__).resolve().parents[1]

@@ -19,6 +19,9 @@ def test_grid_rejects_bad_sizes():
         Grid(0)
     with pytest.raises(ValueError):
         Grid(-3)
+    for bad in (float("inf"), float("nan"), np.inf, np.nan, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            Grid(bad)
 
 
 def test_diff_forward_constant_is_zero():
