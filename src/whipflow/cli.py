@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import Reporter, decay_fit, potential_energy
+from .diagnostics import Reporter, _line_fit, decay_fit, potential_energy
 from .diagnostics import report  # noqa: F401  (perfbench's spans.WRAPS)
 from .errors import (InversionError, SolverFailure, StepRejected,
                      TensionSolveError)
@@ -403,7 +403,7 @@ def cmd_sweep_eps(cfg) -> int:
     eps_v = [e["eps"] for e in by_eps]
     slope = decreasing = None
     if None not in avgs:
-        slope = float(np.polyfit(np.log(eps_v), np.log(avgs), 1)[0])
+        slope = _line_fit(np.log(eps_v), np.log(avgs))[0]
         decreasing = bool(all(a > b for a, b in zip(avgs, avgs[1:])))
     write_json(base / "sweep_summary.json", {
         "entries": entries,

@@ -433,14 +433,34 @@ def hardy_check(samples: np.ndarray, grid) -> float:
     return float(grid.quad_midpoint(num_density) / denominator)
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line y ~ slope*x + intercept,
+    in closed form on centred data:
+
+        slope = sum (x - mean x)(y - mean y) / sum (x - mean x)^2,
+        intercept = mean y - slope * mean x,
+
+    each sum taken by numpy's pairwise summation.  The x values must not
+    all be equal.  No LAPACK solver is involved (``np.polyfit`` would
+    solve the same problem by an SVD, with a larger rounding error and
+    about a mebibyte of LAPACK workspace)."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float((dx * (y - y_mean)).sum()) / float((dx * dx).sum())
+    return slope, float(y_mean) - slope * float(x_mean)
+
+
 def decay_fit(
     reports: Sequence[EnergyReport], window: tuple[float, float]
 ) -> DecayFit:
     """Least-squares exponential fit of the relative energy on a window.
 
-    Fits log E_rel against t; also records the worst ratio of relative
-    energy to dissipation over the window, the quantity a functional
-    inequality would bound by a universal constant.
+    Fits the line log E_rel ~ -rate*t + c by ``_line_fit``'s closed form;
+    also records the worst ratio of relative energy to dissipation over
+    the window, the quantity a functional inequality would bound by a
+    universal constant.  Refuses (ValueError) a window with fewer than 10
+    reports, with fewer than two distinct times, or with a relative energy
+    that is not positive.
     """
     t_start, t_end = window
     selected = [r for r in reports if t_start <= r.t <= t_end]
@@ -450,8 +470,10 @@ def decay_fit(
     if e_rel.min() <= 0.0:
         raise ValueError("relative energy is not positive on the window; fit refused")
     t = np.array([r.t for r in selected])
+    if t.min() == t.max():
+        raise ValueError("need at least two distinct times in window; fit refused")
     log_e = np.log(e_rel)
-    slope, intercept = np.polyfit(t, log_e, 1)
+    slope, intercept = _line_fit(t, log_e)
     fitted = slope * t + intercept
     ss_res = float(np.sum((log_e - fitted) ** 2))
     ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))

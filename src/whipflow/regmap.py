@@ -13,7 +13,9 @@ inverse map (which is what makes the regularized problem an L2 gradient
 flow).
 
 Everything is vectorized over leading axes: inputs of shape ``(..., d)``
-produce outputs with matching leading shape.
+produce outputs with matching leading shape.  A single vector, of shape
+``(d,)``, is evaluated as a one-row field, so each reader gives it bitwise
+the values of its row in any field.
 
 Each reader checks its tangent field and inverts its radial profile, the
 norm |tau| taken as ``grid.row_dot``'s component sum.  The Jacobian of
@@ -55,6 +57,8 @@ as the reference).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InversionError, NumericDomainError
@@ -71,14 +75,32 @@ EPS_MAX = 4.6e4
 VEC_MAX = 1e80
 
 # 1 and 1/2 as 0-d arrays, like grid._ZERO: numpy takes a Python float
-# operand by a slower path, to the same result.  The exponents of the
-# powers stay Python numbers: on a single vector numpy takes its scalar
-# path, whose power is the C library's, and a 0-d exponent would move it
-# to the array loop's power, which can round differently
+# operand by a slower path, to the same result
 _ONE = np.ones(())
 _ONE.flags.writeable = False
 _HALF = np.array(0.5)
 _HALF.flags.writeable = False
+
+
+def _row_of_field(reader):
+    """Evaluate a single vector (a 1-D input) as a one-row field and return
+    that row's values, so that they are bitwise the vector's row of any
+    field: on a lone scalar numpy computes a power by the C library's
+    ``pow``, which can round differently from its array loop.  Shapes and
+    types are those of the single vector's evaluation."""
+    @functools.wraps(reader)
+    def read(self, tau):
+        if np.ndim(tau) != 1:
+            return reader(self, tau)
+        return _first_row(reader(self, np.asarray(tau)[None]))
+    return read
+
+
+def _first_row(value):
+    """The first row of an array, or of each array in nested tuples."""
+    if isinstance(value, tuple):
+        return tuple(_first_row(part) for part in value)
+    return value[0]
 
 
 def check_eps(eps: float) -> None:
@@ -207,12 +229,14 @@ class RegularizedMap:
         norm_sq = np.sum(kappa * kappa, axis=-1, keepdims=True)
         return eps * kappa + kappa / np.sqrt(eps + norm_sq)
 
+    @_row_of_field
     def invert(self, tau: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`: recover the flux vector from a tangent
         vector.  Radial, with invert(0) = 0."""
         tau, scale = self._field(tau)[:2]
         return tau * scale[..., None]
 
+    @_row_of_field
     def inverse_jacobian(self, tau: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`invert`, shape ``(..., d, d)``.
 
@@ -249,6 +273,7 @@ class RegularizedMap:
                 jac[..., p, q] = jac[..., q, p] = off
         return jac
 
+    @_row_of_field
     def spectral_bounds(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form eigenvalue bounds (lo, hi) of the inverse Jacobian.
 
@@ -259,6 +284,7 @@ class RegularizedMap:
         w = self._field(tau)[3]
         return 1.0 / (self.eps + w), (1.0 / self.eps) / (1.0 + w ** 3)
 
+    @_row_of_field
     def potential(self, tau: np.ndarray) -> np.ndarray:
         """Convex scalar potential of the inverse map:
 
@@ -270,6 +296,7 @@ class RegularizedMap:
         _, _, rho2, w = self._field(tau)
         return self._eps * (_HALF * rho2 - w)
 
+    @_row_of_field
     def local_calculus(
         self, tau: np.ndarray
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:

@@ -306,10 +306,14 @@ def _read_snapshot(path: Path, t: float) -> Snapshot:
         finite = np.isfinite(positions).all(axis=1)
         line = last if finite.all() else 2 + int(np.argmin(finite))
         raise RunFormatError(str(exc), path=str(path), line=line) from exc
+    sigma = data[:, 1 + d]
     try:
-        tension = TensionProfile(grid=grid, values=data[:, 1 + d])
+        tension = TensionProfile(grid=grid, values=sigma)
     except ValueError as exc:
-        raise RunFormatError(str(exc), path=str(path), line=2) from exc
+        # a non-finite sigma, else the first row's off zero
+        finite = np.isfinite(sigma)
+        line = 2 if finite.all() else 2 + int(np.argmin(finite))
+        raise RunFormatError(str(exc), path=str(path), line=line) from exc
     return Snapshot(state=state, tension=tension)
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import ptsv
-from .errors import ShapeError, TensionSolveError, UnderResolvedError
+from .errors import (NumericDomainError, ShapeError, TensionSolveError,
+                     UnderResolvedError)
 from .flow import ArcState, GravitySpec
 from .grid import Grid, row_dot
 from .regmap import EPS_MAX, check_eps
@@ -31,7 +32,9 @@ from .regmap import EPS_MAX, check_eps
 
 @dataclass(frozen=True)
 class TensionProfile:
-    """Node-sampled scalar multiplier with the pinned value sigma(0) = 0."""
+    """Node-sampled scalar multiplier with the pinned value sigma(0) = 0.
+
+    Its values must be finite (else NumericDomainError, a ValueError)."""
 
     grid: Grid
     values: np.ndarray
@@ -42,6 +45,8 @@ class TensionProfile:
             raise ShapeError(
                 f"tension needs {self.grid.n_nodes} node values, got {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise NumericDomainError("tension contains non-finite values")
         if values[0] != 0.0:
             raise ValueError("tension must vanish at s = 0")
         values = values.copy()

@@ -302,6 +302,27 @@ def test_simulate_pendulum_summary_has_positive_rate(out_env, only_run_dir):
     assert record.summary["verdicts"]["stretch_bounded"]
 
 
+def test_no_fit_reaches_a_numpy_linalg_solver(out_env, monkeypatch):
+    # the decay fit and the sweep's slope are closed-form lines; LAPACK's
+    # least-squares solver would add about a mebibyte to a run's peak memory
+    def refused(*args, **kwargs):
+        raise AssertionError("a fit called a numpy.linalg solver")
+
+    monkeypatch.setattr("numpy.polyfit", refused)
+    monkeypatch.setattr("numpy.linalg.lstsq", refused)
+    assert run_cli("simulate", "--scenario", "quarter_circle", "--eps",
+                   "1e-2", "--cells", "60", "--T", "2",
+                   "--out", str(out_env / "simulate")) == 0
+    (run_dir,) = (out_env / "simulate").iterdir()
+    assert read_run(run_dir).summary["decay_fit"]["rate"] > 0.0
+    assert run_cli("sweep-eps", "--scenario", "quarter_circle",
+                   "--eps", "1e-1,1e-2", "--cells", "40", "--T", "0.5",
+                   "--out", str(out_env / "sweep")) == 0
+    (sweep_dir,) = (out_env / "sweep").iterdir()
+    doc = json.loads((sweep_dir / "sweep_summary.json").read_text())
+    assert doc["loglog_slope"] > 0.0
+
+
 def test_simulate_hard_failure_writes_partial_record(out_env, only_run_dir):
     # a single inadmissible giant step cannot be halved below dt_min, so
     # the run fails hard; the partial record with its failure marker must

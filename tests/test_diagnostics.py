@@ -1,4 +1,5 @@
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
                       decay_fit, evolve, generalized_residual, hardy_check,
                       mollify, report)
 from whipflow import diagnostics
-from whipflow.diagnostics import BLOCK_FLOATS, EQUILIBRIUM_ENERGY, Reporter
+from whipflow.diagnostics import (BLOCK_FLOATS, EQUILIBRIUM_ENERGY, Reporter,
+                                  _line_fit)
 from whipflow.errors import ShapeError
 from whipflow.scenarios import mollify_scales
 
@@ -358,10 +360,58 @@ def test_decay_fit_cbar0_ratio():
 
 def test_decay_fit_refusals():
     t = np.linspace(0.0, 1.0, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive on the window"):
         decay_fit(synthetic_reports(t, np.linspace(1.0, -0.1, 20)), (0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 10 reports in window, "
+                                         "got 5"):
         decay_fit(synthetic_reports(t[:5], np.exp(-t[:5])), (0.0, 1.0))
+
+
+def test_decay_fit_refuses_a_window_of_one_time():
+    # twelve reports at one time fix no slope; a rank-deficient fit gave
+    # a rate and r^2 = 0
+    reports = synthetic_reports(np.full(12, 0.5), np.exp(-np.arange(12.0)))
+    with pytest.raises(ValueError, match="two distinct times"):
+        decay_fit(reports, (0.0, 1.0))
+    # one report at another time, outside the window, does not help
+    late = synthetic_reports([2.0], [0.1])
+    with pytest.raises(ValueError, match="two distinct times"):
+        decay_fit(reports + late, (0.0, 1.0))
+
+
+def exact_line(x, y):
+    """The least-squares (slope, intercept) of float data, in rationals."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys)) \
+        / sum((a - x_mean) ** 2 for a in xs)
+    return slope, y_mean - slope * x_mean
+
+
+def random_windows(count):
+    """Seeded decay windows: sorted times, a log-energy line plus noise of
+    a random size (up to the size of the line's fall)."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = int(rng.integers(10, 300))
+        t0 = rng.uniform(0.0, 5.0)
+        t = np.sort(rng.uniform(t0, t0 + rng.uniform(0.1, 10.0), n))
+        log_e = rng.uniform(-5.0, 5.0) - rng.uniform(0.01, 10.0) * t \
+            + rng.normal(scale=rng.uniform(0.0, 0.5), size=n)
+        yield t, log_e
+
+
+def test_line_fit_is_the_exact_least_squares_line():
+    # np.polyfit's SVD solve misses the exact slope by up to ~2e-14 here
+    for t, log_e in random_windows(200):
+        slope, intercept = _line_fit(t, log_e)
+        exact_slope, exact_intercept = exact_line(t, log_e)
+        assert abs(Fraction(slope) - exact_slope) \
+            <= Fraction(1e-15) * abs(exact_slope)
+        scale = abs(Fraction(float(log_e.mean()))) \
+            + abs(exact_slope * Fraction(float(t.mean())))
+        assert abs(Fraction(intercept) - exact_intercept) \
+            <= Fraction(1e-15) * scale
 
 
 def constant_trajectory(grid, positions, sigma_values, times):

@@ -551,10 +551,52 @@ def test_jacobian_is_bitwise_the_broadcast_form(eps, dim):
     kappa, radial, _ = m.local_calculus(tau)
     for got in (m.inverse_jacobian(tau), m._jacobian(kappa, *radial)):
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    # a single vector takes numpy's scalar path, in both forms
-    for v in tau[:50]:
-        assert np.array_equal(m.inverse_jacobian(v).view(np.uint64),
-                              broadcast_jacobian(m, v).view(np.uint64))
+    # a single vector gives bitwise its row of the field, in every reader
+    assert_rows_are_single_vectors(m, tau[::30])
+
+
+READERS = ("invert", "potential", "local_calculus", "inverse_jacobian",
+           "spectral_bounds")
+
+
+def assert_bitwise(got, expected):
+    """Equal bits, shapes and types, through nested tuples."""
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and len(got) == len(expected)
+        for part, want in zip(got, expected):
+            assert_bitwise(part, want)
+        return
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.array_equal(np.asarray(got).view(np.uint64),
+                          np.asarray(expected).view(np.uint64))
+
+
+def assert_rows_are_single_vectors(m, field):
+    """Each reader's value at each vector of ``field`` is bitwise its row
+    of the reader's value at the field."""
+    for name in READERS:
+        reader = getattr(m, name)
+        whole = reader(field)
+        for i, v in enumerate(field):
+            row = row_at(whole, i)
+            assert_bitwise(reader(v), row)
+            assert_bitwise(reader(list(v)), row)
+
+
+def row_at(value, i):
+    if isinstance(value, tuple):
+        return tuple(row_at(part, i) for part in value)
+    return value[i]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_single_vector_gives_its_row_of_the_field(dim):
+    # random tangents at eps = 1e-2: numpy's scalar power and its array
+    # loop round differently for about one in ten of them
+    rng = np.random.default_rng(0)
+    field = rng.normal(size=(2000, dim)) * rng.uniform(0.0, 3.0, (2000, 1))
+    assert_rows_are_single_vectors(RegularizedMap(1e-2, dim=dim), field)
 
 
 def test_a_tangent_whose_jacobian_would_overflow_is_refused():

@@ -166,10 +166,13 @@ def test_snapshot_of_equilibrium_has_pinned_last_row(tmp_path):
      "non-finite"),
     (lambda lines: [lines[0], "0,0,-1,0.125"] + lines[2:], 2,
      "vanish at s = 0"),
+    (lambda lines: lines[:3] + ["0.5,0,-0.5,nan", "0.75,0,-0.25,inf"]
+     + lines[5:], 4, "non-finite"),
+    (lambda lines: [lines[0], "0,0,-1,-inf"] + lines[2:], 2, "non-finite"),
     (lambda lines: [line.rsplit(",", 2)[0] + "," + line.rsplit(",", 1)[1]
                     for line in lines], 1, "ambient dimension"),
 ], ids=["header_only", "off_origin", "nan_row", "loose_sigma",
-        "missing_column"])
+        "nan_sigma", "infinite_first_sigma", "missing_column"])
 def test_invalid_snapshot_state_names_file_and_line(tmp_path, edit, line,
                                                     message):
     grid = Grid(4)

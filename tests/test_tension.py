@@ -5,7 +5,8 @@ from whipflow import (ArcState, GeodesicTensionProblem, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, build, counterexample_tension, evolve,
                       mollify, solve_tension, tension_for_state)
-from whipflow.errors import ShapeError, TensionSolveError, UnderResolvedError
+from whipflow.errors import (NumericDomainError, ShapeError, TensionSolveError,
+                             UnderResolvedError)
 from whipflow.regmap import EPS_MAX, EPS_MIN
 from whipflow.tension import end_cos_alpha, flow_tensions
 
@@ -30,6 +31,15 @@ def test_profile_requires_pinned_origin():
         TensionProfile(grid=grid, values=np.array([0.1, 0, 0, 0, 0.0]))
     with pytest.raises(ShapeError):
         TensionProfile(grid=grid, values=np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_profile_refuses_non_finite_values(bad, node):
+    values = [0.0, 0.5, 1.0]
+    values[node] = bad
+    with pytest.raises(NumericDomainError, match="non-finite"):
+        TensionProfile(grid=Grid(2), values=values)
 
 
 def test_affine_solutions_exact():
