@@ -27,12 +27,14 @@ gravity) stays only because perfbench's span table names it.
 
 Every CSV table goes through write_table: a header line, then one row of
 floats with 17 significant digits per line, CRLF line ends.  The rows are
-formatted by one ``%`` over the whole table, which writes exactly the bytes
-of a row-by-row ``"%.17g"`` writer, so the files the determinism contract
-compares are unchanged.  Every JSON document goes through write_json:
-schema-versioned, indented by 2, keys sorted, floats in Python's shortest
-round-trip form.  Both read back exactly; write_run followed by read_run
-reproduces the record bit for bit.
+formatted a chunk of about TABLE_CHUNK_FLOATS floats at a time, one ``%``
+per chunk, which writes exactly the bytes of a row-by-row ``"%.17g"``
+writer, so the files the determinism contract compares are unchanged and
+the writer holds its float array and one chunk, whatever the row count.
+Every JSON document goes through write_json: schema-versioned, indented
+by 2, keys sorted, floats in Python's shortest round-trip form.  Both read
+back exactly; write_run followed by read_run reproduces the record bit for
+bit.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ SCHEMA_VERSION = "1"
 TRAJECTORY_SNAPSHOTS = 50
 
 TIMESERIES_COLUMNS = (*EnergyReport.FIELDS, "dt", "newton_iters")
+
+# floats write_table formats per ``%``: max(1, TABLE_CHUNK_FLOATS // ncols)
+# rows at a time
+TABLE_CHUNK_FLOATS = 2048
 
 
 def _fmt(x: float) -> str:
@@ -92,11 +98,15 @@ class RunRecord:
             raise ValueError("reports must be strictly increasing in t")
 
 
-def _timeseries_rows(record: RunRecord) -> list:
-    """timeseries.csv's rows: each report's fields, dt, Newton iterations."""
-    return [[*(getattr(rep, name) for name in EnergyReport.FIELDS), dt, iters]
-            for rep, dt, iters in zip(record.reports, record.step_dts,
-                                      record.step_newton_iters)]
+def _timeseries_rows(record: RunRecord) -> np.ndarray:
+    """timeseries.csv's (rows x 13) float table, filled column by column:
+    each report's fields, dt, Newton iterations."""
+    table = np.empty((len(record.reports), len(TIMESERIES_COLUMNS)))
+    for k, name in enumerate(EnergyReport.FIELDS):
+        table[:, k] = [getattr(rep, name) for rep in record.reports]
+    table[:, -2] = record.step_dts
+    table[:, -1] = record.step_newton_iters
+    return table
 
 
 def _as_written(record: RunRecord) -> tuple:
@@ -125,7 +135,12 @@ def write_table(path, header, rows) -> None:
     ``len(header)`` columns (an empty sequence is a table with no rows, and
     writes the header alone); any other shape raises ValueError.  An
     integer column prints without a decimal point, and ``-0``, ``nan``,
-    ``inf`` and subnormals print as ``"%.17g"`` prints them."""
+    ``inf`` and subnormals print as ``"%.17g"`` prints them.
+
+    The rows are converted to one float array and formatted
+    ``max(1, TABLE_CHUNK_FLOATS // ncols)`` rows at a time, each full chunk
+    by one reused ``%`` template, so the writer holds the array and one
+    chunk's Python floats and text, whatever the row count."""
     ncols = len(header)
     table = np.asarray(rows, dtype=float)
     if table.shape == (0,):
@@ -134,9 +149,14 @@ def write_table(path, header, rows) -> None:
         raise ValueError(f"table of shape {table.shape} does not match "
                          f"{ncols} header columns")
     line = ",".join(["%.17g"] * ncols) + "\r\n"
+    chunk = max(1, TABLE_CHUNK_FLOATS // ncols)
+    template = line * chunk
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
+        for start in range(0, len(table), chunk):
+            block = table[start:start + chunk]
+            rows_fmt = template if len(block) == chunk else line * len(block)
+            fh.write(rows_fmt % tuple(block.ravel().tolist()))
 
 
 def write_json(path, doc: dict) -> None:
@@ -257,29 +277,31 @@ def _read_table(path: Path, what: str, columns=None) -> tuple[list, list]:
 
     The header must equal ``columns`` when given, and every row must have
     the header's width.  Cells parse as floats, except ``newton_iters``,
-    which must be a plain integer.  Errors name the file and the line.
+    which must be a plain integer.  Each row is parsed as the CSV reader
+    yields it, so the lines' strings are never all held at once.  Errors
+    name the file and the line.
     """
     if not path.exists():
         raise RunFormatError(f"missing {what}", path=str(path))
     with open(path, newline="") as fh:
-        lines = list(csv.reader(fh))
-    if not lines:
-        raise RunFormatError(f"empty {what}", path=str(path), line=1)
-    header = lines[0]
-    if columns is not None and tuple(header) != columns:
-        raise RunFormatError(f"unexpected columns {header!r}", path=str(path),
-                             line=1)
-    parsers = [_parse_int if name == "newton_iters" else _parse_float
-               for name in header]
-    rows = []
-    for lineno, row in enumerate(lines[1:], start=2):
-        if len(row) != len(header):
-            raise RunFormatError(
-                f"expected {len(header)} fields, got {len(row)}",
-                path=str(path), line=lineno,
-            )
-        rows.append([parse(cell, path, lineno)
-                     for parse, cell in zip(parsers, row)])
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise RunFormatError(f"empty {what}", path=str(path), line=1)
+        if columns is not None and tuple(header) != columns:
+            raise RunFormatError(f"unexpected columns {header!r}",
+                                 path=str(path), line=1)
+        parsers = [_parse_int if name == "newton_iters" else _parse_float
+                   for name in header]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise RunFormatError(
+                    f"expected {len(header)} fields, got {len(row)}",
+                    path=str(path), line=lineno,
+                )
+            rows.append([parse(cell, path, lineno)
+                         for parse, cell in zip(parsers, row)])
     return header, rows
 
 

@@ -1,7 +1,8 @@
 """The paper's checks that no run computes (time reversal, the relative
 energy identity, the tension tail integrals and the compatibility
-predicate), over plain lists of (state, tension) pairs.  The tests import
-them; pytest does not collect this module."""
+predicate), over plain lists of (state, tension) pairs, and one exact weak
+solution to hold them against (the folding fall).  The tests import them;
+pytest does not collect this module."""
 
 import numpy as np
 
@@ -20,6 +21,29 @@ def time_reversed(pairs):
          TensionProfile(grid=p.grid, values=-p.values))
         for s, p in reversed(pairs)
     ]
+
+
+def folding_fall(grid, g, times):
+    """(state, tension) pairs of the eps = 0 flow from the straight upright
+    string under ``g``, sampled at ``times`` (each below 2), in closed form.
+    With e = -g the free part falls at unit speed and the part below the
+    pin hangs,
+
+        eta(s, t).e = max((1 - s) - t, -(1 - s)),
+
+    folded at s_f = 1 - t/2.  The tension vanishes above the fold and grows
+    as s - s_f below it (the zero-flux jump condition at the fold fixes
+    sigma(s_f) = 0), so sigma = max(s - (1 - t/2), 0) and sigma(1) = t/2."""
+    e = -g.direction
+    s = grid.nodes
+    pairs = []
+    for t in times:
+        height = np.maximum((1.0 - s) - t, -(1.0 - s))
+        sigma = np.maximum(s - (1.0 - 0.5 * t), 0.0)
+        pairs.append((ArcState(grid=grid, positions=np.outer(height, e),
+                               time=t),
+                      TensionProfile(grid=grid, values=sigma)))
+    return pairs
 
 
 def relative_energy_identity(state, g):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paper_checks import (compatibility, relative_energy_identity,
-                          sigma_tails, time_reversed)
+from paper_checks import (compatibility, folding_fall,
+                          relative_energy_identity, sigma_tails,
+                          time_reversed)
 from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, build, constitutive_tension,
@@ -256,6 +257,34 @@ def test_generalized_residual_stationary_up(gravity2):
     assert res.constraint_product_L2 <= 1e-10
     assert res.stretch_violation <= 1e-10
     assert abs(res.diss_inequality_slack) <= 1e-10
+
+
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+def test_folding_fall_residual_falls_at_order_half_in_dt(gravity2, direction):
+    # the exact eps = 0 folding fall to T = 1 at n = 400 (h <= dt), and its
+    # time reversal under -g: the velocity jumps from -e to 0 across the
+    # moving fold, so the PDE residual falls at order 1/2 in dt (measured
+    # 3.54e-2 -> 1.77e-2 forward, 3.53e-2 -> 1.76e-2 reversed, as dt goes
+    # 0.01 -> 0.0025); the dissipation slack is rounding (>= -1.6e-14) and
+    # the constraint product at most 2.3e-5
+    grid = Grid(400)
+    results = []
+    for steps in (100, 400):
+        pairs = folding_fall(grid, gravity2,
+                             [k / steps for k in range(steps + 1)])
+        if direction == "reversed":
+            results.append(generalized_residual(time_reversed(pairs),
+                                                gravity2.flipped()))
+        else:
+            results.append(generalized_residual(pairs, gravity2))
+    coarse, fine = results
+    assert 3.4e-2 <= coarse.pde_residual_L2 <= 3.7e-2
+    assert 1.7e-2 <= fine.pde_residual_L2 <= 1.85e-2
+    order = np.log(coarse.pde_residual_L2 / fine.pde_residual_L2) / np.log(4)
+    assert 0.45 <= order <= 0.55, order
+    for res in results:
+        assert res.diss_inequality_slack >= -1e-12
+        assert res.constraint_product_L2 <= 1e-3
 
 
 def test_generalized_residual_needs_two_snapshots(gravity2):

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ import pytest
 from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RunRecord,
                       Snapshot, TensionProfile, read_run, write_run)
 from whipflow.errors import RunFormatError, SchemaVersionError
-from whipflow.run_io import (TIMESERIES_COLUMNS, records_equal, write_table,
-                             write_trajectory)
+from whipflow.run_io import (TABLE_CHUNK_FLOATS, TIMESERIES_COLUMNS,
+                             records_equal, write_table, write_trajectory)
 
 
 def random_record(rng, tag=0):
@@ -337,18 +339,57 @@ def _timeseries_rows(rng, n_rows):
     return [[*row, int(k)] for row, k in zip(table.tolist(), iters)]
 
 
+WIDTH_HEADERS = {2: ("s", "sigma"), 4: ("s", "x0", "x1", "sigma"),
+                 13: TIMESERIES_COLUMNS}
+
+
+def _chunk_cases():
+    # row counts around write_table's chunk of rows at each width: empty,
+    # one row, a chunk but one, a chunk, a chunk and one, two and one
+    cases, ids = [], []
+    for ncols, header in WIDTH_HEADERS.items():
+        chunk = max(1, TABLE_CHUNK_FLOATS // ncols)
+        for n_rows in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            if ncols == 13:
+                make = partial(_timeseries_rows, n_rows=n_rows)
+            else:
+                make = partial(_special_table, n_rows=n_rows, n_cols=ncols)
+            cases.append((header, make))
+            ids.append(f"chunked_{n_rows}x{ncols}")
+    return cases, ids
+
+
+CHUNK_CASES, CHUNK_IDS = _chunk_cases()
+
+
 @pytest.mark.parametrize("header, make_rows", [
     (["s", "x0", "x1", "sigma"], lambda rng: np.empty((0, 4))),
     (TIMESERIES_COLUMNS, lambda rng: []),
     (["a"], lambda rng: np.array([[-0.0]])),
     (["s", "x0", "x1", "sigma"], lambda rng: _special_table(rng, 1001, 4)),
     (TIMESERIES_COLUMNS, lambda rng: _timeseries_rows(rng, 414)),
-], ids=["0x4", "no_rows", "1x1", "1001x4", "414x13_int_column"])
+    *CHUNK_CASES,
+], ids=["0x4", "no_rows", "1x1", "1001x4", "414x13_int_column", *CHUNK_IDS])
 def test_write_table_bytes_match_savetxt(tmp_path, header, make_rows):
     rows = make_rows(np.random.default_rng(11))
     write_table(tmp_path / "table.csv", header, rows)
     expected = _savetxt_bytes(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "table.csv").read_bytes() == expected
+
+
+def test_write_table_holds_one_chunk_beyond_its_input(tmp_path):
+    # the input array is allocated before tracing starts; the writer may
+    # add one chunk of Python floats and text (about 0.1 MiB), not a copy
+    # of the table as Python objects (about 3.8 MiB here)
+    table = _special_table(np.random.default_rng(12), 5000,
+                           len(TIMESERIES_COLUMNS))
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "table.csv", TIMESERIES_COLUMNS, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB beyond the input"
 
 
 @pytest.mark.parametrize("rows", [
