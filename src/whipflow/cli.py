@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import Reporter, _line_fit, decay_fit, potential_energy
+from .diagnostics import (TIMESERIES_COLUMNS, Reporter, _line_fit,
+                          decay_fit, potential_energy)
 from .diagnostics import report  # noqa: F401  (perfbench's spans.WRAPS)
 from .errors import (InversionError, SolverFailure, StepRejected,
                      TensionSolveError)
@@ -255,9 +256,10 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
     down to cfg["T"] with ``stepper``, stopping at each requested
     snapshot time and calling ``observer(state, dt, iters, flux, pot)``
     on ``init`` and then after each accepted step, as ``evolve`` does.
-    This records a Reporter row per state, keeps the states at the
-    requested times, summarizes and writes the run to ``directory``
-    (write_run).  Returns the record and what ``integrate`` returned.
+    The observer hands each state to a Reporter and keeps the states at
+    the requested times; the Reporter's table is summarized and written,
+    as the run's timeseries, to ``directory`` (write_run).  Returns the
+    record and what ``integrate`` returned.
     When the solver fails hard it writes the partial record with a
     failure marker, and the result is None (the caller decides the exit
     code)."""
@@ -265,14 +267,12 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
     eps = rmap.eps
 
     reporter = Reporter(init.grid, g)
-    dts, iters_list, kept = [], [], []
+    kept = []
     # the run stops at each request: a state is kept if its time is one
     requests = set(cfg["snapshots"])
 
     def observer(state, dt, iters, flux, pot):
-        reporter.add(state, flux, pot)
-        dts.append(dt)
-        iters_list.append(iters)
+        reporter.add(state, dt, iters, flux, pot)
         if state.time in requests:
             kept.append(state)
 
@@ -288,20 +288,18 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
         # a report error in the last block ends the run as it would have
         # at its own step, before any error evolve raised after it
         reporter.flush()
-    reports = reporter.reports
+    table = reporter.table
 
     snapshots = [Snapshot(state=state, tension=tension_for_state(state, g))
                  for state in kept]
 
-    summary = _summarize(reports, init.grid, g, rmap, reporter.sup_u, eps)
+    summary = _summarize(table, init.grid, g, rmap, reporter.sup_u, eps)
     summary["failed"] = failure
     config_echo = dict(cfg)
     config_echo["eps"] = [eps]
     record = RunRecord(
         config_echo=config_echo,
-        reports=reports,
-        step_dts=dts,
-        step_newton_iters=iters_list,
+        reports=table,
         snapshots=snapshots,
         solver_stats=stats,
         summary=summary,
@@ -310,27 +308,21 @@ def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,
     return record, result
 
 
-def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
-    e_rel0 = reports[0].E_rel
-    e_rel_end = reports[-1].E_rel
+def _summarize(table, grid, g, rmap, sup_u, eps) -> dict:
+    col = dict(zip(TIMESERIES_COLUMNS, table.T))
+    t, e_rel = col["t"], col["E_rel"]
     # the decay is fitted against the eps-equilibrium the run converges to,
     # over [1e-4, 0.5] of its initial excess (criterion 9's window); E_rel
     # and the E_rel_* entries keep the constrained reference
     e_eq = potential_energy(eps_equilibrium(grid, rmap, g), g)
-    excess = [r.E - e_eq for r in reports]
+    excess = col["E"] - e_eq
     excess0 = excess[0]
     fit_doc = None
     if excess0 > 0.0:
-        in_band = [r.t for r, e in zip(reports, excess)
-                   if 1e-4 * excess0 <= e <= 0.5 * excess0]
+        in_band = t[(1e-4 * excess0 <= excess) & (excess <= 0.5 * excess0)]
         if len(in_band) >= 10:
-            window = (in_band[0], in_band[-1])
-            # decay_fit reads only the reports inside its window
-            windowed = [dataclasses.replace(r, E_rel=e)
-                        for r, e in zip(reports, excess)
-                        if window[0] <= r.t <= window[1]]
             try:
-                fit = decay_fit(windowed, window)
+                fit = decay_fit(t, excess, col["D"], (in_band[0], in_band[-1]))
                 fit_doc = {
                     "window": list(fit.window),
                     "rate": fit.rate,
@@ -339,19 +331,19 @@ def _summarize(reports, grid, g, rmap, sup_u, eps) -> dict:
                 }
             except ValueError:
                 fit_doc = None
-    energies = np.array([r.E_eps for r in reports])
+    energies = col["E_eps"]
     max_increase = float(np.diff(energies).max()) if len(energies) > 1 else 0.0
     return {
-        "E_rel_initial": e_rel0,
-        "E_rel_final": e_rel_end,
+        "E_rel_initial": float(e_rel[0]),
+        "E_rel_final": float(e_rel[-1]),
         "decay_fit": fit_doc,
         "max_energy_increase": max_increase,
-        "running_sup_tangent": max(sup_u),
+        "running_sup_tangent": sup_u,
         "verdicts": {
             "energy_monotone": bool(max_increase <= 1e-9),
-            "stretch_bounded": bool(max(sup_u) <= 1.0 + np.sqrt(eps) + 0.05),
+            "stretch_bounded": bool(sup_u <= 1.0 + np.sqrt(eps) + 0.05),
             "relative_energy_nonnegative": bool(
-                min(r.E_rel for r in reports) >= -10.0 * grid.h
+                e_rel.min() >= -10.0 * grid.h
             ),
         },
     }
@@ -390,12 +382,12 @@ def cmd_sweep_eps(cfg) -> int:
                                    directory)
         if record.summary["failed"] is not None:
             failed = True
-        dts = np.array(record.step_dts)
-        values = np.array([r.constraint_L1 for r in record.reports])
+        col = dict(zip(TIMESERIES_COLUMNS, record.reports.T))
         # a failed run's partial-horizon average is not comparable: null
         avg = None
         if record.summary["failed"] is None:
-            avg = float(np.sum(dts * values) / np.sum(dts))
+            avg = float(np.sum(col["dt"] * col["constraint_L1"])
+                        / np.sum(col["dt"]))
         entries.append({"eps": eps, "avg_constraint_L1": avg,
                         "dir": directory.name})
     by_eps = sorted(entries, key=lambda e: -e["eps"])

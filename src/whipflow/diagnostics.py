@@ -12,14 +12,15 @@ consumer inverts the map or adds the start by itself.  Its positions,
 time, flux (and potential) are copied into a block of at most
 BLOCK_FLOATS floats, and every column is computed for the whole block at
 once when it is full (and for the last, partial one at ``flush``).  A
-Reporter takes a run's energy report (one EnergyReport, one
-``timeseries.csv`` row, per state), its tensions from one tridiagonal
-solve per block; a RealizedResidual takes the weak-solution residual of
-the states paired with the tensions they realize.  ``report`` and
-``constitutive_tension`` are the one-state cases, so every column has one
-implementation, and a running value is added to in state order, so a
-block's rows and sums are bitwise those of its states taken one by one.
-Reductions over the vector axis are ``grid.row_dot``'s component sums.
+Reporter takes a run's timeseries: one float row of TIMESERIES_COLUMNS
+per state, the table ``timeseries.csv`` holds, its tensions from one
+tridiagonal solve per block; a RealizedResidual takes the weak-solution
+residual of the states paired with the tensions they realize.  ``report``
+(one state's row as an EnergyReport) and ``constitutive_tension`` are the
+one-state cases, so every column has one implementation, and a running
+value is added to in state order, so a block's rows and sums are bitwise
+those of its states taken one by one.  Reductions over the vector axis
+are ``grid.row_dot``'s component sums.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ REFERENCE_DECAY_RATE = HARDY_CONSTANT / 4.0  # = 1/16
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """All scalar functionals of one state."""
+    """All scalar functionals of one state: ``report``'s view of its
+    Reporter row."""
 
     t: float
     E: float
@@ -73,6 +75,10 @@ class EnergyReport:
 
 
 EnergyReport.FIELDS = tuple(f.name for f in fields(EnergyReport))
+
+# a run's timeseries table: each state's report, the step that reached it
+# and that step's Newton iterations (both 0 for the initial state)
+TIMESERIES_COLUMNS = (*EnergyReport.FIELDS, "dt", "newton_iters")
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,15 @@ class _StateBlock:
     them: ``add(state, flux[, pot])`` copies the state's positions, time and
     flux (and, if the block keeps them, its potential density) into arrays
     that hold, with the ``reserve`` floats their owner keeps besides, at
-    most BLOCK_FLOATS floats, or one state if that is larger.  A full
-    block is handed to ``_take(m)`` at once; ``flush`` hands on the
-    partial one.  Arrays of another shape are refused with ShapeError, not
-    broadcast."""
+    most BLOCK_FLOATS floats, or one state if that is larger; ``extra``
+    more floats per state are the owner's.  A full block is handed to
+    ``_take(m)`` at once; ``flush`` hands on the partial one.  Arrays of
+    another shape are refused with ShapeError, not broadcast."""
 
-    def __init__(self, grid: Grid, dim: int, with_pot: bool, reserve: int = 0):
+    def __init__(self, grid: Grid, dim: int, with_pot: bool, reserve: int = 0,
+                 extra: int = 0):
         n = grid.n_cells
-        per_state = (n + 1) * dim + n * dim + (n if with_pot else 0) + 1
+        per_state = (2 * n + 1) * dim + (n if with_pot else 0) + 1 + extra
         size = max(1, (BLOCK_FLOATS - reserve) // per_state)
         self._positions = np.empty((size, n + 1, dim))
         self._flux = np.empty((size, n, dim))
@@ -152,25 +159,41 @@ class _StateBlock:
 
 
 class Reporter(_StateBlock):
-    """The EnergyReports of a run's states, in the order they are added.
+    """The timeseries of a run's states, in the order they are added.
 
-    ``add(state, flux, pot)`` takes a state with its flux
-    invert(state.tangents) and potential density, as ``evolve``'s observer
-    receives them, and copies them into the block; a full block is
-    reported at once.  Call ``flush`` after the last state (also when the
-    run failed) to report the partial block.  ``reports`` holds the rows
-    reported so far and ``sup_u`` each reported state's largest tangent
-    norm.  The boundary tension comes from the two-point solve, so D
-    reproduces the dissipation identity of the exact flow rather than the
-    regularized surrogate (which is reported separately through
-    constraint_L1).
+    ``add(state, dt, iters, flux, pot)`` takes what ``evolve``'s observer
+    receives (a state, the dt and Newton iterations of the step that
+    reached it, its flux invert(state.tangents) and potential density) and
+    copies it into the block; a full block is reported at once, as one
+    (m x 13) float block of TIMESERIES_COLUMNS.  Call ``flush`` after the
+    last state (also when the run failed) to report the partial block.
+    ``table`` holds the rows reported so far and ``sup_u`` the largest
+    tangent norm of their states.  The boundary tension comes from the
+    two-point solve, so D reproduces the dissipation identity of the exact
+    flow rather than the regularized surrogate (which is reported
+    separately through constraint_L1).
     """
 
     def __init__(self, grid: Grid, g: GravitySpec):
-        super().__init__(grid, g.dim, with_pot=True)
-        self.reports: list[EnergyReport] = []
-        self.sup_u: list[float] = []
+        super().__init__(grid, g.dim, with_pot=True, extra=2)
+        self._steps = np.empty((len(self._times), 2))  # dt, Newton iterations
+        self._blocks: list[np.ndarray] = []
+        self.sup_u = -np.inf
         self._grid, self._g = grid, g
+
+    def add(self, state: ArcState, dt: float, iters: int, flux: np.ndarray,
+            pot: np.ndarray) -> None:
+        # a refused add leaves the count, so the next add rewrites this row
+        self._steps[self._count] = dt, iters
+        super().add(state, flux, pot)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (rows x 13) table of the rows reported so far."""
+        if len(self._blocks) != 1:
+            self._blocks = [np.concatenate(
+                self._blocks or [np.empty((0, len(TIMESERIES_COLUMNS)))])]
+        return self._blocks[0]
 
     def _take(self, m: int) -> None:
         grid = self._grid
@@ -179,34 +202,31 @@ class Reporter(_StateBlock):
         eta, flux = self._positions[:m], self._flux[:m]
         u = (eta[:, 1:] - eta[:, :-1]) / h
         speeds = np.sqrt(row_dot(u, u))
-        E_eps = _energy(eta, self._pot[:m], h, -g_vec)
-        stretch = np.abs(speeds - 1.0).max(axis=-1)
-        constraint = h * (np.sqrt(row_dot(flux, flux))
-                          * np.abs(speeds ** 2 - 1.0)).sum(axis=-1)
-        self.sup_u.extend(speeds.max(axis=-1).tolist())
+        self.sup_u = max(self.sup_u, float(speeds.max()))
         E = _potential_energies(eta, h, g_vec)
-        E_alt = h * (grid.midpoints * (u @ g_vec)).sum(axis=-1)
         sigma, cos_alpha = flow_tensions(eta, h, g_vec)
         sigma_at_1 = sigma[:, -1]
-        columns = zip(self._times[:m].tolist(), E.tolist(), E_alt.tolist(),
-                      (E - EQUILIBRIUM_ENERGY).tolist(),
-                      (-EQUILIBRIUM_ENERGY - E).tolist(), E_eps.tolist(),
-                      (1.0 - sigma_at_1 * cos_alpha).tolist(),
-                      cos_alpha.tolist(), stretch.tolist(),
-                      constraint.tolist(), sigma_at_1.tolist())
-        # the columns in EnergyReport.FIELDS order
-        self.reports.extend(EnergyReport(*row) for row in columns)
+        # the columns in TIMESERIES_COLUMNS order
+        self._blocks.append(np.column_stack((
+            self._times[:m], E,
+            h * (grid.midpoints * (u @ g_vec)).sum(axis=-1),
+            E - EQUILIBRIUM_ENERGY, -EQUILIBRIUM_ENERGY - E,
+            _energy(eta, self._pot[:m], h, -g_vec),
+            1.0 - sigma_at_1 * cos_alpha, cos_alpha,
+            np.abs(speeds - 1.0).max(axis=-1),
+            h * (np.sqrt(row_dot(flux, flux))
+                 * np.abs(speeds ** 2 - 1.0)).sum(axis=-1),
+            sigma_at_1, self._steps[:m])))
 
 
 def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyReport:
-    """Evaluate every scalar functional of a state: a Reporter's row for
-    it."""
+    """Evaluate every scalar functional of a state: its Reporter row."""
     _check_compatible(state, rmap, g)
     flux, _, pot = rmap.local_calculus(state.tangents)
     reporter = Reporter(state.grid, g)
-    reporter.add(state, flux, pot)
+    reporter.add(state, 0.0, 0, flux, pot)
     reporter.flush()
-    return reporter.reports[0]
+    return EnergyReport(*reporter.table[0, :len(EnergyReport.FIELDS)].tolist())
 
 
 def constitutive_tensions(flux: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -450,26 +470,26 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(y_mean) - slope * float(x_mean)
 
 
-def decay_fit(
-    reports: Sequence[EnergyReport], window: tuple[float, float]
-) -> DecayFit:
+def decay_fit(t: np.ndarray, e_rel: np.ndarray, diss: np.ndarray,
+              window: tuple[float, float]) -> DecayFit:
     """Least-squares exponential fit of the relative energy on a window.
 
-    Fits the line log E_rel ~ -rate*t + c by ``_line_fit``'s closed form;
-    also records the worst ratio of relative energy to dissipation over
-    the window, the quantity a functional inequality would bound by a
-    universal constant.  Refuses (ValueError) a window with fewer than 10
-    reports, with fewer than two distinct times, or with a relative energy
-    that is not positive.
+    ``t``, ``e_rel`` and ``diss`` are a timeseries' time, relative-energy
+    and dissipation columns; the fit reads the rows whose time lies in
+    ``window``.  Fits the line log E_rel ~ -rate*t + c by ``_line_fit``'s
+    closed form; also records the worst ratio of relative energy to
+    dissipation over the window, the quantity a functional inequality
+    would bound by a universal constant.  Refuses (ValueError) a window
+    with fewer than 10 rows, with fewer than two distinct times, or with a
+    relative energy that is not positive.
     """
     t_start, t_end = window
-    selected = [r for r in reports if t_start <= r.t <= t_end]
-    if len(selected) < 10:
-        raise ValueError(f"need at least 10 reports in window, got {len(selected)}")
-    e_rel = np.array([r.E_rel for r in selected])
+    selected = (t_start <= t) & (t <= t_end)
+    t, e_rel, diss = t[selected], e_rel[selected], diss[selected]
+    if len(t) < 10:
+        raise ValueError(f"need at least 10 reports in window, got {len(t)}")
     if e_rel.min() <= 0.0:
         raise ValueError("relative energy is not positive on the window; fit refused")
-    t = np.array([r.t for r in selected])
     if t.min() == t.max():
         raise ValueError("need at least two distinct times in window; fit refused")
     log_e = np.log(e_rel)
@@ -478,7 +498,6 @@ def decay_fit(
     ss_res = float(np.sum((log_e - fitted) ** 2))
     ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    diss = np.array([r.D for r in selected])
     with np.errstate(divide="ignore"):
         ratios = np.where(diss > 0.0, e_rel / np.where(diss > 0.0, diss, 1.0), np.inf)
     return DecayFit(

@@ -11,7 +11,8 @@ makes the directory, or, for a simulate run, by write_run.
 A simulate run directory (write_run, read_run) holds
 
     config.json          resolved configuration
-    timeseries.csv       one row per accepted step (plus the initial state)
+    timeseries.csv       one row per accepted step (plus the initial
+                         state): the Reporter's table, TIMESERIES_COLUMNS
     snapshot_t<t>.csv    node table (s, positions, tension) per snapshot,
                          named by the time of its state
     summary.json         summary (E_rel_initial, E_rel_final, decay_fit,
@@ -34,7 +35,7 @@ the writer holds its float array and one chunk, whatever the row count.
 Every JSON document goes through write_json: schema-versioned, indented
 by 2, keys sorted, floats in Python's shortest round-trip form.  Both read
 back exactly; write_run followed by read_run reproduces the record bit for
-bit.
+bit.  _read_table parses a table into one float array as it reads.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .diagnostics import EnergyReport
+from .diagnostics import TIMESERIES_COLUMNS
 from .errors import RunFormatError, SchemaVersionError, ShapeError
 from .flow import ArcState
 from .grid import Grid
@@ -56,8 +57,6 @@ SCHEMA_VERSION = "1"
 
 # states a trajectory directory keeps at most, evenly spaced, endpoints kept
 TRAJECTORY_SNAPSHOTS = 50
-
-TIMESERIES_COLUMNS = (*EnergyReport.FIELDS, "dt", "newton_iters")
 
 # floats write_table formats per ``%``: max(1, TABLE_CHUNK_FLOATS // ncols)
 # rows at a time
@@ -79,34 +78,25 @@ class Snapshot:
 
 @dataclass
 class RunRecord:
-    """Everything a run produces, in memory."""
+    """Everything a run produces, in memory.  ``reports`` is the
+    timeseries: a (rows x 13) float table of TIMESERIES_COLUMNS, strictly
+    increasing in t."""
 
     config_echo: dict
-    reports: list = field(default_factory=list)
-    step_dts: list = field(default_factory=list)
-    step_newton_iters: list = field(default_factory=list)
+    reports: np.ndarray = field(default_factory=lambda: np.empty(
+        (0, len(TIMESERIES_COLUMNS))))
     snapshots: list = field(default_factory=list)
     solver_stats: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.step_dts) != len(self.reports) or \
-                len(self.step_newton_iters) != len(self.reports):
-            raise ValueError("step_dts and step_newton_iters must align with reports")
-        times = [r.t for r in self.reports]
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        self.reports = np.asarray(self.reports, dtype=float)
+        if self.reports.shape[1:] != (len(TIMESERIES_COLUMNS),):
+            raise ShapeError(f"a timeseries of shape {self.reports.shape}, "
+                             f"not (rows x {len(TIMESERIES_COLUMNS)})")
+        t = self.reports[:, 0]
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("reports must be strictly increasing in t")
-
-
-def _timeseries_rows(record: RunRecord) -> np.ndarray:
-    """timeseries.csv's (rows x 13) float table, filled column by column:
-    each report's fields, dt, Newton iterations."""
-    table = np.empty((len(record.reports), len(TIMESERIES_COLUMNS)))
-    for k, name in enumerate(EnergyReport.FIELDS):
-        table[:, k] = [getattr(rep, name) for rep in record.reports]
-    table[:, -2] = record.step_dts
-    table[:, -1] = record.step_newton_iters
-    return table
 
 
 def _as_written(record: RunRecord) -> tuple:
@@ -117,7 +107,7 @@ def _as_written(record: RunRecord) -> tuple:
 
     return (json.dumps([record.config_echo, record.summary,
                         record.solver_stats], sort_keys=True),
-            printed(_timeseries_rows(record)),
+            printed(record.reports),
             [(_fmt(s.state.time), printed(s.state.positions),
               printed(s.tension.values)) for s in record.snapshots])
 
@@ -211,7 +201,7 @@ def write_run(record: RunRecord, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_json(directory / "config.json", {"config": record.config_echo})
     write_table(directory / "timeseries.csv", TIMESERIES_COLUMNS,
-                _timeseries_rows(record))
+                record.reports)
     for snap in record.snapshots:
         _write_snapshot(directory, snap.state, snap.tension)
     write_json(directory / "summary.json", {
@@ -247,6 +237,8 @@ def _load_json(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise RunFormatError(f"invalid JSON: {exc.msg}", path=str(path),
                              line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise RunFormatError("not a JSON object", path=str(path))
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -272,51 +264,55 @@ def _parse_int(text: str, path: Path, line: int) -> int:
                              line=line) from exc
 
 
-def _read_table(path: Path, what: str, columns=None) -> tuple[list, list]:
-    """Header and parsed rows of a table written by write_table.
+def _read_table(path: Path, what: str, columns=None) -> tuple[list, np.ndarray]:
+    """Header and (rows x columns) float array of a table written by
+    write_table.
 
     The header must equal ``columns`` when given, and every row must have
     the header's width.  Cells parse as floats, except ``newton_iters``,
-    which must be a plain integer.  Each row is parsed as the CSV reader
-    yields it, so the lines' strings are never all held at once.  Errors
-    name the file and the line.
+    which must be a plain integer.  The cells go into the array as the
+    CSV reader yields their row, so neither the lines' strings nor the
+    parsed rows are ever all held at once.  Errors name the file and the
+    line.
     """
     if not path.exists():
         raise RunFormatError(f"missing {what}", path=str(path))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
+        if not header:
             raise RunFormatError(f"empty {what}", path=str(path), line=1)
         if columns is not None and tuple(header) != columns:
             raise RunFormatError(f"unexpected columns {header!r}",
                                  path=str(path), line=1)
         parsers = [_parse_int if name == "newton_iters" else _parse_float
                    for name in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise RunFormatError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    path=str(path), line=lineno,
-                )
-            rows.append([parse(cell, path, lineno)
-                         for parse, cell in zip(parsers, row)])
-    return header, rows
+
+        def cells():
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise RunFormatError(
+                        f"expected {len(header)} fields, got {len(row)}",
+                        path=str(path), line=lineno,
+                    )
+                for parse, cell in zip(parsers, row):
+                    yield parse(cell, path, lineno)
+
+        table = np.fromiter(cells(), dtype=float).reshape(-1, len(header))
+    return header, table
 
 
 def _read_snapshot(path: Path, t: float) -> Snapshot:
     """Read one snapshot table.  A table that parses but is not a pinned
     state with its tension fails as RunFormatError, naming the line the
     violated condition is about."""
-    header, rows = _read_table(path, "snapshot file")
-    last = len(rows) + 1
+    header, data = _read_table(path, "snapshot file")
+    last = len(data) + 1
     try:
-        grid = Grid(len(rows) - 1)
+        grid = Grid(len(data) - 1)
     except ValueError as exc:
-        raise RunFormatError(f"{len(rows)} node rows, need at least 2",
+        raise RunFormatError(f"{len(data)} node rows, need at least 2",
                              path=str(path), line=last) from exc
-    data = np.array(rows)
     d = len(header) - 2
     positions = data[:, 1:1 + d]
     try:
@@ -340,27 +336,36 @@ def _read_snapshot(path: Path, t: float) -> Snapshot:
 
 
 def read_run(directory) -> RunRecord:
-    """Reconstruct a record written by write_run, exactly."""
+    """Reconstruct a record written by write_run, exactly.  A directory
+    that is not such a record fails as RunFormatError, naming the file
+    (and the line, where there is one)."""
     directory = Path(directory)
-    config_doc = _load_json(directory / "config.json")
-    summary_doc = _load_json(directory / "summary.json")
+    config_path = directory / "config.json"
+    config = _load_json(config_path).get("config")
+    if not isinstance(config, dict):
+        raise RunFormatError('no "config" object', path=str(config_path))
+    summary_path = directory / "summary.json"
+    summary_doc = _load_json(summary_path)
+    times = summary_doc.get("snapshot_times", [])
+    if not (isinstance(times, list) and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            for t in times)):
+        raise RunFormatError("snapshot_times is not a list of numbers",
+                             path=str(summary_path))
 
-    n_fields = len(EnergyReport.FIELDS)
-    _, rows = _read_table(directory / "timeseries.csv", "file",
-                          TIMESERIES_COLUMNS)
-    reports = [EnergyReport(*row[:n_fields]) for row in rows]
-    step_dts = [row[n_fields] for row in rows]
-    step_iters = [row[n_fields + 1] for row in rows]
-
-    snapshots = [_read_snapshot(_snapshot_path(directory, t), t)
-                 for t in summary_doc.get("snapshot_times", [])]
+    path = directory / "timeseries.csv"
+    _, table = _read_table(path, "file", TIMESERIES_COLUMNS)
+    late = np.flatnonzero(table[1:, 0] <= table[:-1, 0])
+    if late.size:
+        # row k + 1 (line k + 3) is the first whose t does not increase
+        raise RunFormatError("t does not increase", path=str(path),
+                             line=3 + int(late[0]))
 
     return RunRecord(
-        config_echo=config_doc["config"],
-        reports=reports,
-        step_dts=step_dts,
-        step_newton_iters=step_iters,
-        snapshots=snapshots,
+        config_echo=config,
+        reports=table,
+        snapshots=[_read_snapshot(_snapshot_path(directory, t), t)
+                   for t in times],
         solver_stats=summary_doc.get("solver_stats", {}),
         summary=summary_doc.get("summary", {}),
     )

@@ -1,5 +1,7 @@
 """Shared fixtures; the long pendulum-release run is computed once."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,7 @@ class PendulumRun:
         self.reports = []
         self.energies = []
         self.dts = []
+        self.iters = []
         self.sup_tangent = []
         self.velocity_budget = 0.0
         self.states = []
@@ -56,6 +59,7 @@ class PendulumRun:
             self.reports.append(report(state, self.rmap, self.gravity))
             self.energies.append(discrete_energy(state, self.rmap, self.gravity))
             self.dts.append(dt)
+            self.iters.append(iters)
             self.sup_tangent.append(
                 float(np.linalg.norm(state.tangents, axis=1).max())
             )
@@ -68,6 +72,9 @@ class PendulumRun:
 
         self.final = evolve(self.init, 8.0, self.rmap, self.gravity, cfg,
                             observer=observer)
+        # the run's timeseries table, as a Reporter takes it
+        self.table = np.array([[*astuple(r), dt, k] for r, dt, k in
+                               zip(self.reports, self.dts, self.iters)])
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ constrained reference and fits the pre-saturation window.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +30,15 @@ from whipflow import (ArcState, GeodesicTensionProblem, Grid,
                       solve_tension, write_run)
 from whipflow.cli import _summarize as cli_summarize
 from whipflow.cli import main as cli_main
-from whipflow.diagnostics import EQUILIBRIUM_ENERGY, REFERENCE_DECAY_RATE
+from whipflow.diagnostics import (EQUILIBRIUM_ENERGY, REFERENCE_DECAY_RATE,
+                                  TIMESERIES_COLUMNS)
 from whipflow.run_io import records_equal
 from whipflow.scenarios import eps_equilibrium, upright_release
+
+
+def columns(table, *names):
+    """The TIMESERIES_COLUMNS columns ``names`` of a timeseries table."""
+    return [table[:, TIMESERIES_COLUMNS.index(name)] for name in names]
 
 
 def announce(number, ok, detail):
@@ -214,13 +219,13 @@ def test_criterion_09_decay_window_as_stated(pendulum_run):
     stationary = float(np.abs(
         residual(eq, eq, 1.0, run.rmap, run.gravity)).max())
     e_eq = potential_energy(eq, run.gravity)
-    reports = [replace(r, E_rel=r.E - e_eq) for r in run.reports]
-    e0 = reports[0].E_rel
-    final = reports[-1].E_rel
-    in_band = [r for r in reports if 1e-4 * e0 <= r.E_rel <= 0.5 * e0]
-    fit = decay_fit(reports, (in_band[0].t, in_band[-1].t))
-    ts = np.array([r.t for r in in_band])
-    es = np.array([r.E_rel for r in in_band])
+    t, E, D = columns(run.table, "t", "E", "D")
+    e_rel = E - e_eq
+    e0 = e_rel[0]
+    final = e_rel[-1]
+    in_band = (1e-4 * e0 <= e_rel) & (e_rel <= 0.5 * e0)
+    ts, es = t[in_band], e_rel[in_band]
+    fit = decay_fit(t, e_rel, D, (ts[0], ts[-1]))
     anchored = es[0] * np.exp(-fit.rate * (ts - ts[0]))
     pointwise = float((es / anchored).max())
     ok = (stationary <= 1e-9 and final < 1e-4 * e0 and fit.rate > 0.0
@@ -228,7 +233,7 @@ def test_criterion_09_decay_window_as_stated(pendulum_run):
     announce(9, ok, f"eps-equilibrium residual {stationary:.1e} (tol 1e-9), "
                     f"final E_rel {final:.1e} < 1e-4 E_rel(0) = "
                     f"{1e-4 * e0:.1e}; window [{fit.window[0]:.3f}, "
-                    f"{fit.window[1]:.3f}] ({len(in_band)} reports), rate "
+                    f"{fit.window[1]:.3f}] ({len(ts)} reports), rate "
                     f"{fit.rate:.4f} (fitted; reference "
                     f"{REFERENCE_DECAY_RATE:.4f} reported, not asserted), "
                     f"r^2 {fit.r_squared:.5f} (needs >= 0.95), pointwise "
@@ -251,14 +256,15 @@ def test_summary_decay_fit_is_criterion_09_fit(pendulum_run):
     run = pendulum_run
     e_eq = potential_energy(eps_equilibrium(run.grid, run.rmap, run.gravity),
                             run.gravity)
-    reports = [replace(r, E_rel=r.E - e_eq) for r in run.reports]
-    e0 = reports[0].E_rel
-    in_band = [r for r in reports if 1e-4 * e0 <= r.E_rel <= 0.5 * e0]
-    expected = decay_fit(reports, (in_band[0].t, in_band[-1].t))
-    summary = cli_summarize(run.reports, run.grid, run.gravity, run.rmap,
-                            run.sup_tangent, run.eps)
+    t, E, D = columns(run.table, "t", "E", "D")
+    e_rel = E - e_eq
+    e0 = e_rel[0]
+    in_band = t[(1e-4 * e0 <= e_rel) & (e_rel <= 0.5 * e0)]
+    expected = decay_fit(t, e_rel, D, (in_band[0], in_band[-1]))
+    summary = cli_summarize(run.table, run.grid, run.gravity, run.rmap,
+                            max(run.sup_tangent), run.eps)
     fit = summary["decay_fit"]
-    # the same reports in the same order, so every value is exact
+    # the same rows in the same order, so every value is exact
     assert fit == {"window": list(expected.window), "rate": expected.rate,
                    "r_squared": expected.r_squared,
                    "cbar0_check": expected.cbar0_check}
@@ -273,13 +279,12 @@ def test_exponential_decay_before_saturation(pendulum_run):
     # window ends where the relative energy levels off against the
     # regularized equilibrium (three times the terminal value)
     run = pendulum_run
-    reports = run.reports
-    e0 = reports[0].E_rel
-    floor = reports[-1].E_rel
-    in_band = [r for r in reports if 3.0 * floor <= r.E_rel <= 0.5 * e0]
-    fit = decay_fit(reports, (in_band[0].t, in_band[-1].t))
-    ts = np.array([r.t for r in in_band])
-    es = np.array([r.E_rel for r in in_band])
+    t, e_rel, D = columns(run.table, "t", "E_rel", "D")
+    e0 = e_rel[0]
+    floor = e_rel[-1]
+    in_band = (3.0 * floor <= e_rel) & (e_rel <= 0.5 * e0)
+    ts, es = t[in_band], e_rel[in_band]
+    fit = decay_fit(t, e_rel, D, (ts[0], ts[-1]))
     anchored = es[0] * np.exp(-fit.rate * (ts - ts[0]))
     pointwise = float((es / anchored).max())
     print(f"[criterion 09, pre-saturation window] rate {fit.rate:.4f}, "

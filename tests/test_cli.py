@@ -1,10 +1,13 @@
 import argparse
+import dataclasses
 import json
 import re
 import shutil
 from pathlib import Path
 
 import pytest
+
+import numpy as np
 
 from whipflow import (GravitySpec, Grid, RegularizedMap, read_run, report,
                       write_run)
@@ -84,7 +87,7 @@ def test_simulate_snapshots_at_the_requested_times(out_env, only_run_dir):
     assert times == [0.0, 0.037, 0.1]
     assert sorted(p.name for p in run_dir.glob("snapshot_t*.csv")) == \
         sorted(f"snapshot_t{'%.17g' % t}.csv" for t in times)
-    assert set(times) <= {r.t for r in record.reports}
+    assert set(times) <= set(record.reports[:, 0].tolist())
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["snapshot_times"] == times
     assert "snapshot_state_times" not in summary
@@ -121,7 +124,7 @@ def test_sweep_runs_hold_their_snapshots_at_the_same_times(out_env,
     runs = sorted(only_run_dir(out_env).glob("eps_*"))
     records = [read_run(d) for d in runs]
     assert len(records) == 2
-    assert len(records[0].step_dts) != len(records[1].step_dts)
+    assert len(records[0].reports) != len(records[1].reports)
     for run_dir, record in zip(runs, records):
         assert [s.state.time for s in record.snapshots] == [0.01, 0.025]
         assert sorted(p.name for p in run_dir.glob("snapshot_t*.csv")) == \
@@ -207,7 +210,7 @@ def test_nonuniqueness_reports_separation(out_env, only_run_dir):
     falling = read_run(run_dir / "falling")
     assert falling.summary["failed"] is None
     assert falling.solver_stats["steps"] == len(falling.reports) - 1
-    assert falling.reports[-1].t == 2.5
+    assert falling.reports[-1, 0] == 2.5
     assert falling.config_echo == json.loads(
         (run_dir / "config.json").read_text())["config"]
 
@@ -219,7 +222,7 @@ def test_nonuniqueness_falling_run_round_trips_with_its_snapshots(
     falling = only_run_dir(out_env) / "falling"
     record = read_run(falling)
     assert [s.state.time for s in record.snapshots] == [0.0, 0.25]
-    assert 0.25 in [r.t for r in record.reports]
+    assert 0.25 in record.reports[:, 0].tolist()
     copy = out_env / "copy"
     write_run(record, copy)
     assert _tree_bytes(copy) == _tree_bytes(falling)
@@ -262,7 +265,7 @@ def test_failed_nonuniqueness_leaves_config_and_failure(out_env,
     falling = read_run(run_dir / "falling")
     assert falling.config_echo == config
     assert falling.summary["failed"] == failed
-    assert [r.t for r in falling.reports] == [0.0]
+    assert falling.reports[:, 0].tolist() == [0.0]
 
 
 def test_config_file_roundtrip(out_env, tmp_path):
@@ -345,27 +348,27 @@ def test_failed_run_reports_its_partial_block(out_env, only_run_dir,
     argv = ("simulate", "--scenario", "vertical_up", "--eps", "1e-4",
             "--cells", "100", "--T", "20", "--dt-init", "10",
             "--dt-min", "10", "--dt-max", "10")
-    states = []
-    monkeypatch.setattr(cli, "evolve", _recording(cli.evolve, states))
+    seen = []
+    monkeypatch.setattr(cli, "evolve", _recording(cli.evolve, seen))
     assert run_cli(*argv) == 2
     record = read_run(only_run_dir(out_env))
     rmap = RegularizedMap(1e-4, dim=2)
     g = GravitySpec.down(2)
-    assert 0 < len(states) < len(Reporter(Grid(100), g)._times)
-    assert record.reports == [report(s, rmap, g) for s in states]
+    assert 0 < len(seen) < len(Reporter(Grid(100), g)._times)
+    assert _bits(record.reports) == _bits(_per_state_rows(seen, rmap, g))
 
 
 def test_run_reports_every_block_as_per_state_reports(out_env, only_run_dir,
                                                       monkeypatch):
-    states = []
-    monkeypatch.setattr(cli, "evolve", _recording(cli.evolve, states))
+    seen = []
+    monkeypatch.setattr(cli, "evolve", _recording(cli.evolve, seen))
     assert run_cli("simulate", "--scenario", "random_lipschitz", "--eps",
                    "1e-2", "--cells", "2000", "--T", "0.05") == 0
     record = read_run(only_run_dir(out_env))
     rmap = RegularizedMap(1e-2, dim=2)
     g = GravitySpec.down(2)
-    assert len(states) > 3 * len(Reporter(Grid(2000), g)._times)
-    assert record.reports == [report(s, rmap, g) for s in states]
+    assert len(seen) > 3 * len(Reporter(Grid(2000), g)._times)
+    assert _bits(record.reports) == _bits(_per_state_rows(seen, rmap, g))
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,20 +402,31 @@ def test_each_run_evaluates_its_start_once(out_env, only_run_dir,
         == stats["newton_iterations"] + 1
 
 
-def _recording(evolve, states):
-    """evolve, appending every state its observer sees, the initial one
-    first, to ``states``."""
+def _recording(evolve, seen):
+    """evolve, appending every (state, dt, iters) its observer sees, the
+    initial state first, to ``seen``."""
 
     def recording_evolve(init, horizon, rmap, g, cfg, observer, stats,
                          **kwargs):
-        def recording_observer(state, *args):
-            states.append(state)
-            observer(state, *args)
+        def recording_observer(state, dt, iters, *args):
+            seen.append((state, dt, iters))
+            observer(state, dt, iters, *args)
 
         return evolve(init, horizon, rmap, g, cfg, observer=recording_observer,
                       stats=stats, **kwargs)
 
     return recording_evolve
+
+
+def _per_state_rows(seen, rmap, g):
+    """The timeseries rows of observed (state, dt, iters): each state's
+    report() fields, then its dt and Newton iterations."""
+    return [[*dataclasses.astuple(report(state, rmap, g)), dt, iters]
+            for state, dt, iters in seen]
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("config", [

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,14 @@ import pytest
 from paper_checks import (compatibility, folding_fall,
                           relative_energy_identity, sigma_tails,
                           time_reversed)
-from whipflow import (ArcState, EnergyReport, GravitySpec, Grid,
+from whipflow import (ArcState, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, build, constitutive_tension,
                       decay_fit, evolve, generalized_residual, hardy_check,
                       mollify, report)
 from whipflow import diagnostics
-from whipflow.diagnostics import (BLOCK_FLOATS, EQUILIBRIUM_ENERGY, Reporter,
-                                  _line_fit)
+from whipflow.diagnostics import (BLOCK_FLOATS, EQUILIBRIUM_ENERGY,
+                                  TIMESERIES_COLUMNS, Reporter, _line_fit)
 from whipflow.errors import ShapeError
 from whipflow.scenarios import mollify_scales
 
@@ -79,9 +80,26 @@ def block_states(grid, dim):
     return len(Reporter(grid, GravitySpec.down(dim))._times)
 
 
-def report_bits(reports):
-    return np.array([[getattr(r, f) for f in EnergyReport.FIELDS]
-                     for r in reports]).view(np.uint64)
+def step_of(k):
+    """The (dt, Newton iterations) a Reporter is given with a run's k-th
+    state."""
+    return 1e-3 * k, k % 7
+
+
+def timeseries_rows(reports):
+    """The timeseries table of a run's per-state EnergyReports, the k-th
+    row ended by step_of(k)."""
+    rows = [[*astuple(r), *step_of(k)] for k, r in enumerate(reports)]
+    return np.array(rows, dtype=float).reshape(-1, len(TIMESERIES_COLUMNS))
+
+
+def expected_table(states, rmap, g):
+    """The per-state report() rows, with each state's step_of."""
+    return timeseries_rows([report(state, rmap, g) for state in states])
+
+
+def bits(table):
+    return np.asarray(table, dtype=float).view(np.uint64)
 
 
 def calculus(rmap, state):
@@ -92,8 +110,8 @@ def calculus(rmap, state):
 
 def reported_in_blocks(states, rmap, g):
     reporter = Reporter(states[0].grid, g)
-    for state in states:
-        reporter.add(state, *calculus(rmap, state))
+    for k, state in enumerate(states):
+        reporter.add(state, *step_of(k), *calculus(rmap, state))
     reporter.flush()
     return reporter
 
@@ -116,18 +134,18 @@ def helix_release_states():
 def test_block_rows_are_the_per_state_reports_in_2d(pendulum_run):
     run = pendulum_run
     assert len(run.states) > 3 * block_states(run.grid, 2)
-    rows = reported_in_blocks(run.states, run.rmap, run.gravity).reports
-    assert rows == run.reports
-    assert np.array_equal(report_bits(rows), report_bits(run.reports))
+    table = reported_in_blocks(run.states, run.rmap, run.gravity).table
+    expected = timeseries_rows(run.reports)
+    assert table.shape == (len(run.states), len(TIMESERIES_COLUMNS))
+    assert np.array_equal(bits(table), bits(expected))
 
 
 def test_block_rows_are_the_per_state_reports_in_3d():
     states, rmap, g = helix_release_states()
     assert len(states) > 3 * block_states(states[0].grid, 3)
-    expected = [report(state, rmap, g) for state in states]
-    rows = reported_in_blocks(states, rmap, g).reports
-    assert rows == expected
-    assert np.array_equal(report_bits(rows), report_bits(expected))
+    table = reported_in_blocks(states, rmap, g).table
+    assert table.shape == (len(states), len(TIMESERIES_COLUMNS))
+    assert np.array_equal(bits(table), bits(expected_table(states, rmap, g)))
 
 
 def test_block_rows_keep_the_report_of_an_off_axis_gravity(rmap):
@@ -144,9 +162,8 @@ def test_block_rows_keep_the_report_of_an_off_axis_gravity(rmap):
         positions = np.zeros((grid.n_nodes, 2))
         positions[:-1] = -grid.h * np.cumsum(tangents[::-1], axis=0)[::-1]
         states.append(ArcState(grid=grid, positions=positions, time=k))
-    expected = [report(state, rmap, g) for state in states]
-    rows = reported_in_blocks(states, rmap, g).reports
-    assert np.array_equal(report_bits(rows), report_bits(expected))
+    table = reported_in_blocks(states, rmap, g).table
+    assert np.array_equal(bits(table), bits(expected_table(states, rmap, g)))
 
 
 def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
@@ -160,28 +177,30 @@ def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
         copy = ArcState(grid=run.grid, positions=state.positions,
                         time=state.time)
         ref = weakref.ref(copy.positions)
-        reporter.add(copy, *calculus(run.rmap, copy))
+        reporter.add(copy, *step_of(added - 1), *calculus(run.rmap, copy))
         del copy
         # the positions were copied into the block, not kept
         assert ref() is None
-        assert 0 <= added - len(reporter.reports) < per_block
-    assert len(reporter.reports) == len(run.states) - len(run.states) % per_block
+        assert 0 <= added - len(reporter.table) < per_block
+    assert len(reporter.table) == len(run.states) - len(run.states) % per_block
     reporter.flush()
-    assert reporter.reports == run.reports
-    assert reporter.sup_u == run.sup_tangent
+    expected = timeseries_rows(run.reports)
+    assert np.array_equal(bits(reporter.table), bits(expected))
+    assert reporter.sup_u == max(run.sup_tangent)
 
 
 def test_flush_without_states_reports_nothing(gravity2, rmap):
     reporter = Reporter(Grid(10), gravity2)
     reporter.flush()
-    assert reporter.reports == [] and reporter.sup_u == []
+    assert reporter.table.shape == (0, len(TIMESERIES_COLUMNS))
+    assert reporter.sup_u == -np.inf
 
 
 def test_reporter_refuses_a_state_of_another_grid(gravity2, rmap):
     reporter = Reporter(Grid(10), gravity2)
     state = build(ScenarioSpec(kind="vertical_down"), Grid(11), gravity2)
     with pytest.raises(ShapeError):
-        reporter.add(state, *calculus(rmap, state))
+        reporter.add(state, 0.0, 0, *calculus(rmap, state))
 
 
 @pytest.mark.parametrize("per_block", [1, 3, "run"])
@@ -193,18 +212,19 @@ def test_block_size_does_not_change_the_rows(pendulum_run, monkeypatch,
     states = run.states[:100]
     size = len(states) if per_block == "run" else per_block
     n = run.grid.n_cells
-    # a Reporter's floats per state: positions, flux, potential, time
-    per_state = (n + 1) * 2 + n * 2 + n + 1
+    # a Reporter's floats per state: positions, flux, potential, time, dt
+    # and Newton iterations
+    per_state = (n + 1) * 2 + n * 2 + n + 3
     monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", size * per_state)
     reporter = Reporter(run.grid, run.gravity)
     assert reporter._times.shape == (size,)
     for added, state in enumerate(states, start=1):
-        reporter.add(state, *calculus(run.rmap, state))
-        assert len(reporter.reports) == added - added % size
+        reporter.add(state, *step_of(added - 1), *calculus(run.rmap, state))
+        assert len(reporter.table) == added - added % size
     reporter.flush()
-    assert np.array_equal(report_bits(reporter.reports),
-                          report_bits(run.reports[:100]))
-    assert reporter.sup_u == run.sup_tangent[:100]
+    expected = timeseries_rows(run.reports[:100])
+    assert np.array_equal(bits(reporter.table), bits(expected))
+    assert reporter.sup_u == max(run.sup_tangent[:100])
 
 
 def test_reporter_refuses_a_flux_or_potential_of_another_shape(gravity2,
@@ -215,14 +235,16 @@ def test_reporter_refuses_a_flux_or_potential_of_another_shape(gravity2,
     state = build(ScenarioSpec(kind="quarter_circle"), grid, gravity2)
     flux, pot = calculus(rmap, state)
     reporter = Reporter(grid, gravity2)
-    for bad in [(flux[0], pot), (flux[:1], pot), (flux[:, :1], pot),
-                (flux, pot[:-1]), (flux, pot[:1]), (flux, pot[:, None])]:
+    for k, bad in enumerate([(flux[0], pot), (flux[:1], pot),
+                             (flux[:, :1], pot), (flux, pot[:-1]),
+                             (flux, pot[:1]), (flux, pot[:, None])]):
         with pytest.raises(ShapeError):
-            reporter.add(state, *bad)
+            reporter.add(state, 0.5, k + 1, *bad)
     # the refused adds left the block as it was
-    reporter.add(state, flux, pot)
+    reporter.add(state, *step_of(0), flux, pot)
     reporter.flush()
-    assert reporter.reports == [report(state, rmap, gravity2)]
+    assert np.array_equal(bits(reporter.table),
+                          bits(expected_table([state], rmap, gravity2)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -353,21 +375,16 @@ def test_hardy_rejects_degenerate_inputs():
         hardy_check(bad, grid)  # does not vanish at 0
 
 
-def synthetic_reports(times, e_rel, diss=None):
-    out = []
-    for k, (t, e) in enumerate(zip(times, e_rel)):
-        d = 1.0 if diss is None else diss[k]
-        out.append(EnergyReport(
-            t=float(t), E=e + EQUILIBRIUM_ENERGY, E_alt=e + EQUILIBRIUM_ENERGY,
-            E_rel=float(e), E_rel_back=1.0 - e, E_eps=0.0, D=float(d),
-            cos_alpha=1.0, max_stretch=0.0, constraint_L1=0.0, sigma_at_1=1.0,
-        ))
-    return out
+def synthetic_fit(times, e_rel, window, diss=None):
+    """decay_fit of the columns t, E_rel and D (1 unless given)."""
+    diss = np.ones(len(times)) if diss is None else diss
+    return decay_fit(np.asarray(times, dtype=float),
+                     np.asarray(e_rel, dtype=float), diss, window)
 
 
 def test_decay_fit_exact_exponential():
     t = np.linspace(0.0, 3.0, 40)
-    fit = decay_fit(synthetic_reports(t, np.exp(-3.0 * t)), (0.0, 3.0))
+    fit = synthetic_fit(t, np.exp(-3.0 * t), (0.0, 3.0))
     assert fit.rate == pytest.approx(3.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -375,7 +392,7 @@ def test_decay_fit_exact_exponential():
 def test_decay_fit_wobbled_exponential():
     t = np.linspace(0.0, 3.0, 200)
     e = np.exp(-3.0 * t) * (1.0 + 0.01 * np.sin(t))
-    fit = decay_fit(synthetic_reports(t, e), (0.0, 3.0))
+    fit = synthetic_fit(t, e, (0.0, 3.0))
     assert abs(fit.rate - 3.0) <= 0.02
     assert fit.r_squared >= 0.999
 
@@ -383,29 +400,39 @@ def test_decay_fit_wobbled_exponential():
 def test_decay_fit_cbar0_ratio():
     t = np.linspace(0.0, 1.0, 20)
     e = np.exp(-t)
-    fit = decay_fit(synthetic_reports(t, e, diss=2.0 * e), (0.0, 1.0))
+    fit = synthetic_fit(t, e, (0.0, 1.0), diss=2.0 * e)
     assert fit.cbar0_check == pytest.approx(0.5, abs=1e-12)
+
+
+def test_decay_fit_reads_only_the_rows_in_its_window():
+    # rows outside the window do not enter the fit, whatever they hold
+    t = np.linspace(0.0, 2.0, 41)
+    e = np.exp(-3.0 * t)
+    outside = t > 1.0
+    e_bad, d_bad = e.copy(), np.ones(41)
+    e_bad[outside], d_bad[outside] = -1.0, 1e-300
+    assert synthetic_fit(t, e_bad, (0.0, 1.0), diss=d_bad) == \
+        synthetic_fit(t[~outside], e[~outside], (0.0, 1.0))
 
 
 def test_decay_fit_refusals():
     t = np.linspace(0.0, 1.0, 20)
     with pytest.raises(ValueError, match="not positive on the window"):
-        decay_fit(synthetic_reports(t, np.linspace(1.0, -0.1, 20)), (0.0, 1.0))
+        synthetic_fit(t, np.linspace(1.0, -0.1, 20), (0.0, 1.0))
     with pytest.raises(ValueError, match="need at least 10 reports in window, "
                                          "got 5"):
-        decay_fit(synthetic_reports(t[:5], np.exp(-t[:5])), (0.0, 1.0))
+        synthetic_fit(t[:5], np.exp(-t[:5]), (0.0, 1.0))
 
 
 def test_decay_fit_refuses_a_window_of_one_time():
     # twelve reports at one time fix no slope; a rank-deficient fit gave
     # a rate and r^2 = 0
-    reports = synthetic_reports(np.full(12, 0.5), np.exp(-np.arange(12.0)))
+    t, e = np.full(12, 0.5), np.exp(-np.arange(12.0))
     with pytest.raises(ValueError, match="two distinct times"):
-        decay_fit(reports, (0.0, 1.0))
-    # one report at another time, outside the window, does not help
-    late = synthetic_reports([2.0], [0.1])
+        synthetic_fit(t, e, (0.0, 1.0))
+    # one row at another time, outside the window, does not help
     with pytest.raises(ValueError, match="two distinct times"):
-        decay_fit(reports + late, (0.0, 1.0))
+        synthetic_fit(np.append(t, 2.0), np.append(e, 0.1), (0.0, 1.0))
 
 
 def exact_line(x, y):

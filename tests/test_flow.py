@@ -4,7 +4,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,12 +199,13 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     monkeypatch.setattr(RegularizedMap, "local_calculus", logged_local_calculus)
 
     reporter = Reporter(grid, gravity2)
-    tensions, states = [], []
+    tensions, states, steps = [], [], []
 
     def observer(state, dt, iters, flux, pot):
-        reporter.add(state, flux, pot)
+        reporter.add(state, dt, iters, flux, pot)
         tensions.append(constitutive_tension(state, flux))
         states.append(state)
+        steps.append((dt, iters))
 
     evolve(init, 0.3, rmap, gravity2,
            StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02),
@@ -216,7 +217,10 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
         assert evaluated.count(state.tangents.tobytes()) == 1
     # the handed arrays are bitwise those a fresh evaluation gives
     monkeypatch.undo()
-    assert reporter.reports == [report(s, rmap, gravity2) for s in states]
+    rows = [[*astuple(report(s, rmap, gravity2)), *step]
+            for s, step in zip(states, steps)]
+    assert np.array_equal(reporter.table.view(np.uint64),
+                          np.array(rows).view(np.uint64))
     for state, tension in zip(states, tensions):
         fresh = constitutive_tension(state, rmap.invert(state.tangents))
         assert np.array_equal(tension.values, fresh.values)

@@ -54,3 +54,22 @@ def test_output_listing_fails_on_a_warning(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert tool.main() == 1
     assert f"{' '.join(tool.COMMANDS[0])} warned" in capsys.readouterr().err
+
+
+def test_output_listing_fails_on_a_file_that_does_not_round_trip(
+        tmp_path, monkeypatch, capsys):
+    # write_run of the round trip changes one byte of timeseries.csv
+    tool = _tool()
+    write_run = tool.whipflow.run_io.write_run
+
+    def off_by_one_byte(record, directory):
+        write_run(record, directory)
+        path = Path(directory) / "timeseries.csv"
+        data = bytearray(path.read_bytes())
+        data[-3] ^= 1
+        path.write_bytes(bytes(data))
+
+    monkeypatch.setattr(tool.whipflow.run_io, "write_run", off_by_one_byte)
+    monkeypatch.chdir(tmp_path)
+    assert tool.main() == 1
+    assert "0/timeseries.csv does not round-trip" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -6,23 +7,29 @@ from functools import partial
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, EnergyReport, GravitySpec, Grid, RunRecord,
-                      Snapshot, TensionProfile, read_run, write_run)
-from whipflow.errors import RunFormatError, SchemaVersionError
+from whipflow import (ArcState, GravitySpec, Grid, RunRecord, Snapshot,
+                      TensionProfile, read_run, write_run)
+from whipflow import run_io
+from whipflow.errors import RunFormatError, SchemaVersionError, ShapeError
 from whipflow.run_io import (TABLE_CHUNK_FLOATS, TIMESERIES_COLUMNS,
                              records_equal, write_table, write_trajectory)
 
 
+def timeseries(*rows):
+    """A timeseries table of the given rows of TIMESERIES_COLUMNS."""
+    return np.array(rows, dtype=float).reshape(-1, len(TIMESERIES_COLUMNS))
+
+
 def random_record(rng, tag=0):
-    reports, dts, iters = [], [], []
+    rows = []
     t = 0.0
     for _ in range(int(rng.integers(0, 8))):
         values = rng.normal(size=11).tolist()
         t += float(rng.uniform(1e-4, 0.7))
         values[0] = t
-        reports.append(EnergyReport(*values))
-        dts.append(float(rng.uniform(1e-6, 0.1)))
-        iters.append(int(rng.integers(0, 25)))
+        # the step's dt and Newton iterations
+        rows.append([*values, float(rng.uniform(1e-6, 0.1)),
+                     int(rng.integers(0, 25))])
     snapshots = []
     for _ in range(int(rng.integers(0, 3))):
         n = int(rng.integers(4, 16))
@@ -41,11 +48,9 @@ def random_record(rng, tag=0):
     return RunRecord(
         config_echo={"tag": tag, "eps": [float(rng.uniform(1e-4, 1.0))],
                      "scenario": "quarter_circle"},
-        reports=reports,
-        step_dts=dts,
-        step_newton_iters=iters,
+        reports=timeseries(*rows),
         snapshots=snapshots,
-        solver_stats={"steps": len(reports), "rejections": int(rng.integers(0, 4))},
+        solver_stats={"steps": len(rows), "rejections": int(rng.integers(0, 4))},
         summary={"note": "randomized", "value": float(rng.normal())},
     )
 
@@ -74,6 +79,15 @@ def _first_snapshot_moved(record, dt=0.0, dx=0.0, dsigma=0.0):
     return replace(record, snapshots=[moved, *record.snapshots[1:]])
 
 
+def _first_row_changed(record, column, change):
+    """The record with ``change`` applied to its first row's cell in
+    ``column``."""
+    table = record.reports.copy()
+    k = TIMESERIES_COLUMNS.index(column)
+    table[0, k] = change(table[0, k])
+    return replace(record, reports=table)
+
+
 PERTURBATIONS = {
     "config_echo": lambda r: replace(r, config_echo={**r.config_echo,
                                                      "tag": -1}),
@@ -81,12 +95,11 @@ PERTURBATIONS = {
                                              r.summary["value"] + 1.0}),
     "solver_stats": lambda r: replace(r, solver_stats={
         **r.solver_stats, "steps": r.solver_stats["steps"] + 1}),
-    "report_field": lambda r: replace(r, reports=[
-        replace(r.reports[0], E=r.reports[0].E + 1.0), *r.reports[1:]]),
-    "step_dts": lambda r: replace(r, step_dts=[
-        2.0 * r.step_dts[0], *r.step_dts[1:]]),
-    "step_newton_iters": lambda r: replace(r, step_newton_iters=[
-        r.step_newton_iters[0] + 1, *r.step_newton_iters[1:]]),
+    # a report field, the step's dt and its Newton iterations: table cells
+    "report_field": lambda r: _first_row_changed(r, "E", lambda x: x + 1.0),
+    "step_dts": lambda r: _first_row_changed(r, "dt", lambda x: 2.0 * x),
+    "step_newton_iters": lambda r: _first_row_changed(r, "newton_iters",
+                                                      lambda x: x + 1),
     "snapshot_count": lambda r: replace(r, snapshots=r.snapshots[:-1]),
     "snapshot_time": lambda r: _first_snapshot_moved(r, dt=1.0),
     "position": lambda r: _first_snapshot_moved(r, dx=1.0),
@@ -98,7 +111,7 @@ PERTURBATIONS = {
 def test_records_equal_sees_each_compared_field(tmp_path, field):
     rng = np.random.default_rng(11)
     record = random_record(rng)
-    while not (record.reports and record.snapshots):
+    while not (len(record.reports) and record.snapshots):
         record = random_record(rng)
     write_run(record, tmp_path)
     back = read_run(tmp_path)
@@ -107,13 +120,12 @@ def test_records_equal_sees_each_compared_field(tmp_path, field):
 
 
 def _with_first_report_E(record, value):
-    return replace(record, reports=[replace(record.reports[0], E=value),
-                                    *record.reports[1:]])
+    return _first_row_changed(record, "E", lambda _: value)
 
 
 def _record_with_reports(rng):
     record = random_record(rng)
-    while not record.reports:
+    while not len(record.reports):
         record = random_record(rng)
     return record
 
@@ -201,9 +213,7 @@ def test_timeseries_columns_exact_order():
 
 def test_truncated_timeseries_names_line(tmp_path):
     rng = np.random.default_rng(5)
-    record = random_record(rng)
-    while not record.reports:
-        record = random_record(rng)
+    record = _record_with_reports(rng)
     write_run(record, tmp_path)
     path = tmp_path / "timeseries.csv"
     lines = path.read_text().splitlines()
@@ -216,9 +226,7 @@ def test_truncated_timeseries_names_line(tmp_path):
 
 def test_corrupt_float_names_line(tmp_path):
     rng = np.random.default_rng(6)
-    record = random_record(rng)
-    while not record.reports:
-        record = random_record(rng)
+    record = _record_with_reports(rng)
     write_run(record, tmp_path)
     path = tmp_path / "timeseries.csv"
     lines = path.read_text().splitlines()
@@ -237,14 +245,34 @@ def _swap_first_two_columns(text):
     return "\r\n".join([",".join(names), *lines[1:]]) + "\r\n"
 
 
+def _swap_last_two_rows(text):
+    lines = text.splitlines()
+    return "\r\n".join([*lines[:-2], lines[-1], lines[-2]]) + "\r\n"
+
+
 @pytest.mark.parametrize("name, edit, line, message", [
     ("summary.json", lambda text: text[:-2], 6, "invalid JSON"),
     ("timeseries.csv", _swap_first_two_columns, 1, "unexpected columns"),
-], ids=["summary_not_json", "timeseries_columns_out_of_order"])
+    # rows at t = 0.5, 1.5, 1: the third row's t does not increase
+    ("timeseries.csv", _swap_last_two_rows, 4, "t does not increase"),
+    ("config.json", lambda text: text.replace('"config"', '"settings"'),
+     None, 'no "config" object'),
+    ("summary.json", lambda text: text.replace('"snapshot_times": []',
+                                               '"snapshot_times": 3'),
+     None, "snapshot_times is not a list of numbers"),
+    ("summary.json", lambda text: text.replace('"snapshot_times": []',
+                                               '"snapshot_times": ["0.5"]'),
+     None, "snapshot_times is not a list of numbers"),
+    ("config.json", lambda text: "[1]\n", None, "not a JSON object"),
+], ids=["summary_not_json", "timeseries_columns_out_of_order",
+        "timeseries_rows_out_of_order", "config_without_config",
+        "snapshot_times_not_a_list", "snapshot_times_not_numbers",
+        "config_not_an_object"])
 def test_corrupt_file_names_file_and_line(tmp_path, name, edit, line,
                                           message):
-    write_run(RunRecord(config_echo={}, reports=[EnergyReport(*[0.5] * 11)],
-                        step_dts=[0.1], step_newton_iters=[3]), tmp_path)
+    write_run(RunRecord(config_echo={}, reports=timeseries(
+        [0.5] * 11 + [0.1, 3], [1.0] * 11 + [0.1, 3],
+        [1.5] * 11 + [0.1, 3])), tmp_path)
     path = tmp_path / name
     path.write_text(edit(path.read_text()))
     with pytest.raises(RunFormatError, match=message) as err:
@@ -272,8 +300,8 @@ def test_empty_timeseries_file_rejected(tmp_path):
 
 
 def test_fractional_newton_iters_rejected(tmp_path):
-    record = RunRecord(config_echo={}, reports=[EnergyReport(*[0.5] * 11)],
-                       step_dts=[0.1], step_newton_iters=[3])
+    record = RunRecord(config_echo={},
+                       reports=timeseries([0.5] * 11 + [0.1, 3]))
     write_run(record, tmp_path)
     path = tmp_path / "timeseries.csv"
     path.write_bytes(path.read_bytes().replace(b",3\r\n", b",3.5\r\n"))
@@ -287,10 +315,8 @@ def test_table_bytes_are_crlf_17_digit_floats(tmp_path):
     positions = np.array([[-0.0, 0.1], [5e-324, -2.5], [0.0, 0.0]])
     record = RunRecord(
         config_echo={},
-        reports=[EnergyReport(0.0, -0.0, 5e-324, 0.1, 1.0, -1.5, 2.0, 1e300,
-                              float("nan"), 3.0, 1.0 / 3.0)],
-        step_dts=[0.25],
-        step_newton_iters=[12],
+        reports=timeseries([0.0, -0.0, 5e-324, 0.1, 1.0, -1.5, 2.0, 1e300,
+                            float("nan"), 3.0, 1.0 / 3.0, 0.25, 12]),
         snapshots=[Snapshot(state=ArcState(grid=grid, positions=positions,
                                            time=0.5),
                             tension=TensionProfile(grid=grid,
@@ -464,11 +490,40 @@ def test_missing_files_reported(tmp_path):
 
 
 def test_records_strictly_increasing_times():
-    values = list(range(11))
-    r1 = EnergyReport(*[float(v) for v in values])
-    with pytest.raises(ValueError):
-        RunRecord(config_echo={}, reports=[r1, r1], step_dts=[0.0, 0.1],
-                  step_newton_iters=[0, 1])
-    with pytest.raises(ValueError):
-        RunRecord(config_echo={}, reports=[r1], step_dts=[],
-                  step_newton_iters=[0])
+    row = [float(v) for v in range(13)]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RunRecord(config_echo={}, reports=timeseries(row, row))
+    later = [1.0 + row[0], *row[1:]]
+    RunRecord(config_echo={}, reports=timeseries(row, later))
+    # a NaN time compares false with its neighbours, so it is not refused
+    RunRecord(config_echo={}, reports=timeseries(row, [np.nan, *row[1:]]))
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros(13), np.zeros((2, 12)), np.zeros((2, 14)), np.zeros((1, 1, 13)),
+    [],
+], ids=["one_dim", "12_wide", "14_wide", "three_dim", "empty_list"])
+def test_record_refuses_a_table_other_than_rows_by_13(table):
+    with pytest.raises(ShapeError, match=re.escape(str(np.shape(table)))):
+        RunRecord(config_echo={}, reports=table)
+
+
+def test_reading_a_snapshot_table_holds_one_float_array(tmp_path):
+    # a 5001 x 4 snapshot table is 0.15 MiB of floats; parsed into
+    # per-row Python lists and then an array it would peak at about
+    # 1.2 MiB
+    grid = Grid(5000)
+    positions = np.zeros((grid.n_nodes, 2))
+    positions[:, 1] = -(1.0 - grid.nodes)
+    write_run(RunRecord(config_echo={}, snapshots=[Snapshot(
+        state=ArcState(grid=grid, positions=positions, time=0.5),
+        tension=TensionProfile(grid=grid, values=grid.nodes))]), tmp_path)
+    path = tmp_path / "snapshot_t0.5.csv"
+    tracemalloc.start()
+    try:
+        snapshot = run_io._read_snapshot(path, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(snapshot.state.positions, positions)
+    assert peak < 2 ** 19, f"peak {peak / 2 ** 20:.2f} MiB"

@@ -16,8 +16,12 @@ shows renamed directories on ``dir`` lines and changed files on file
 lines, and two checkouts write the same bytes exactly when their last
 lines agree.  The commands' own output and the path of the imported
 package go to stderr.  Each command runs with warnings turned into
-errors.  Exits 1 if a command warns, does not exit 0 or does not make
-exactly one new directory.
+errors.  Each run directory a command leaves with a timeseries.csv (a
+simulate run, a sweep's ``eps_*`` runs, a nonuniqueness run's
+``falling/``) is read back by ``run_io.read_run`` and written again by
+``run_io.write_run`` outside ``runs``; its files must come back byte
+for byte.  Exits 1 if a command warns, does not exit 0 or does not make
+exactly one new directory, or if a file does not round-trip, naming it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import warnings
 from pathlib import Path
 
 import whipflow.cli
+import whipflow.run_io
 
 COMMANDS = (
     # pendulum, fine_grid at shape seed 0 and branching: the perfbench
@@ -57,6 +62,24 @@ def listing(k: int, directory: Path) -> list[str]:
     files = sorted(p for p in directory.rglob("*") if p.is_file())
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
             f"{k}/{p.relative_to(directory).as_posix()}" for p in files]
+
+
+def round_trip_difference(k: int, directory: Path):
+    """``<k>/<path>`` of the first file of a run directory under
+    ``directory`` that read_run followed by write_run does not write back
+    byte for byte, or None."""
+    for series in sorted(directory.rglob("timeseries.csv")):
+        run_dir = series.parent
+        copy = Path("roundtrip", str(k), run_dir.relative_to(directory))
+        whipflow.run_io.write_run(whipflow.run_io.read_run(run_dir), copy)
+        names = {p.name for p in run_dir.iterdir() if p.is_file()} \
+            | {p.name for p in copy.iterdir()}
+        for name in sorted(names):
+            a, b = run_dir / name, copy / name
+            if not (a.is_file() and b.is_file()
+                    and a.read_bytes() == b.read_bytes()):
+                return f"{k}/{a.relative_to(directory).as_posix()}"
+    return None
 
 
 def main() -> int:
@@ -86,6 +109,11 @@ def main() -> int:
                           f"{len(made)} directories", file=sys.stderr)
                     return 1
                 directory, = made
+                changed = round_trip_difference(k, directory)
+                if changed is not None:
+                    print(f"{changed} does not round-trip through read_run "
+                          f"and write_run", file=sys.stderr)
+                    return 1
                 dirs.append(f"dir {k} {directory.name}\n")
                 lines += listing(k, directory)
         finally:
