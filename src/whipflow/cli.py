@@ -317,26 +317,20 @@ def _summarize(table, grid, g, rmap, sup_u, eps) -> dict:
     e_eq = potential_energy(eps_equilibrium(grid, rmap, g), g)
     excess = col["E"] - e_eq
     excess0 = excess[0]
-    fit_doc = None
+    fit = None
     if excess0 > 0.0:
         in_band = t[(1e-4 * excess0 <= excess) & (excess <= 0.5 * excess0)]
         if len(in_band) >= 10:
             try:
                 fit = decay_fit(t, excess, col["D"], (in_band[0], in_band[-1]))
-                fit_doc = {
-                    "window": list(fit.window),
-                    "rate": fit.rate,
-                    "r_squared": fit.r_squared,
-                    "cbar0_check": fit.cbar0_check,
-                }
             except ValueError:
-                fit_doc = None
+                pass
     energies = col["E_eps"]
     max_increase = float(np.diff(energies).max()) if len(energies) > 1 else 0.0
     return {
         "E_rel_initial": float(e_rel[0]),
         "E_rel_final": float(e_rel[-1]),
-        "decay_fit": fit_doc,
+        "decay_fit": fit,
         "max_energy_increase": max_increase,
         "running_sup_tangent": sup_u,
         "verdicts": {
@@ -454,8 +448,8 @@ def cmd_nonuniqueness(cfg) -> int:
         return EXIT_NUMERIC
     write_json(directory / "summary.json", {
         "separation_L2_at_T": pair.separation,
-        "falling_residual": dataclasses.asdict(pair.falling_residual),
-        "stationary_residual": dataclasses.asdict(pair.stationary_residual),
+        "falling_residual": pair.falling_residual,
+        "stationary_residual": pair.stationary_residual,
     })
     print(f"wrote {directory}  separation at T = {pair.separation:.6g}")
     return EXIT_OK

@@ -16,17 +16,18 @@ Reporter takes a run's timeseries: one float row of TIMESERIES_COLUMNS
 per state, the table ``timeseries.csv`` holds, its tensions from one
 tridiagonal solve per block; a RealizedResidual takes the weak-solution
 residual of the states paired with the tensions they realize.  ``report``
-(one state's row as an EnergyReport) and ``constitutive_tension`` are the
-one-state cases, so every column has one implementation, and a running
-value is added to in state order, so a block's rows and sums are bitwise
-those of its states taken one by one.  Reductions over the vector axis
-are ``grid.row_dot``'s component sums.
+(one state's row, a dict keyed by REPORT_COLUMNS) and
+``constitutive_tension`` are the one-state cases, so every column has one
+implementation, and a running value is added to in state order, so a
+block's rows and sums are bitwise those of its states taken one by one.
+Reductions over the vector axis are ``grid.row_dot``'s component sums.
+A decay fit and a residual come back as the dicts of Python floats that
+``summary.json`` holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,42 +54,13 @@ HARDY_CONSTANT = 1.0 / HARDY_RATIO_BOUND
 REFERENCE_DECAY_RATE = HARDY_CONSTANT / 4.0  # = 1/16
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """All scalar functionals of one state: ``report``'s view of its
-    Reporter row."""
-
-    t: float
-    E: float
-    E_alt: float
-    E_rel: float
-    E_rel_back: float
-    E_eps: float
-    D: float
-    cos_alpha: float
-    max_stretch: float
-    constraint_L1: float
-    sigma_at_1: float
-
-    # the field names in declaration order: the timeseries.csv columns
-    FIELDS: ClassVar[tuple[str, ...]]
-
-
-EnergyReport.FIELDS = tuple(f.name for f in fields(EnergyReport))
+# the columns of report()'s row, in the Reporter's order
+REPORT_COLUMNS = ("t", "E", "E_alt", "E_rel", "E_rel_back", "E_eps", "D",
+                  "cos_alpha", "max_stretch", "constraint_L1", "sigma_at_1")
 
 # a run's timeseries table: each state's report, the step that reached it
 # and that step's Newton iterations (both 0 for the initial state)
-TIMESERIES_COLUMNS = (*EnergyReport.FIELDS, "dt", "newton_iters")
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Exponential fit of the relative energy over a time window."""
-
-    window: tuple[float, float]
-    rate: float
-    r_squared: float
-    cbar0_check: float
+TIMESERIES_COLUMNS = (*REPORT_COLUMNS, "dt", "newton_iters")
 
 
 # Floats a consumer of a run's states keeps at most, its block of states
@@ -219,14 +191,16 @@ class Reporter(_StateBlock):
             sigma_at_1, self._steps[:m])))
 
 
-def report(state: ArcState, rmap: RegularizedMap, g: GravitySpec) -> EnergyReport:
-    """Evaluate every scalar functional of a state: its Reporter row."""
+def report(state: ArcState, rmap: RegularizedMap,
+           g: GravitySpec) -> dict[str, float]:
+    """Evaluate every scalar functional of a state: its Reporter row, as a
+    dict of Python floats keyed by REPORT_COLUMNS in column order."""
     _check_compatible(state, rmap, g)
     flux, _, pot = rmap.local_calculus(state.tangents)
     reporter = Reporter(state.grid, g)
     reporter.add(state, 0.0, 0, flux, pot)
     reporter.flush()
-    return EnergyReport(*reporter.table[0, :len(EnergyReport.FIELDS)].tolist())
+    return dict(zip(REPORT_COLUMNS, reporter.table[0].tolist()))
 
 
 def constitutive_tensions(flux: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -258,16 +232,6 @@ def constitutive_tension(state: ArcState, flux: np.ndarray) -> TensionProfile:
                           values=constitutive_tensions(flux, state.tangents))
 
 
-@dataclass(frozen=True)
-class GeneralizedResidual:
-    """Discrete residuals of the weak-solution conditions over a run."""
-
-    pde_residual_L2: float
-    constraint_product_L2: float
-    stretch_violation: float
-    diss_inequality_slack: float
-
-
 def _tension_flux_divergence(h: float, u: np.ndarray,
                              sigma_mid: np.ndarray) -> np.ndarray:
     """Node-centered divergence of sigma * d_s eta on nodes 0..n-1, over
@@ -288,8 +252,8 @@ def _tension_flux_divergence(h: float, u: np.ndarray,
 class ResidualAccumulator:
     """The discrete residuals of the weak-solution conditions, taken one
     (state, tension) pair at a time (``add``), or a block of them
-    (``add_block``), in increasing time; ``result()`` is the
-    GeneralizedResidual of the pairs added so far.
+    (``add_block``), in increasing time; ``result()`` is the residual
+    document of the pairs added so far.
 
     Time derivatives are backward differences between consecutive
     snapshots (matching the implicit stepper); spatial terms are evaluated
@@ -380,16 +344,19 @@ class ResidualAccumulator:
         self._prev = (times[-1], positions[-1, :-1].copy())
         self._count += m
 
-    def result(self) -> GeneralizedResidual:
-        """The residuals so far; ShapeError before a second pair."""
+    def result(self) -> dict[str, float]:
+        """The residuals so far, as ``summary.json`` holds them: a dict of
+        Python floats, pde_residual_L2, constraint_product_L2,
+        stretch_violation and diss_inequality_slack.  ShapeError before a
+        second pair."""
         if self._count < 2:
             raise ShapeError("need at least two snapshots")
-        return GeneralizedResidual(
-            pde_residual_L2=float(np.sqrt(self._pde_sq)),
-            constraint_product_L2=float(np.sqrt(self._constraint_sq)),
-            stretch_violation=max(self._stretch, 0.0),
-            diss_inequality_slack=float(self._slack),
-        )
+        return {
+            "pde_residual_L2": float(np.sqrt(self._pde_sq)),
+            "constraint_product_L2": float(np.sqrt(self._constraint_sq)),
+            "stretch_violation": max(self._stretch, 0.0),
+            "diss_inequality_slack": float(self._slack),
+        }
 
 
 class RealizedResidual(_StateBlock):
@@ -416,10 +383,10 @@ class RealizedResidual(_StateBlock):
 
 def generalized_residual(
     pairs: Sequence[tuple[ArcState, TensionProfile]], g: GravitySpec
-) -> GeneralizedResidual:
+) -> dict[str, float]:
     """Measure how well a sampled trajectory satisfies the weak-solution
-    conditions of the constrained flow: the ResidualAccumulator of its
-    (state, tension) pairs."""
+    conditions of the constrained flow: the ResidualAccumulator result of
+    its (state, tension) pairs."""
     acc = ResidualAccumulator(g)
     for state, tension in pairs:
         acc.add(state, tension)
@@ -471,7 +438,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def decay_fit(t: np.ndarray, e_rel: np.ndarray, diss: np.ndarray,
-              window: tuple[float, float]) -> DecayFit:
+              window: tuple[float, float]) -> dict:
     """Least-squares exponential fit of the relative energy on a window.
 
     ``t``, ``e_rel`` and ``diss`` are a timeseries' time, relative-energy
@@ -479,9 +446,11 @@ def decay_fit(t: np.ndarray, e_rel: np.ndarray, diss: np.ndarray,
     ``window``.  Fits the line log E_rel ~ -rate*t + c by ``_line_fit``'s
     closed form; also records the worst ratio of relative energy to
     dissipation over the window, the quantity a functional inequality
-    would bound by a universal constant.  Refuses (ValueError) a window
-    with fewer than 10 rows, with fewer than two distinct times, or with a
-    relative energy that is not positive.
+    would bound by a universal constant.  Returns the ``decay_fit``
+    document of ``summary.json``: ``{"window": [t0, t1], "rate",
+    "r_squared", "cbar0_check"}``, Python floats.  Refuses (ValueError) a
+    window with fewer than 10 rows, with fewer than two distinct times, or
+    with a relative energy that is not positive.
     """
     t_start, t_end = window
     selected = (t_start <= t) & (t <= t_end)
@@ -500,9 +469,9 @@ def decay_fit(t: np.ndarray, e_rel: np.ndarray, diss: np.ndarray,
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     with np.errstate(divide="ignore"):
         ratios = np.where(diss > 0.0, e_rel / np.where(diss > 0.0, diss, 1.0), np.inf)
-    return DecayFit(
-        window=(float(t_start), float(t_end)),
-        rate=float(-slope),
-        r_squared=float(r_squared),
-        cbar0_check=float(ratios.max()),
-    )
+    return {
+        "window": [float(t_start), float(t_end)],
+        "rate": float(-slope),
+        "r_squared": float(r_squared),
+        "cbar0_check": float(ratios.max()),
+    }

@@ -203,10 +203,9 @@ class RegularizedMap:
         if not np.maximum.reduce(np.abs(v), axis=None, initial=0.0) <= VEC_MAX:
             raise NumericDomainError(
                 f"{name} has non-finite entries or entries beyond {VEC_MAX:g}")
-        if v.shape[-1] != self.dim:
-            raise NumericDomainError(
-                f"{name} has dimension {v.shape[-1]}, map expects {self.dim}"
-            )
+        if v.ndim == 0 or v.shape[-1] != self.dim:
+            raise NumericDomainError(f"{name} of shape {v.shape} is not a "
+                                     f"field of {self.dim}-vectors")
         return v
 
     def _field(self, tau):

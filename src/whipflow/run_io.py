@@ -95,6 +95,8 @@ class RunRecord:
             raise ShapeError(f"a timeseries of shape {self.reports.shape}, "
                              f"not (rows x {len(TIMESERIES_COLUMNS)})")
         t = self.reports[:, 0]
+        if not np.isfinite(t).all():
+            raise ValueError("reports must have finite times t")
         if np.any(t[1:] <= t[:-1]):
             raise ValueError("reports must be strictly increasing in t")
 
@@ -355,9 +357,15 @@ def read_run(directory) -> RunRecord:
 
     path = directory / "timeseries.csv"
     _, table = _read_table(path, "file", TIMESERIES_COLUMNS)
-    late = np.flatnonzero(table[1:, 0] <= table[:-1, 0])
+    t = table[:, 0]
+    # row k is line k + 2
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise RunFormatError("t is not finite", path=str(path),
+                             line=2 + int(bad[0]))
+    late = np.flatnonzero(t[1:] <= t[:-1])
     if late.size:
-        # row k + 1 (line k + 3) is the first whose t does not increase
+        # row k + 1 is the first whose t does not increase
         raise RunFormatError("t does not increase", path=str(path),
                              line=3 + int(late[0]))
 

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import (GeneralizedResidual, RealizedResidual,
-                          ResidualAccumulator)
+from .diagnostics import RealizedResidual, ResidualAccumulator
 from .diagnostics import constitutive_tension  # noqa: F401  (spans.WRAPS)
 from .diagnostics import generalized_residual  # noqa: F401  (spans.WRAPS)
 from .errors import ShapeError, UnderResolvedError
@@ -233,12 +232,14 @@ def mollify(state: ArcState, spec: ScenarioSpec) -> ArcState:
 @dataclass(frozen=True)
 class BranchingPair:
     """Two generalized trajectories from the upright state, as their
-    residuals, the L2 distance of their states at the horizon, and their
-    realized tension signs: the least tension of the falling run and the
-    largest of the stationary one, each over every state."""
+    residuals (each the document ``ResidualAccumulator.result`` returns,
+    as ``summary.json`` holds it), the L2 distance of their states at the
+    horizon, and their realized tension signs: the least tension of the
+    falling run and the largest of the stationary one, each over every
+    state."""
 
-    falling_residual: GeneralizedResidual
-    stationary_residual: GeneralizedResidual
+    falling_residual: dict
+    stationary_residual: dict
     separation: float
     falling_sigma_min: float
     stationary_sigma_max: float

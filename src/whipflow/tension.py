@@ -64,40 +64,16 @@ class TensionProfile:
         return 0.5 * (self.values[:-1] + self.values[1:])
 
 
-@dataclass(frozen=True)
-class GeodesicTensionProblem:
-    """Coefficient data for one tension solve.
-
-    ``curvature_sq`` holds node samples of |eta''|^2, ``speed_sq`` the
-    nonnegative source (zero for the gradient-flow problem), and
-    ``neumann_value`` the prescribed slope at s = 1.
-    """
-
-    grid: Grid
-    curvature_sq: np.ndarray
-    speed_sq: np.ndarray
-    neumann_value: float
-
-    def __post_init__(self):
-        n = self.grid.n_nodes
-        c = np.asarray(self.curvature_sq, dtype=float)
-        f = np.asarray(self.speed_sq, dtype=float)
-        if c.shape != (n,) or f.shape != (n,):
-            raise ShapeError(f"coefficients need {n} node values")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f))
-                and np.isfinite(self.neumann_value)):
-            raise ValueError("coefficients must be finite")
-        if c.min() < 0.0 or f.min() < 0.0:
-            raise ValueError("curvature_sq and speed_sq must be nonnegative")
-        c = c.copy(); c.flags.writeable = False
-        f = f.copy(); f.flags.writeable = False
-        object.__setattr__(self, "curvature_sq", c)
-        object.__setattr__(self, "speed_sq", f)
-
-
 # looked up by name at each call, so perfbench's spans.WRAPS can wrap it
-def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
-    """Solve the Dirichlet-Neumann tension problem.
+def solve_tension(grid: Grid, curvature_sq: np.ndarray, speed_sq: np.ndarray,
+                  neumann_value: float) -> TensionProfile:
+    """Solve the Dirichlet-Neumann tension problem on ``grid``.
+
+    ``curvature_sq`` holds node samples of c = |eta''|^2, ``speed_sq`` the
+    source f (zero for the gradient-flow problem) and ``neumann_value`` the
+    prescribed slope nu at s = 1.  Coefficients that are not one value per
+    node raise ShapeError; non-finite or negative ones (or a non-finite nu)
+    raise ValueError.
 
     Row 0 pins sigma(0) = 0; interior rows are central differences of
     sigma'' - c*sigma + f; the s = 1 row eliminates the ghost node through
@@ -110,10 +86,18 @@ def solve_tension(problem: GeodesicTensionProblem) -> TensionProfile:
     diagonal 1/h^2 + c_N/2 with right-hand side f_N/2 + nu/h.  Affine
     solutions of the c = f = 0 problem are reproduced exactly.
     """
-    grid = problem.grid
-    diag, rhs = _rows(problem.curvature_sq, problem.speed_sq,
-                      problem.neumann_value, grid.h)
-    values = np.empty(grid.n_nodes)
+    n = grid.n_nodes
+    c = np.asarray(curvature_sq, dtype=float)
+    f = np.asarray(speed_sq, dtype=float)
+    if c.shape != (n,) or f.shape != (n,):
+        raise ShapeError(f"coefficients need {n} node values")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(f))
+            and np.isfinite(neumann_value)):
+        raise ValueError("coefficients must be finite")
+    if c.min() < 0.0 or f.min() < 0.0:
+        raise ValueError("curvature_sq and speed_sq must be nonnegative")
+    diag, rhs = _rows(c, f, neumann_value, grid.h)
+    values = np.empty(n)
     values[0] = 0.0
     values[1:] = _solve_chain(diag, rhs, grid.h)
     return TensionProfile(grid=grid, values=values)
@@ -241,12 +225,7 @@ def counterexample_tension(
             f"stiffness {a_sq:.3g} is unresolved at h = {grid.h:.3g}; "
             "increase n_cells or eps"
         )
-    problem = GeodesicTensionProblem(
-        grid=grid,
-        curvature_sq=np.full(grid.n_nodes, a_sq),
-        speed_sq=np.ones(grid.n_nodes),
-        neumann_value=0.0,
-    )
-    profile = solve_tension(problem)
+    profile = solve_tension(grid, np.full(grid.n_nodes, a_sq),
+                            np.ones(grid.n_nodes), 0.0)
     bound = eps_sq / sin_sq
     return profile.at_end, float(bound)

@@ -1,7 +1,5 @@
 """Shared fixtures; the long pendulum-release run is computed once."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -73,7 +71,7 @@ class PendulumRun:
         self.final = evolve(self.init, 8.0, self.rmap, self.gravity, cfg,
                             observer=observer)
         # the run's timeseries table, as a Reporter takes it
-        self.table = np.array([[*astuple(r), dt, k] for r, dt, k in
+        self.table = np.array([[*r.values(), dt, k] for r, dt, k in
                                zip(self.reports, self.dts, self.iters)])
 
 

@@ -20,9 +20,8 @@ import pytest
 from paper_checks import folding_fall, time_reversed
 from test_run_io import random_record
 
-from whipflow import (ArcState, GeodesicTensionProblem, Grid,
-                      RegularizedMap, ScenarioSpec, StepperConfig,
-                      TensionProfile, branching_pair, build,
+from whipflow import (ArcState, Grid, RegularizedMap, ScenarioSpec,
+                      StepperConfig, TensionProfile, branching_pair, build,
                       constitutive_tension,
                       counterexample_tension, decay_fit, evolve,
                       generalized_residual, hardy_check, mollify,
@@ -97,9 +96,8 @@ def test_criterion_03_tension_oracle():
     worst_rel = 0.0
     for a in (1.0, 10.0, 50.0):
         grid = Grid(2000)
-        profile = solve_tension(GeodesicTensionProblem(
-            grid=grid, curvature_sq=np.full(grid.n_nodes, a * a),
-            speed_sq=np.ones(grid.n_nodes), neumann_value=0.0))
+        profile = solve_tension(grid, np.full(grid.n_nodes, a * a),
+                                np.ones(grid.n_nodes), 0.0)
         exact = (1.0 - 1.0 / np.cosh(a)) / a ** 2
         worst_rel = max(worst_rel, abs(profile.at_end - exact) / exact)
     # convergence order, measured where the error is above rounding
@@ -107,9 +105,8 @@ def test_criterion_03_tension_oracle():
     exact = (1.0 - 1.0 / np.cosh(a)) / a ** 2
     errors = []
     for n in (250, 500, 1000):
-        profile = solve_tension(GeodesicTensionProblem(
-            grid=Grid(n), curvature_sq=np.full(n + 1, a * a),
-            speed_sq=np.ones(n + 1), neumann_value=0.0))
+        profile = solve_tension(Grid(n), np.full(n + 1, a * a),
+                                np.ones(n + 1), 0.0)
         errors.append(abs(profile.at_end - exact))
     orders = [np.log2(c / f) for c, f in zip(errors, errors[1:])]
     elapsed = time.perf_counter() - start
@@ -147,16 +144,16 @@ def test_criterion_05_stationary_equilibria(gravity2):
             for t in (0.0, 1.0)
         ]
         res = generalized_residual(pairs, gravity2)
-        worst = max(worst, res.pde_residual_L2, res.constraint_product_L2,
-                    res.stretch_violation, -res.diss_inequality_slack)
+        worst = max(worst, res["pde_residual_L2"], res["constraint_product_L2"],
+                    res["stretch_violation"], -res["diss_inequality_slack"])
         rep = report(state, rmap, gravity2)
-        ok &= abs(rep.D) <= 1e-10
+        ok &= abs(rep["D"]) <= 1e-10
     ok &= worst <= 1e-10
     rep_down = report(down, rmap, gravity2)
-    ok &= abs(rep_down.E - (-0.5)) <= 1e-12
+    ok &= abs(rep_down["E"] - (-0.5)) <= 1e-12
     elapsed = time.perf_counter() - start
     assert announce(5, ok, f"residuals <= {worst:.2e} (tol 1e-10), "
-                           f"E(down) = {rep_down.E!r} (tol 1e-12) "
+                           f"E(down) = {rep_down['E']!r} (tol 1e-12) "
                            f"in {elapsed:.2f}s")
 
 
@@ -197,7 +194,7 @@ def test_criterion_08_constraint_recovery(gravity2):
         rows = []
         evolve(init, horizon, rmap, gravity2, cfg,
                observer=lambda s, dt, it, flux, pot: rows.append(
-                   (dt, report(s, rmap, gravity2).constraint_L1)))
+                   (dt, report(s, rmap, gravity2)["constraint_L1"])))
         arr = np.array(rows)
         averages.append(float(np.sum(arr[:, 0] * arr[:, 1]) / np.sum(arr[:, 0])))
     slope = float(np.polyfit(np.log(eps_values), np.log(averages), 1)[0])
@@ -226,25 +223,25 @@ def test_criterion_09_decay_window_as_stated(pendulum_run):
     in_band = (1e-4 * e0 <= e_rel) & (e_rel <= 0.5 * e0)
     ts, es = t[in_band], e_rel[in_band]
     fit = decay_fit(t, e_rel, D, (ts[0], ts[-1]))
-    anchored = es[0] * np.exp(-fit.rate * (ts - ts[0]))
+    anchored = es[0] * np.exp(-fit["rate"] * (ts - ts[0]))
     pointwise = float((es / anchored).max())
-    ok = (stationary <= 1e-9 and final < 1e-4 * e0 and fit.rate > 0.0
-          and fit.r_squared >= 0.95 and pointwise <= 1.05)
+    ok = (stationary <= 1e-9 and final < 1e-4 * e0 and fit["rate"] > 0.0
+          and fit["r_squared"] >= 0.95 and pointwise <= 1.05)
     announce(9, ok, f"eps-equilibrium residual {stationary:.1e} (tol 1e-9), "
                     f"final E_rel {final:.1e} < 1e-4 E_rel(0) = "
-                    f"{1e-4 * e0:.1e}; window [{fit.window[0]:.3f}, "
-                    f"{fit.window[1]:.3f}] ({len(ts)} reports), rate "
-                    f"{fit.rate:.4f} (fitted; reference "
+                    f"{1e-4 * e0:.1e}; window [{fit['window'][0]:.3f}, "
+                    f"{fit['window'][1]:.3f}] ({len(ts)} reports), rate "
+                    f"{fit['rate']:.4f} (fitted; reference "
                     f"{REFERENCE_DECAY_RATE:.4f} reported, not asserted), "
-                    f"r^2 {fit.r_squared:.5f} (needs >= 0.95), pointwise "
+                    f"r^2 {fit['r_squared']:.5f} (needs >= 0.95), pointwise "
                     f"ratio {pointwise:.3f} (needs <= 1.05)")
     assert stationary <= 1e-9, "the eps-equilibrium reference is not stationary"
     assert final < 1e-4 * e0, (
         "the run never crosses the window's lower edge; the fit would stop "
         "on a plateau"
     )
-    assert fit.rate > 0.0
-    assert fit.r_squared >= 0.95, (
+    assert fit["rate"] > 0.0
+    assert fit["r_squared"] >= 0.95, (
         "relative energy over [1e-4, 0.5] E_rel(0) is not log-linear in t"
     )
     assert pointwise <= 1.05
@@ -265,13 +262,11 @@ def test_summary_decay_fit_is_criterion_09_fit(pendulum_run):
                             max(run.sup_tangent), run.eps)
     fit = summary["decay_fit"]
     # the same rows in the same order, so every value is exact
-    assert fit == {"window": list(expected.window), "rate": expected.rate,
-                   "r_squared": expected.r_squared,
-                   "cbar0_check": expected.cbar0_check}
+    assert fit == expected
     assert fit["r_squared"] >= 0.95
     # the summary's relative energies keep the constrained reference
-    assert summary["E_rel_initial"] == run.reports[0].E_rel
-    assert summary["E_rel_final"] == run.reports[-1].E_rel
+    assert summary["E_rel_initial"] == run.reports[0]["E_rel"]
+    assert summary["E_rel_final"] == run.reports[-1]["E_rel"]
 
 
 def test_exponential_decay_before_saturation(pendulum_run):
@@ -285,13 +280,13 @@ def test_exponential_decay_before_saturation(pendulum_run):
     in_band = (3.0 * floor <= e_rel) & (e_rel <= 0.5 * e0)
     ts, es = t[in_band], e_rel[in_band]
     fit = decay_fit(t, e_rel, D, (ts[0], ts[-1]))
-    anchored = es[0] * np.exp(-fit.rate * (ts - ts[0]))
+    anchored = es[0] * np.exp(-fit["rate"] * (ts - ts[0]))
     pointwise = float((es / anchored).max())
-    print(f"[criterion 09, pre-saturation window] rate {fit.rate:.4f}, "
-          f"r^2 {fit.r_squared:.4f}, pointwise ratio {pointwise:.4f}, "
+    print(f"[criterion 09, pre-saturation window] rate {fit['rate']:.4f}, "
+          f"r^2 {fit['r_squared']:.4f}, pointwise ratio {pointwise:.4f}, "
           f"fitted rate vs derived reference {REFERENCE_DECAY_RATE:.4f}")
-    assert fit.rate > 0.0
-    assert fit.r_squared >= 0.95
+    assert fit["rate"] > 0.0
+    assert fit["r_squared"] >= 0.95
     assert pointwise <= 1.05
 
 
@@ -324,23 +319,23 @@ def test_criterion_11_non_uniqueness(gravity2):
     # frozen scheme tolerances for the falling eps-run, calibrated once on
     # this configuration (measured 0.44 / 0.047 / 0.0051 / -13.6; the
     # dissipation dip is the initial snap of the mollification taper)
-    ok = (stat.pde_residual_L2 <= 1e-10
-          and stat.constraint_product_L2 <= 1e-10
-          and stat.diss_inequality_slack >= -1e-10
-          and fall.pde_residual_L2 <= 1.0
-          and fall.constraint_product_L2 <= 0.15
-          and fall.stretch_violation <= 0.02
-          and fall.diss_inequality_slack >= -30.0
+    ok = (stat["pde_residual_L2"] <= 1e-10
+          and stat["constraint_product_L2"] <= 1e-10
+          and stat["diss_inequality_slack"] >= -1e-10
+          and fall["pde_residual_L2"] <= 1.0
+          and fall["constraint_product_L2"] <= 0.15
+          and fall["stretch_violation"] <= 0.02
+          and fall["diss_inequality_slack"] >= -30.0
           and pair.separation >= 0.5)
     # the realized tension signs, each extreme over every state
     ok &= pair.falling_sigma_min >= -1e-12 and pair.stationary_sigma_max <= 0.0
     elapsed = time.perf_counter() - start
     assert announce(11, ok, f"separation {pair.separation:.4f} >= 0.5 "
                             f"(equilibrium distance 2/sqrt(3) = 1.1547), "
-                            f"falling residuals ({fall.pde_residual_L2:.3f}, "
-                            f"{fall.constraint_product_L2:.3f}, "
-                            f"{fall.stretch_violation:.4f}, "
-                            f"{fall.diss_inequality_slack:.1f}) within frozen "
+                            f"falling residuals ({fall['pde_residual_L2']:.3f}, "
+                            f"{fall['constraint_product_L2']:.3f}, "
+                            f"{fall['stretch_violation']:.4f}, "
+                            f"{fall['diss_inequality_slack']:.1f}) within frozen "
                             f"tolerances, tension signs ok, in {elapsed:.1f}s")
 
 
@@ -382,9 +377,9 @@ def test_criterion_12_backward_transform(gravity2):
         folding_fall(Grid(400), g_minus, [k / 400 for k in range(401)]))
     fall_sigma_min = min(t.values.min() for _, t in fall_back)
     fall_res = generalized_residual(fall_back, gravity2)
-    fall_ok = (fall_res.pde_residual_L2 <= 1.85e-2
-               and fall_res.constraint_product_L2 <= 1e-3
-               and fall_res.diss_inequality_slack >= -1e-12
+    fall_ok = (fall_res["pde_residual_L2"] <= 1.85e-2
+               and fall_res["constraint_product_L2"] <= 1e-3
+               and fall_res["diss_inequality_slack"] >= -1e-12
                and fall_sigma_min == -0.5)
 
     elapsed = time.perf_counter() - start
@@ -394,9 +389,9 @@ def test_criterion_12_backward_transform(gravity2):
                             f"tension max {sigma_max:.2e} <= 1e-12, mirrored "
                             f"energy gap {worst_energy_gap:.2e} <= 1e-12, "
                             f"reversed folding fall residuals "
-                            f"({fall_res.pde_residual_L2:.3g}, "
-                            f"{fall_res.constraint_product_L2:.2g}, "
-                            f"{fall_res.diss_inequality_slack:.2g}) with min "
+                            f"({fall_res['pde_residual_L2']:.3g}, "
+                            f"{fall_res['constraint_product_L2']:.2g}, "
+                            f"{fall_res['diss_inequality_slack']:.2g}) with min "
                             f"sigma {fall_sigma_min:g}, in {elapsed:.1f}s")
 
 

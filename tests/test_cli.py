@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import re
 import shutil
@@ -421,7 +420,7 @@ def _recording(evolve, seen):
 def _per_state_rows(seen, rmap, g):
     """The timeseries rows of observed (state, dt, iters): each state's
     report() fields, then its dt and Newton iterations."""
-    return [[*dataclasses.astuple(report(state, rmap, g)), dt, iters]
+    return [[*report(state, rmap, g).values(), dt, iters]
             for state, dt, iters in seen]
 
 

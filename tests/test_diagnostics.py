@@ -1,5 +1,4 @@
 import weakref
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -37,22 +36,22 @@ def test_report_downward_equilibrium(gravity2, rmap):
     grid = Grid(500)
     state = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
     rep = report(state, rmap, gravity2)
-    assert rep.E == pytest.approx(-0.5, abs=1e-14)
-    assert rep.E_rel == pytest.approx(0.0, abs=1e-14)
-    assert rep.D == pytest.approx(0.0, abs=1e-10)
-    assert rep.cos_alpha == pytest.approx(1.0, abs=1e-12)
-    assert rep.max_stretch <= 1e-12
-    assert rep.sigma_at_1 == pytest.approx(1.0, abs=1e-10)
+    assert rep["E"] == pytest.approx(-0.5, abs=1e-14)
+    assert rep["E_rel"] == pytest.approx(0.0, abs=1e-14)
+    assert rep["D"] == pytest.approx(0.0, abs=1e-10)
+    assert rep["cos_alpha"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["max_stretch"] <= 1e-12
+    assert rep["sigma_at_1"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_report_upward_equilibrium(gravity2, rmap):
     grid = Grid(500)
     state = build(ScenarioSpec(kind="vertical_up"), grid, gravity2)
     rep = report(state, rmap, gravity2)
-    assert rep.E == pytest.approx(0.5, abs=1e-14)
-    assert rep.E_rel == pytest.approx(1.0, abs=1e-14)
-    assert rep.E_rel_back == pytest.approx(0.0, abs=1e-14)
-    assert rep.D == pytest.approx(0.0, abs=1e-10)
+    assert rep["E"] == pytest.approx(0.5, abs=1e-14)
+    assert rep["E_rel"] == pytest.approx(1.0, abs=1e-14)
+    assert rep["E_rel_back"] == pytest.approx(0.0, abs=1e-14)
+    assert rep["D"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_report_horizontal_segment(gravity2, rmap):
@@ -60,9 +59,9 @@ def test_report_horizontal_segment(gravity2, rmap):
     positions = np.zeros((grid.n_nodes, 2))
     positions[:, 0] = 1.0 - grid.nodes
     rep = report(ArcState(grid=grid, positions=positions), rmap, gravity2)
-    assert rep.E == pytest.approx(0.0, abs=1e-14)
-    assert rep.cos_alpha == pytest.approx(0.0, abs=1e-13)
-    assert rep.D == pytest.approx(1.0, abs=1e-10)
+    assert rep["E"] == pytest.approx(0.0, abs=1e-14)
+    assert rep["cos_alpha"] == pytest.approx(0.0, abs=1e-13)
+    assert rep["D"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_report_energy_forms_agree(gravity2, rmap):
@@ -71,8 +70,8 @@ def test_report_energy_forms_agree(gravity2, rmap):
         state = build(ScenarioSpec(kind="random_lipschitz", seed=seed),
                       grid, gravity2)
         rep = report(state, rmap, gravity2)
-        assert abs(rep.E - rep.E_alt) <= 10.0 * grid.h
-        assert rep.E_rel >= -10.0 * grid.h
+        assert abs(rep["E"] - rep["E_alt"]) <= 10.0 * grid.h
+        assert rep["E_rel"] >= -10.0 * grid.h
 
 
 def block_states(grid, dim):
@@ -87,9 +86,9 @@ def step_of(k):
 
 
 def timeseries_rows(reports):
-    """The timeseries table of a run's per-state EnergyReports, the k-th
+    """The timeseries table of a run's per-state report() rows, the k-th
     row ended by step_of(k)."""
-    rows = [[*astuple(r), *step_of(k)] for k, r in enumerate(reports)]
+    rows = [[*r.values(), *step_of(k)] for k, r in enumerate(reports)]
     return np.array(rows, dtype=float).reshape(-1, len(TIMESERIES_COLUMNS))
 
 
@@ -264,10 +263,10 @@ def test_generalized_residual_stationary_down(gravity2):
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
     res = generalized_residual(
         stationary_pairs(grid, down.positions, grid.nodes), gravity2)
-    assert res.pde_residual_L2 <= 1e-10
-    assert res.constraint_product_L2 <= 1e-10
-    assert res.stretch_violation <= 1e-10
-    assert abs(res.diss_inequality_slack) <= 1e-10
+    assert res["pde_residual_L2"] <= 1e-10
+    assert res["constraint_product_L2"] <= 1e-10
+    assert res["stretch_violation"] <= 1e-10
+    assert abs(res["diss_inequality_slack"]) <= 1e-10
 
 
 def test_generalized_residual_stationary_up(gravity2):
@@ -275,10 +274,10 @@ def test_generalized_residual_stationary_up(gravity2):
     up = build(ScenarioSpec(kind="vertical_up"), grid, gravity2)
     res = generalized_residual(
         stationary_pairs(grid, up.positions, -grid.nodes), gravity2)
-    assert res.pde_residual_L2 <= 1e-10
-    assert res.constraint_product_L2 <= 1e-10
-    assert res.stretch_violation <= 1e-10
-    assert abs(res.diss_inequality_slack) <= 1e-10
+    assert res["pde_residual_L2"] <= 1e-10
+    assert res["constraint_product_L2"] <= 1e-10
+    assert res["stretch_violation"] <= 1e-10
+    assert abs(res["diss_inequality_slack"]) <= 1e-10
 
 
 @pytest.mark.parametrize("direction", ["forward", "reversed"])
@@ -300,13 +299,13 @@ def test_folding_fall_residual_falls_at_order_half_in_dt(gravity2, direction):
         else:
             results.append(generalized_residual(pairs, gravity2))
     coarse, fine = results
-    assert 3.4e-2 <= coarse.pde_residual_L2 <= 3.7e-2
-    assert 1.7e-2 <= fine.pde_residual_L2 <= 1.85e-2
-    order = np.log(coarse.pde_residual_L2 / fine.pde_residual_L2) / np.log(4)
+    assert 3.4e-2 <= coarse["pde_residual_L2"] <= 3.7e-2
+    assert 1.7e-2 <= fine["pde_residual_L2"] <= 1.85e-2
+    order = np.log(coarse["pde_residual_L2"] / fine["pde_residual_L2"]) / np.log(4)
     assert 0.45 <= order <= 0.55, order
     for res in results:
-        assert res.diss_inequality_slack >= -1e-12
-        assert res.constraint_product_L2 <= 1e-3
+        assert res["diss_inequality_slack"] >= -1e-12
+        assert res["constraint_product_L2"] <= 1e-3
 
 
 def test_generalized_residual_needs_two_snapshots(gravity2):
@@ -385,23 +384,23 @@ def synthetic_fit(times, e_rel, window, diss=None):
 def test_decay_fit_exact_exponential():
     t = np.linspace(0.0, 3.0, 40)
     fit = synthetic_fit(t, np.exp(-3.0 * t), (0.0, 3.0))
-    assert fit.rate == pytest.approx(3.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit["rate"] == pytest.approx(3.0, abs=1e-12)
+    assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decay_fit_wobbled_exponential():
     t = np.linspace(0.0, 3.0, 200)
     e = np.exp(-3.0 * t) * (1.0 + 0.01 * np.sin(t))
     fit = synthetic_fit(t, e, (0.0, 3.0))
-    assert abs(fit.rate - 3.0) <= 0.02
-    assert fit.r_squared >= 0.999
+    assert abs(fit["rate"] - 3.0) <= 0.02
+    assert fit["r_squared"] >= 0.999
 
 
 def test_decay_fit_cbar0_ratio():
     t = np.linspace(0.0, 1.0, 20)
     e = np.exp(-t)
     fit = synthetic_fit(t, e, (0.0, 1.0), diss=2.0 * e)
-    assert fit.cbar0_check == pytest.approx(0.5, abs=1e-12)
+    assert fit["cbar0_check"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_decay_fit_reads_only_the_rows_in_its_window():
@@ -589,9 +588,9 @@ def test_dissipation_consistency_along_run(pendulum_run):
     # |−ΔE/Δt − D| stays within K (dt + h + eps); K frozen at 5 after a
     # reference measurement of 1.87 on this configuration
     run = pendulum_run
-    E = np.array([r.E for r in run.reports])
-    t = np.array([r.t for r in run.reports])
-    D = np.array([r.D for r in run.reports])
+    E = np.array([r["E"] for r in run.reports])
+    t = np.array([r["t"] for r in run.reports])
+    D = np.array([r["D"] for r in run.reports])
     gaps = np.abs(-(np.diff(E) / np.diff(t)) - D[1:])
     scale = np.diff(t) + run.grid.h + run.eps
     assert (gaps / scale).max() <= 5.0
@@ -618,7 +617,7 @@ def test_energy_inequality_slack_along_run(pendulum_run):
 
 def test_relative_energy_nonnegative_along_run(pendulum_run):
     run = pendulum_run
-    assert min(r.E_rel for r in run.reports) >= -10.0 * run.grid.h
+    assert min(r["E_rel"] for r in run.reports) >= -10.0 * run.grid.h
 
 
 def test_time_reversed_run_keeps_residual_scale(gravity2):
@@ -637,5 +636,5 @@ def test_time_reversed_run_keeps_residual_scale(gravity2):
     forward = list(zip(states, tensions))
     source = generalized_residual(forward, g_minus)
     reversed_res = generalized_residual(time_reversed(forward), gravity2)
-    assert reversed_res.pde_residual_L2 <= 2.0 * source.pde_residual_L2
-    assert source.pde_residual_L2 <= 2.0 * reversed_res.pde_residual_L2
+    assert reversed_res["pde_residual_L2"] <= 2.0 * source["pde_residual_L2"]
+    assert source["pde_residual_L2"] <= 2.0 * reversed_res["pde_residual_L2"]

@@ -4,7 +4,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +217,7 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
         assert evaluated.count(state.tangents.tobytes()) == 1
     # the handed arrays are bitwise those a fresh evaluation gives
     monkeypatch.undo()
-    rows = [[*astuple(report(s, rmap, gravity2)), *step]
+    rows = [[*report(s, rmap, gravity2).values(), *step]
             for s, step in zip(states, steps)]
     assert np.array_equal(reporter.table.view(np.uint64),
                           np.array(rows).view(np.uint64))

@@ -1,6 +1,7 @@
 """The package's public surface: the names a run, perfbench or the
-acceptance gate use, and none of the test-only layer that the tests now
-hold themselves (``paper_checks``)."""
+acceptance gate use, none of the test-only layer that the tests now hold
+themselves (``paper_checks``), and none of the record classes whose values
+are now the plain dicts and arguments their callers handle."""
 
 import importlib
 import pkgutil
@@ -9,7 +10,8 @@ import whipflow
 
 RETIRED = ("Trajectory", "backward_transform", "sigma_decay_check",
            "compatibility_predicate", "relative_energy_identity_check",
-           "ContractError")
+           "ContractError", "EnergyReport", "DecayFit", "GeneralizedResidual",
+           "GeodesicTensionProblem")
 
 
 def test_every_public_name_resolves():

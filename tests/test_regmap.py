@@ -745,3 +745,13 @@ def test_readers_leave_the_map_as_constructed(dim):
     assert vars(m).keys() == built.keys()
     for key, value in vars(m).items():
         assert np.array_equal(value, built[key]), key
+
+
+@pytest.mark.parametrize("scalar", [0.3, np.float64(0.3), np.array(0.3)],
+                         ids=["float", "float64", "array_0d"])
+@pytest.mark.parametrize("method", READERS)
+def test_readers_refuse_a_0d_input_naming_its_shape(method, scalar):
+    # a 0-d input has no vector axis: refused as outside the map's domain
+    m = RegularizedMap(1e-2, dim=2)
+    with pytest.raises(NumericDomainError, match=r"of shape \(\) "):
+        getattr(m, method)(scalar)

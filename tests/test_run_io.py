@@ -250,11 +250,19 @@ def _swap_last_two_rows(text):
     return "\r\n".join([*lines[:-2], lines[-1], lines[-2]]) + "\r\n"
 
 
+def _second_row_at_nan(text):
+    lines = text.splitlines()
+    lines[2] = "nan" + lines[2][lines[2].index(","):]
+    return "\r\n".join(lines) + "\r\n"
+
+
 @pytest.mark.parametrize("name, edit, line, message", [
     ("summary.json", lambda text: text[:-2], 6, "invalid JSON"),
     ("timeseries.csv", _swap_first_two_columns, 1, "unexpected columns"),
     # rows at t = 0.5, 1.5, 1: the third row's t does not increase
     ("timeseries.csv", _swap_last_two_rows, 4, "t does not increase"),
+    # rows at t = 0.5, nan, 1.5: NaN compares false with both neighbours
+    ("timeseries.csv", _second_row_at_nan, 3, "t is not finite"),
     ("config.json", lambda text: text.replace('"config"', '"settings"'),
      None, 'no "config" object'),
     ("summary.json", lambda text: text.replace('"snapshot_times": []',
@@ -265,7 +273,8 @@ def _swap_last_two_rows(text):
      None, "snapshot_times is not a list of numbers"),
     ("config.json", lambda text: "[1]\n", None, "not a JSON object"),
 ], ids=["summary_not_json", "timeseries_columns_out_of_order",
-        "timeseries_rows_out_of_order", "config_without_config",
+        "timeseries_rows_out_of_order", "timeseries_nan_time",
+        "config_without_config",
         "snapshot_times_not_a_list", "snapshot_times_not_numbers",
         "config_not_an_object"])
 def test_corrupt_file_names_file_and_line(tmp_path, name, edit, line,
@@ -495,8 +504,13 @@ def test_records_strictly_increasing_times():
         RunRecord(config_echo={}, reports=timeseries(row, row))
     later = [1.0 + row[0], *row[1:]]
     RunRecord(config_echo={}, reports=timeseries(row, later))
-    # a NaN time compares false with its neighbours, so it is not refused
-    RunRecord(config_echo={}, reports=timeseries(row, [np.nan, *row[1:]]))
+    # a NaN time compares false with its neighbours, so it is refused as
+    # not finite, as is an infinite one
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite times"):
+            RunRecord(config_echo={}, reports=timeseries(row, [bad, *row[1:]]))
+        with pytest.raises(ValueError, match="finite times"):
+            RunRecord(config_echo={}, reports=timeseries([bad, *row[1:]]))
 
 
 @pytest.mark.parametrize("table", [

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from whipflow import (ArcState, GeodesicTensionProblem, GravitySpec, Grid,
+from whipflow import (ArcState, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, build, counterexample_tension, evolve,
                       mollify, solve_tension, tension_for_state)
 from whipflow.errors import (NumericDomainError, ShapeError, TensionSolveError,
                              UnderResolvedError)
 from whipflow.regmap import EPS_MAX, EPS_MIN
-from whipflow.tension import end_cos_alpha, flow_tensions
+from whipflow.tension import _rows, _solve_chain, end_cos_alpha, flow_tensions
 
 
 def constant_problem(grid, c, f, nu):
-    return GeodesicTensionProblem(
-        grid=grid,
-        curvature_sq=np.full(grid.n_nodes, c),
-        speed_sq=np.full(grid.n_nodes, f),
-        neumann_value=nu,
-    )
+    """solve_tension's arguments for constant coefficients."""
+    return grid, np.full(grid.n_nodes, c), np.full(grid.n_nodes, f), nu
 
 
 def closed_form_end_value(a):
@@ -44,16 +40,16 @@ def test_profile_refuses_non_finite_values(bad, node):
 
 def test_affine_solutions_exact():
     grid = Grid(113)
-    up = solve_tension(constant_problem(grid, 0.0, 0.0, 1.0))
+    up = solve_tension(*constant_problem(grid, 0.0, 0.0, 1.0))
     np.testing.assert_allclose(up.values, grid.nodes, rtol=0, atol=1e-12)
-    down = solve_tension(constant_problem(grid, 0.0, 0.0, -1.0))
+    down = solve_tension(*constant_problem(grid, 0.0, 0.0, -1.0))
     np.testing.assert_allclose(down.values, -grid.nodes, rtol=0, atol=1e-12)
 
 
 def test_constant_coefficient_closed_form():
     a = 10.0
     grid = Grid(2000)
-    profile = solve_tension(constant_problem(grid, a * a, 1.0, 0.0))
+    profile = solve_tension(*constant_problem(grid, a * a, 1.0, 0.0))
     exact = closed_form_end_value(a)
     assert abs(profile.at_end - exact) / exact <= 1e-6
 
@@ -63,7 +59,7 @@ def test_second_order_convergence_against_closed_form():
     exact = closed_form_end_value(a)
     errors = []
     for n in (250, 500, 1000):
-        profile = solve_tension(constant_problem(Grid(n), a * a, 1.0, 0.0))
+        profile = solve_tension(*constant_problem(Grid(n), a * a, 1.0, 0.0))
         errors.append(abs(profile.at_end - exact))
     for coarse, fine in zip(errors, errors[1:]):
         order = np.log2(coarse / fine)
@@ -76,8 +72,7 @@ def test_discrete_system_residual_is_tiny():
     c = rng.uniform(0.0, 50.0, size=grid.n_nodes)
     f = rng.uniform(0.0, 2.0, size=grid.n_nodes)
     nu = 0.4
-    sigma = solve_tension(GeodesicTensionProblem(
-        grid=grid, curvature_sq=c, speed_sq=f, neumann_value=nu)).values
+    sigma = solve_tension(grid, c, f, nu).values
     h = grid.h
     interior = (sigma[:-2] - 2.0 * sigma[1:-1] + sigma[2:]) / h ** 2 \
         - c[1:-1] * sigma[1:-1] + f[1:-1]
@@ -113,20 +108,19 @@ def test_symmetrized_solve_matches_dense_documented_rows(n_cells):
     dense[n, n] = -2.0 / h ** 2 - c[n]
     rhs[n] = -f[n] - 2.0 * nu / h
     expected = np.linalg.solve(dense, rhs)
-    got = solve_tension(GeodesicTensionProblem(
-        grid=grid, curvature_sq=c, speed_sq=f, neumann_value=nu)).values
+    got = solve_tension(grid, c, f, nu).values
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_indefinite_tension_system_raises():
-    # the problem validator forbids c < 0, so the field is overwritten to
-    # reach the solver's own guard: c = -4/h^2 makes the system indefinite
+    # solve_tension refuses c < 0, so its rows are built and solved
+    # directly to reach the solver's own guard: c = -4/h^2 makes the
+    # system indefinite
     grid = Grid(8)
-    problem = constant_problem(grid, 0.0, 0.0, 1.0)
-    object.__setattr__(problem, "curvature_sq",
-                       np.full(grid.n_nodes, -4.0 / grid.h ** 2))
+    diag, rhs = _rows(np.full(grid.n_nodes, -4.0 / grid.h ** 2),
+                      np.zeros(grid.n_nodes), 1.0, grid.h)
     with pytest.raises(TensionSolveError, match="ptsv info 1"):
-        solve_tension(problem)
+        _solve_chain(diag, rhs, grid.h)
 
 
 def test_tension_for_vertical_states(gravity2):
@@ -268,9 +262,7 @@ def test_maximum_principle_positive_neumann():
     rng = np.random.default_rng(4)
     grid = Grid(200)
     c = rng.uniform(0.0, 20.0, size=grid.n_nodes)
-    sigma = solve_tension(GeodesicTensionProblem(
-        grid=grid, curvature_sq=c, speed_sq=np.zeros(grid.n_nodes),
-        neumann_value=0.8)).values
+    sigma = solve_tension(grid, c, np.zeros(grid.n_nodes), 0.8).values
     assert sigma.min() >= -1e-12
     assert np.diff(sigma).min() >= -1e-12
     assert np.diff(sigma, 2).min() >= -1e-10
@@ -280,9 +272,7 @@ def test_maximum_principle_negative_neumann():
     rng = np.random.default_rng(5)
     grid = Grid(200)
     c = rng.uniform(0.0, 20.0, size=grid.n_nodes)
-    sigma = solve_tension(GeodesicTensionProblem(
-        grid=grid, curvature_sq=c, speed_sq=np.zeros(grid.n_nodes),
-        neumann_value=-0.8)).values
+    sigma = solve_tension(grid, c, np.zeros(grid.n_nodes), -0.8).values
     assert sigma.max() <= 1e-12
     assert np.diff(sigma).max() <= 1e-12
     assert np.diff(sigma, 2).max() <= 1e-10
@@ -290,7 +280,7 @@ def test_maximum_principle_negative_neumann():
 
 def test_zero_neumann_zero_solution():
     grid = Grid(150)
-    sigma = solve_tension(constant_problem(grid, 7.0, 0.0, 0.0)).values
+    sigma = solve_tension(*constant_problem(grid, 7.0, 0.0, 0.0)).values
     assert np.abs(sigma).max() <= 1e-12
 
 
@@ -299,9 +289,7 @@ def test_slope_and_value_bounds():
     grid = Grid(180)
     for nu in (0.3, -0.9, 1.0):
         c = rng.uniform(0.0, 40.0, size=grid.n_nodes)
-        sigma = solve_tension(GeodesicTensionProblem(
-            grid=grid, curvature_sq=c, speed_sq=np.zeros(grid.n_nodes),
-            neumann_value=nu)).values
+        sigma = solve_tension(grid, c, np.zeros(grid.n_nodes), nu).values
         assert np.all(np.abs(sigma) <= grid.nodes * abs(nu) + 1e-10)
         assert np.abs(np.diff(sigma) / grid.h).max() <= abs(nu) + 1e-10
 
@@ -329,23 +317,19 @@ def test_tension_bounded_by_arclength_along_run(gravity2):
 def test_nonnegative_with_source():
     rng = np.random.default_rng(7)
     grid = Grid(160)
-    sigma = solve_tension(GeodesicTensionProblem(
-        grid=grid,
-        curvature_sq=rng.uniform(0.0, 30.0, size=grid.n_nodes),
-        speed_sq=rng.uniform(0.0, 3.0, size=grid.n_nodes),
-        neumann_value=0.0)).values
+    sigma = solve_tension(grid,
+                          rng.uniform(0.0, 30.0, size=grid.n_nodes),
+                          rng.uniform(0.0, 3.0, size=grid.n_nodes),
+                          0.0).values
     assert sigma.min() >= -1e-12
 
 
 def test_problem_validation():
     grid = Grid(10)
     with pytest.raises(ValueError):
-        GeodesicTensionProblem(grid=grid, curvature_sq=-np.ones(11),
-                               speed_sq=np.zeros(11), neumann_value=0.0)
+        solve_tension(grid, -np.ones(11), np.zeros(11), 0.0)
     with pytest.raises(ShapeError):
-        GeodesicTensionProblem(grid=grid, curvature_sq=np.zeros(10),
-                               speed_sq=np.zeros(11), neumann_value=0.0)
+        solve_tension(grid, np.zeros(10), np.zeros(11), 0.0)
     for nu in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            GeodesicTensionProblem(grid=grid, curvature_sq=np.zeros(11),
-                                   speed_sq=np.zeros(11), neumann_value=nu)
+            solve_tension(grid, np.zeros(11), np.zeros(11), nu)
