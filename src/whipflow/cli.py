@@ -18,7 +18,6 @@ root or config path included), 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -42,8 +41,7 @@ from .run_io import (RunRecord, Snapshot, eps_directory, run_directory,
                      run_path, write_json, write_run, write_table)
 from .run_io import write_trajectory  # noqa: F401  (perfbench's spans.WRAPS)
 from .scenarios import (KINDS, ScenarioSpec, branching_pair, build,
-                        eps_equilibrium, mollify, mollify_scales,
-                        upright_release)
+                        eps_equilibrium, mollify, upright_release)
 from .tension import counterexample_tension
 from .tension import tension_for_state  # also looked up by spans.WRAPS
 
@@ -237,13 +235,10 @@ def _stepper(cfg) -> StepperConfig:
 
 
 def _initial_state(cfg) -> ArcState:
-    """The configured scenario's curve, mollified at the scales of its grid
-    (``mollify_scales``), as the upright curve of nonuniqueness is."""
-    grid = Grid(cfg["cells"])
-    radius, width = mollify_scales(grid.h)
-    spec = dataclasses.replace(_scenario_spec(cfg), mollify_radius=radius,
-                               taper_width=width)
-    return mollify(build(spec, grid, GravitySpec.down(cfg["dim"])), spec)
+    """The configured scenario's curve, mollified (at the scales of its
+    grid), as the upright curve of nonuniqueness is."""
+    return mollify(build(_scenario_spec(cfg), Grid(cfg["cells"]),
+                         GravitySpec.down(cfg["dim"])))
 
 
 def run_simulation(cfg: dict, rmap: RegularizedMap, init: ArcState,

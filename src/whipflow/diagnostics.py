@@ -5,13 +5,14 @@ and perturbed energies, the dissipation identity, weak-solution residuals
 (taken as running sums, state by state or block by block, by a
 ResidualAccumulator), the weighted Hardy ratio and exponential-decay fits.
 
-The consumers of a run's states take them per block.  A state arrives as
-``evolve``'s observer receives it, with the flux and the potential density
-the stepper handed out; the observer sees the initial state first, so no
-consumer inverts the map or adds the start by itself.  Its positions,
-time, flux (and potential) are copied into a block of at most
-BLOCK_FLOATS floats, and every column is computed for the whole block at
-once when it is full (and for the last, partial one at ``flush``).  A
+The consumers of a run's states take them per block.  Each is an
+observer of ``evolve``: it takes a state with the dt and Newton iterations
+of the step that reached it, its flux and its potential density, as the
+stepper handed them out; the observer sees the initial state first, so no
+consumer inverts the map or adds the start by itself.  All five are copied
+into a block that holds at most BLOCK_FLOATS floats, or one state if that
+is larger, and every column is computed for the whole block at once when
+it is full (and for the last, partial one at ``flush``).  A
 Reporter takes a run's timeseries: one float row of TIMESERIES_COLUMNS
 per state, the table ``timeseries.csv`` holds, its tensions from one
 tridiagonal solve per block; a RealizedResidual takes the weak-solution
@@ -27,7 +28,7 @@ A decay fit and a residual come back as the dicts of Python floats that
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,8 +64,8 @@ REPORT_COLUMNS = ("t", "E", "E_alt", "E_rel", "E_rel_back", "E_eps", "D",
 TIMESERIES_COLUMNS = (*REPORT_COLUMNS, "dt", "newton_iters")
 
 
-# Floats a consumer of a run's states keeps at most, its block of states
-# included: 16 states of a Reporter at n = 200 in 2-D and 2 at n = 1500.
+# Floats a block of a run's states holds at most, or one state if that is
+# larger: 16 states at n = 200 in 2-D, 3 at n = 1000 and 2 at n = 1500.
 BLOCK_FLOATS = 16384
 
 
@@ -82,32 +83,32 @@ def potential_energy(state: ArcState, g: GravitySpec) -> float:
 
 
 class _StateBlock:
-    """A block of a run's states, taken as ``evolve``'s observer receives
-    them: ``add(state, flux[, pot])`` copies the state's positions, time and
-    flux (and, if the block keeps them, its potential density) into arrays
-    that hold, with the ``reserve`` floats their owner keeps besides, at
-    most BLOCK_FLOATS floats, or one state if that is larger; ``extra``
-    more floats per state are the owner's.  A full block is handed to
-    ``_take(m)`` at once; ``flush`` hands on the partial one.  Arrays of
-    another shape are refused with ShapeError, not broadcast."""
+    """A block of a run's states on ``grid`` in ``dim`` dimensions.
 
-    def __init__(self, grid: Grid, dim: int, with_pot: bool, reserve: int = 0,
-                 extra: int = 0):
+    ``add(state, dt, iters, flux, pot)`` is an observer of ``evolve``: it
+    copies the state's positions and time, the step's dt and Newton
+    iterations, the flux and the potential density into arrays that hold
+    at most BLOCK_FLOATS floats, or one state if that is larger.  A full
+    block is handed to ``_take(m)`` at once; ``flush`` hands on the
+    partial one.  Arrays of another shape are refused with ShapeError, not
+    broadcast, and a refused add leaves the count as it was."""
+
+    def __init__(self, grid: Grid, dim: int):
         n = grid.n_cells
-        per_state = (2 * n + 1) * dim + (n if with_pot else 0) + 1 + extra
-        size = max(1, (BLOCK_FLOATS - reserve) // per_state)
+        # positions, flux, potential, time, dt and Newton iterations
+        size = max(1, BLOCK_FLOATS // ((2 * n + 1) * dim + n + 3))
         self._positions = np.empty((size, n + 1, dim))
         self._flux = np.empty((size, n, dim))
-        self._pot = np.empty((size, n)) if with_pot else None
+        self._pot = np.empty((size, n))
         self._times = np.empty(size)
+        self._steps = np.empty((size, 2))
         self._count = 0
 
-    def add(self, state: ArcState, flux: np.ndarray,
-            pot: Optional[np.ndarray] = None) -> None:
-        given = [("state", state.positions, self._positions),
-                 ("flux", flux, self._flux)]
-        if self._pot is not None:
-            given.append(("potential", pot, self._pot))
+    def add(self, state: ArcState, dt: float, iters: int, flux: np.ndarray,
+            pot: np.ndarray) -> None:
+        given = (("state", state.positions, self._positions),
+                 ("flux", flux, self._flux),
+                 ("potential", pot, self._pot))
         for name, value, block in given:
             if np.shape(value) != block.shape[1:]:
                 raise ShapeError(f"{name} of shape {np.shape(value)} in a "
@@ -116,6 +117,7 @@ class _StateBlock:
         for _, value, block in given:
             block[k] = value
         self._times[k] = state.time
+        self._steps[k] = dt, iters
         self._count = k + 1
         if self._count == len(self._times):
             self.flush()
@@ -133,10 +135,8 @@ class _StateBlock:
 class Reporter(_StateBlock):
     """The timeseries of a run's states, in the order they are added.
 
-    ``add(state, dt, iters, flux, pot)`` takes what ``evolve``'s observer
-    receives (a state, the dt and Newton iterations of the step that
-    reached it, its flux invert(state.tangents) and potential density) and
-    copies it into the block; a full block is reported at once, as one
+    ``add(state, dt, iters, flux, pot)`` is the block's observer (the flux
+    is invert(state.tangents)); a full block is reported at once, as one
     (m x 13) float block of TIMESERIES_COLUMNS.  Call ``flush`` after the
     last state (also when the run failed) to report the partial block.
     ``table`` holds the rows reported so far and ``sup_u`` the largest
@@ -147,17 +147,10 @@ class Reporter(_StateBlock):
     """
 
     def __init__(self, grid: Grid, g: GravitySpec):
-        super().__init__(grid, g.dim, with_pot=True, extra=2)
-        self._steps = np.empty((len(self._times), 2))  # dt, Newton iterations
+        super().__init__(grid, g.dim)
         self._blocks: list[np.ndarray] = []
         self.sup_u = -np.inf
         self._grid, self._g = grid, g
-
-    def add(self, state: ArcState, dt: float, iters: int, flux: np.ndarray,
-            pot: np.ndarray) -> None:
-        # a refused add leaves the count, so the next add rewrites this row
-        self._steps[self._count] = dt, iters
-        super().add(state, flux, pot)
 
     @property
     def table(self) -> np.ndarray:
@@ -362,15 +355,13 @@ class ResidualAccumulator:
 class RealizedResidual(_StateBlock):
     """The ResidualAccumulator ``residual`` of a run's states, each paired
     with the tension it realizes, constitutive_tension(state, flux), and
-    taken per block: ``add(state, flux)`` copies the state in, as
-    ``evolve``'s observer receives it, and each full block goes into the
-    accumulator at once.  Call ``flush`` after the last state.  The block
-    and the accumulator's previous state together hold at most
-    BLOCK_FLOATS floats."""
+    taken per block: ``add(state, dt, iters, flux, pot)``, the block's
+    observer, copies the state in, and each full block goes into the
+    accumulator at once (which reads the positions, times and fluxes).
+    Call ``flush`` after the last state."""
 
     def __init__(self, grid: Grid, g: GravitySpec):
-        super().__init__(grid, g.dim, with_pot=False,
-                         reserve=grid.n_cells * g.dim)
+        super().__init__(grid, g.dim)
         self.residual = ResidualAccumulator(g)
         self._grid = grid
 
@@ -449,14 +440,19 @@ def decay_fit(t: np.ndarray, e_rel: np.ndarray, diss: np.ndarray,
     would bound by a universal constant.  Returns the ``decay_fit``
     document of ``summary.json``: ``{"window": [t0, t1], "rate",
     "r_squared", "cbar0_check"}``, Python floats.  Refuses (ValueError) a
-    window with fewer than 10 rows, with fewer than two distinct times, or
-    with a relative energy that is not positive.
+    window with fewer than 10 rows, with a relative energy or dissipation
+    that is not finite (a NaN would pass the positivity check and give a
+    NaN document), with a relative energy that is not positive, or with
+    fewer than two distinct times.
     """
     t_start, t_end = window
     selected = (t_start <= t) & (t <= t_end)
     t, e_rel, diss = t[selected], e_rel[selected], diss[selected]
     if len(t) < 10:
         raise ValueError(f"need at least 10 reports in window, got {len(t)}")
+    if not (np.isfinite(e_rel).all() and np.isfinite(diss).all()):
+        raise ValueError("relative energy or dissipation is not finite on "
+                         "the window; fit refused")
     if e_rel.min() <= 0.0:
         raise ValueError("relative energy is not positive on the window; fit refused")
     if t.min() == t.max():

@@ -116,10 +116,12 @@ class RegularizedMap:
 
     def __init__(self, eps: float, dim: int = 2):
         check_eps(eps)
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
+        # an integer: a float 2.0 would pass ``in (2, 3)`` and then fail
+        # as a shape in inverse_jacobian
+        if not (isinstance(dim, (int, np.integer)) and dim in (2, 3)):
+            raise ValueError(f"dim must be the integer 2 or 3, got {dim!r}")
         self.eps = eps
-        self.dim = dim
+        self.dim = int(dim)
         # eps as a 0-d array, like _ZERO; a Python float operand is
         # promoted to this very float64 value
         self._eps = np.array(eps, dtype=float)

@@ -42,22 +42,20 @@ HELIX_CELLS_PER_TURN = 8
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Which curve to build and how to smooth it.
+    """Which curve to build.
 
     ``alpha0`` is the pin angle, cos(alpha0) = -g . eta'(1): the direction
     of the straight scenario and the pitch angle of the helix.
-    ``geom_eps`` is the helix scale (radius geom_eps*sin(alpha0)), ``seed``
-    drives the random unit-tangent field, and ``mollify_radius`` and
-    ``taper_width`` are the scales of :func:`mollify` (:func:`mollify_scales`
-    gives those of a grid).
+    ``geom_eps`` is the helix scale (radius geom_eps*sin(alpha0)) and
+    ``seed`` drives the random unit-tangent field.  How the curve is
+    smoothed is no part of it: :func:`mollify` takes its scales from the
+    grid.
     """
 
     kind: str
     geom_eps: float = 0.1
     alpha0: float = np.pi / 2
     seed: int = 0
-    mollify_radius: float = 0.0
-    taper_width: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -66,8 +64,6 @@ class ScenarioSpec:
             raise ValueError(f"geom_eps must be positive, got {self.geom_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not (self.mollify_radius >= 0.0 and self.taper_width >= 0.0):
-            raise ValueError("mollify_radius and taper_width must be nonnegative")
 
 
 def _perp_frame(g_vec: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -173,38 +169,32 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
 
 def mollify_scales(h: float) -> tuple[float, float]:
     """The (mollify_radius, taper_width) of a grid of spacing h: 0.02 and
-    0.04, widened to 2h on coarse grids, the least :func:`mollify`
-    accepts."""
+    0.04, widened to 2h on coarse grids, so that the bump and the cutoff
+    each span at least two cells."""
     return max(0.02, 2.0 * h), max(0.04, 2.0 * h)
 
 
-def mollify(state: ArcState, spec: ScenarioSpec) -> ArcState:
-    """Smooth a state's tangent field and taper it to zero near both ends.
+def mollify(state: ArcState) -> ArcState:
+    """Smooth a state's tangent field and taper it to zero near both ends,
+    at the scales of its grid, (radius, width) = mollify_scales(h).
 
     The tangents are extended oddly below the free end and evenly beyond
     the pinned end (the latter is what odd reflection of the positions
     about s = 1 does to the derivative), convolved with a normalized
-    polynomial bump of radius ``mollify_radius``, multiplied by a
-    smooth-step cutoff that vanishes identically within a quarter of
-    ``taper_width`` of either end, and re-integrated from the pin.  The
-    tangent sup-norm never increases (the bump is a probability kernel and
-    the cutoff is at most one), so admissible data stay admissible; a
-    rescale guard enforces the unit bound anyway.
+    polynomial bump of that radius, multiplied by a smooth-step cutoff
+    that vanishes identically within a quarter of the width of either
+    end, and re-integrated from the pin.  The tangent sup-norm never
+    increases (the bump is a probability kernel and the cutoff is at most
+    one), so admissible data stay admissible; a rescale guard enforces the
+    unit bound anyway.
     """
-    delta = spec.mollify_radius
-    width = spec.taper_width
     grid = state.grid
     h = grid.h
-    if not (delta > 0.0):
-        raise ValueError("mollify needs a positive mollify_radius")
-    if delta < 2.0 * h or width < 2.0 * h:
-        raise UnderResolvedError(
-            f"mollify_radius and taper_width must be at least 2h = {2*h:.3g}"
-        )
+    delta, width = mollify_scales(h)
     u = state.tangents
     n = grid.n_cells
 
-    m = max(int(np.floor((delta - 1e-12) / h)), 1)
+    m = int(np.floor((delta - 1e-12) / h))  # at least 1, as delta >= 2h
     offsets = np.arange(-m, m + 1) * h
     kernel = (1.0 - (offsets / delta) ** 2) ** 3
     kernel /= kernel.sum()
@@ -219,6 +209,9 @@ def mollify(state: ArcState, spec: ScenarioSpec) -> ArcState:
     mids = grid.midpoints
     cutoff = _smoothstep((mids - 0.25 * width) / (0.5 * width)) \
         * _smoothstep(((1.0 - mids) - 0.25 * width) / (0.5 * width))
+    # width >= 2h puts the end cells within a quarter width of the ends;
+    # at width = 2h, 1 - s can round the pinned one just outside
+    cutoff[[0, -1]] = 0.0
     tapered = smooth * cutoff[:, None]
 
     excess = np.linalg.norm(tapered, axis=1).max()
@@ -253,12 +246,9 @@ def stationary_upright(grid: Grid, g: GravitySpec) -> tuple[ArcState, TensionPro
 
 
 def upright_release(grid: Grid, g: GravitySpec) -> ArcState:
-    """The upright state mollified at the scales of its grid: the start of
-    the falling run of :func:`branching_pair`."""
-    radius, width = mollify_scales(grid.h)
-    spec = ScenarioSpec(kind="vertical_up", mollify_radius=radius,
-                        taper_width=width)
-    return mollify(build(spec, grid, g), spec)
+    """The upright state, mollified (at the scales of its grid): the start
+    of the falling run of :func:`branching_pair`."""
+    return mollify(build(ScenarioSpec(kind="vertical_up"), grid, g))
 
 
 def branching_pair(
@@ -282,8 +272,9 @@ def branching_pair(
     identically.  The falling run is one ``evolve`` call, which takes the
     arguments in the same order, with ``observer``, ``stats`` and
     ``stops`` passed on: each state evolve hands out, the initial one
-    first, goes into a RealizedResidual, paired with the tension it
-    realizes, then to ``observer``, and no state is kept but the last.  A
+    first, goes with the other four arguments of the observer into a
+    RealizedResidual, paired with the tension it realizes, then to
+    ``observer``, and no state is kept but the last.  A
     horizon of at most TIME_TOL takes no step and raises ValueError before
     the run.
     """
@@ -297,7 +288,7 @@ def branching_pair(
     falling = RealizedResidual(grid, g)
 
     def record(state, dt, iters, flux, pot):
-        falling.add(state, flux)
+        falling.add(state, dt, iters, flux, pot)
         if observer is not None:
             observer(state, dt, iters, flux, pot)
 

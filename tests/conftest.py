@@ -39,9 +39,8 @@ class PendulumRun:
         self.grid = Grid(200)
         self.gravity = GravitySpec.down(2)
         self.rmap = RegularizedMap(self.eps, dim=2)
-        spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.02,
-                            taper_width=0.04)
-        self.init = mollify(build(spec, self.grid, self.gravity), spec)
+        spec = ScenarioSpec(kind="quarter_circle")
+        self.init = mollify(build(spec, self.grid, self.gravity))
         cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
 
         # evolve's observer sees the initial state first, with dt 0

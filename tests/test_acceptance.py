@@ -181,9 +181,8 @@ def test_criterion_07_maximum_principle(pendulum_run):
 def test_criterion_08_constraint_recovery(gravity2):
     start = time.perf_counter()
     grid = Grid(400)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.02,
-                        taper_width=0.04)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    init = mollify(build(spec, grid, gravity2))
     cfg = StepperConfig(dt_init=1e-4, dt_min=1e-12, dt_max=0.01)
     horizon = 0.1  # release transient; the averaging window is unpinned
     averages = []
@@ -344,9 +343,8 @@ def test_criterion_12_backward_transform(gravity2):
     g_minus = gravity2.flipped()
     grid = Grid(100)
     rmap = RegularizedMap(1e-2, dim=2)
-    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
-                        mollify_radius=0.02, taper_width=0.04)
-    init = mollify(build(spec, grid, g_minus), spec)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4)
+    init = mollify(build(spec, grid, g_minus))
     states, tensions = [], []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, 1.0, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (

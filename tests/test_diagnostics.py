@@ -7,6 +7,7 @@ import pytest
 from paper_checks import (compatibility, folding_fall,
                           relative_energy_identity, sigma_tails,
                           time_reversed)
+from test_scenarios import _residual_bits
 from whipflow import (ArcState, GravitySpec, Grid,
                       RegularizedMap, ScenarioSpec, StepperConfig,
                       TensionProfile, build, constitutive_tension,
@@ -14,9 +15,9 @@ from whipflow import (ArcState, GravitySpec, Grid,
                       mollify, report)
 from whipflow import diagnostics
 from whipflow.diagnostics import (BLOCK_FLOATS, EQUILIBRIUM_ENERGY,
-                                  TIMESERIES_COLUMNS, Reporter, _line_fit)
+                                  TIMESERIES_COLUMNS, RealizedResidual,
+                                  Reporter, ResidualAccumulator, _line_fit)
 from whipflow.errors import ShapeError
-from whipflow.scenarios import mollify_scales
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +120,8 @@ def helix_release_states():
     """A 3-D release on 1000 cells, five states per block, to t = 0.05."""
     grid = Grid(1000)
     g = GravitySpec.down(3)
-    radius, width = mollify_scales(grid.h)
-    spec = ScenarioSpec(kind="helix", alpha0=1.0, mollify_radius=radius,
-                        taper_width=width)
-    init = mollify(build(spec, grid, g), spec)
+    spec = ScenarioSpec(kind="helix", alpha0=1.0)
+    init = mollify(build(spec, grid, g))
     rmap = RegularizedMap(1e-2, dim=3)
     states = []
     evolve(init, 0.05, rmap, g, StepperConfig(1e-3, 1e-9, 0.02),
@@ -165,27 +164,57 @@ def test_block_rows_keep_the_report_of_an_off_axis_gravity(rmap):
     assert np.array_equal(bits(table), bits(expected_table(states, rmap, g)))
 
 
-def test_reporter_holds_at_most_one_block_of_positions(pendulum_run):
-    run = pendulum_run
-    per_block = block_states(run.grid, 2)
-    reporter = Reporter(run.grid, run.gravity)
-    held = [v.size for v in vars(reporter).values()
-            if isinstance(v, np.ndarray)]
-    assert sum(held) <= BLOCK_FLOATS
-    for added, state in enumerate(run.states, start=1):
-        copy = ArcState(grid=run.grid, positions=state.positions,
+def states_taken(consumer):
+    """The states a Reporter or a RealizedResidual has taken from its
+    block so far."""
+    if isinstance(consumer, Reporter):
+        return len(consumer.table)
+    return consumer.residual._count
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 200, 1000, 2000])
+@pytest.mark.parametrize("consumer", [Reporter, RealizedResidual],
+                         ids=["Reporter", "RealizedResidual"])
+def test_reporter_holds_at_most_one_block_of_positions(consumer, n, dim):
+    # either consumer of a run's states holds at most BLOCK_FLOATS floats,
+    # or one state (positions, flux, potential, time, dt and Newton
+    # iterations) if that is larger, and copies what it is given
+    grid = Grid(n)
+    g = GravitySpec.down(dim)
+    rmap = RegularizedMap(1e-2, dim=dim)
+    block = consumer(grid, g)
+    per_state = (2 * n + 1) * dim + n + 3
+    held = [v.size for v in vars(block).values() if isinstance(v, np.ndarray)]
+    assert sum(held) <= max(BLOCK_FLOATS, per_state)
+    per_block = len(block._times)
+    assert per_block == max(1, BLOCK_FLOATS // per_state)
+    # two full blocks of a shrinking quarter circle and one more state
+    init = build(ScenarioSpec(kind="quarter_circle"), grid, g)
+    states = [ArcState(grid=grid, positions=init.positions * (1.0 - 0.1 * k
+                                                              / per_block),
+                       time=0.01 * k) for k in range(2 * per_block + 1)]
+    for added, state in enumerate(states, start=1):
+        copy = ArcState(grid=grid, positions=state.positions,
                         time=state.time)
         ref = weakref.ref(copy.positions)
-        reporter.add(copy, *step_of(added - 1), *calculus(run.rmap, copy))
+        block.add(copy, *step_of(added - 1), *calculus(rmap, copy))
         del copy
         # the positions were copied into the block, not kept
         assert ref() is None
-        assert 0 <= added - len(reporter.table) < per_block
-    assert len(reporter.table) == len(run.states) - len(run.states) % per_block
-    reporter.flush()
-    expected = timeseries_rows(run.reports)
-    assert np.array_equal(bits(reporter.table), bits(expected))
-    assert reporter.sup_u == max(run.sup_tangent)
+        assert 0 <= added - states_taken(block) < per_block
+    assert states_taken(block) == len(states) - len(states) % per_block
+    block.flush()
+    if consumer is Reporter:
+        assert np.array_equal(bits(block.table),
+                              bits(expected_table(states, rmap, g)))
+    else:
+        one_by_one = ResidualAccumulator(g)
+        for state in states:
+            one_by_one.add(state, constitutive_tension(
+                state, calculus(rmap, state)[0]))
+        assert np.array_equal(_residual_bits(block.residual),
+                              _residual_bits(one_by_one))
 
 
 def test_flush_without_states_reports_nothing(gravity2, rmap):
@@ -423,6 +452,19 @@ def test_decay_fit_refusals():
         synthetic_fit(t[:5], np.exp(-t[:5]), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["e_rel", "diss"])
+def test_decay_fit_refuses_a_row_that_is_not_finite(column, value):
+    # a NaN relative energy passed the positivity check and gave a NaN
+    # rate, r^2 and ratio; a NaN dissipation gave an infinite ratio
+    t = np.linspace(0.0, 1.0, 20)
+    columns = {"e_rel": np.exp(-t), "diss": np.ones(20)}
+    columns[column][7] = value
+    with pytest.raises(ValueError, match="not finite on the window"):
+        synthetic_fit(t, columns["e_rel"], (0.0, 1.0), diss=columns["diss"])
+
+
 def test_decay_fit_refuses_a_window_of_one_time():
     # twelve reports at one time fix no slope; a rank-deficient fit gave
     # a rate and r^2 = 0
@@ -626,9 +668,8 @@ def test_time_reversed_run_keeps_residual_scale(gravity2):
     g_minus = gravity2.flipped()
     grid = Grid(80)
     rmap = RegularizedMap(1e-2, dim=2)
-    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
-                        mollify_radius=0.03, taper_width=0.05)
-    init = mollify(build(spec, grid, g_minus), spec)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4)
+    init = mollify(build(spec, grid, g_minus))
     states, tensions = [], []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, 0.6, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (

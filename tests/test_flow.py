@@ -20,8 +20,7 @@ from whipflow.diagnostics import Reporter
 from whipflow.errors import (NumericDomainError, ShapeError, SolverFailure,
                              StepRejected, UnderResolvedError)
 from whipflow.regmap import EPS_MAX, EPS_MIN
-from whipflow.scenarios import (KINDS, branching_pair, mollify_scales,
-                                upright_release)
+from whipflow.scenarios import KINDS, branching_pair, upright_release
 
 
 def make_map(eps, dim=2):
@@ -161,9 +160,8 @@ def test_step_fixed_point_returns_same_state(gravity2):
 def test_step_decreases_energy_away_from_equilibrium(gravity2):
     grid = Grid(80)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="straight_angle", alpha0=1.1,
-                        mollify_radius=0.03, taper_width=0.05)
-    state = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=1.1)
+    state = mollify(build(spec, grid, gravity2))
     before = discrete_energy(state, rmap, gravity2)
     new = step(state, 1e-2, rmap, gravity2)
     after = discrete_energy(new, rmap, gravity2)
@@ -178,9 +176,8 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
     # alone, and evaluates each state, the initial one included, once
     grid = Grid(80)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.03,
-                        taper_width=0.05)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    init = mollify(build(spec, grid, gravity2))
 
     inversions = []
     evaluated = []  # the tangent field of every local_calculus call
@@ -229,9 +226,8 @@ def test_accepted_state_is_inverted_once(monkeypatch, gravity2):
 def test_pin_exact_after_steps(gravity2):
     grid = Grid(60)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.04,
-                        taper_width=0.06)
-    state = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    state = mollify(build(spec, grid, gravity2))
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
     seen = []
     evolve(state, 0.3, rmap, gravity2, cfg,
@@ -245,9 +241,8 @@ def test_pin_exact_after_steps(gravity2):
 def test_vertical_release_stays_near_equilibrium(gravity2):
     grid = Grid(100)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="vertical_down", mollify_radius=0.02,
-                        taper_width=0.04)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="vertical_down")
+    init = mollify(build(spec, grid, gravity2))
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
     final = evolve(init, 1.0, rmap, gravity2, cfg)
     down = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
@@ -276,9 +271,8 @@ def test_evolve_empty_horizon_returns_input(gravity2):
 def test_energy_monotone_and_dissipation_budget(gravity2):
     grid = Grid(100)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.02,
-                        taper_width=0.04)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    init = mollify(build(spec, grid, gravity2))
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
     energies = []
     budget = 0.0
@@ -302,13 +296,11 @@ def test_grid_refinement_first_order_in_time(gravity2):
     # error keeps the spatial second-order visible; the combined measured
     # order must stay at least ~1
     rmap = make_map(1e-2)
-    spec_kwargs = dict(kind="quarter_circle", mollify_radius=0.04,
-                       taper_width=0.08)
+    spec = ScenarioSpec(kind="quarter_circle")
     finals = {}
     for n in (50, 100, 200):
         grid = Grid(n)
-        spec = ScenarioSpec(**spec_kwargs)
-        init = mollify(build(spec, grid, gravity2), spec)
+        init = mollify(build(spec, grid, gravity2))
         cfg = StepperConfig(dt_init=5e-4, dt_min=1e-10, dt_max=2e-3)
         finals[n] = evolve(init, 0.25, rmap, gravity2, cfg)
 
@@ -330,9 +322,8 @@ def test_rotation_equivariance(gravity2):
         q[:, 0] = -q[:, 0]
     grid = Grid(60)
     rmap = make_map(1e-2)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.04,
-                        taper_width=0.06)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    init = mollify(build(spec, grid, gravity2))
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.01)
     plain = evolve(init, 0.2, rmap, gravity2, cfg)
     rotated = evolve(
@@ -345,9 +336,8 @@ def test_rotation_equivariance(gravity2):
 def test_hard_failure_reports_diagnostics(gravity2, monkeypatch):
     grid = Grid(40)
     rmap = make_map(1e-3)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.06,
-                        taper_width=0.1)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    init = mollify(build(spec, grid, gravity2))
     # a single permitted dt with a one-iteration budget cannot converge
     monkeypatch.setattr(flow, "NEWTON_MAX_ITER", 1)
     cfg = StepperConfig(dt_init=0.1, dt_min=0.1, dt_max=0.1)
@@ -458,9 +448,8 @@ def test_newton_band_is_bitwise_the_dense_path(eps, dim, n_cells):
 def test_three_dimensional_evolution(gravity3):
     grid = Grid(100)
     rmap = make_map(1e-2, dim=3)
-    spec = ScenarioSpec(kind="helix", geom_eps=0.2, alpha0=1.0,
-                        mollify_radius=0.02, taper_width=0.04)
-    init = mollify(build(spec, grid, gravity3), spec)
+    spec = ScenarioSpec(kind="helix", geom_eps=0.2, alpha0=1.0)
+    init = mollify(build(spec, grid, gravity3))
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.01)
     energies = []
     evolve(init, 0.3, rmap, gravity3, cfg, observer=lambda s, *_:
@@ -543,9 +532,8 @@ def release(kind, eps, cells, dim):
     """Initial state, map and gravity of ``simulate`` with its defaults."""
     grid = Grid(cells)
     g = GravitySpec.down(dim)
-    radius, width = mollify_scales(grid.h)
-    spec = ScenarioSpec(kind=kind, mollify_radius=radius, taper_width=width)
-    return mollify(build(spec, grid, g), spec), make_map(eps, dim), g
+    spec = ScenarioSpec(kind=kind)
+    return mollify(build(spec, grid, g)), make_map(eps, dim), g
 
 
 @pytest.mark.parametrize("cells, eps", [(2000, 1e-3), (4000, 1e-2)])

@@ -25,6 +25,20 @@ def test_params_validation():
         RegularizedMap(0.1, dim=4)
 
 
+@pytest.mark.parametrize("dim", [2.0, 3.0, np.float64(2)],
+                         ids=["float_2", "float_3", "float64_2"])
+def test_a_dim_that_is_not_an_integer_is_refused(dim):
+    # a float dimension used to pass and then fail in inverse_jacobian
+    with pytest.raises(ValueError, match="dim must be the integer 2 or 3"):
+        RegularizedMap(1e-2, dim=dim)
+
+
+def test_a_numpy_integer_dim_is_stored_as_int():
+    m = RegularizedMap(1e-2, dim=np.int64(3))
+    assert type(m.dim) is int and m.dim == 3
+    assert m.inverse_jacobian(np.ones((2, 3))).shape == (2, 3, 3)
+
+
 @pytest.mark.parametrize("eps", [1e-300, 1e-200, 1e-100, 1e-16, 4.7e4, 1e5,
                                  1e220, 1e300])
 def test_an_eps_without_an_increasing_start_table_is_refused(eps):
@@ -555,8 +569,8 @@ def test_jacobian_is_bitwise_the_broadcast_form(eps, dim):
     assert_rows_are_single_vectors(m, tau[::30])
 
 
-READERS = ("invert", "potential", "local_calculus", "inverse_jacobian",
-           "spectral_bounds")
+READERS = ("invert", "inverse_jacobian", "spectral_bounds", "potential",
+           "local_calculus", "forward")
 
 
 def assert_bitwise(got, expected):
@@ -725,10 +739,6 @@ def test_memo_hit_is_bitwise_fresh(monkeypatch, dim, method):
     got = getattr(m, method)(tau.copy())
     assert calls == [1]
     assert _results_equal(got, getattr(fresh(m), method)(tau))
-
-
-READERS = ("invert", "inverse_jacobian", "spectral_bounds", "potential",
-           "local_calculus", "forward")
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -12,7 +12,8 @@ from whipflow import (ArcState, GravitySpec, Grid,
 from whipflow import diagnostics
 from whipflow.diagnostics import (EQUILIBRIUM_ENERGY, RealizedResidual,
                                   ResidualAccumulator)
-from whipflow.scenarios import stationary_upright, upright_release
+from whipflow.scenarios import (mollify_scales, stationary_upright,
+                                upright_release)
 from whipflow.errors import ShapeError, UnderResolvedError
 
 ALL_KINDS_2D = ("vertical_down", "vertical_up", "straight_angle",
@@ -22,11 +23,6 @@ ALL_KINDS_2D = ("vertical_down", "vertical_up", "straight_angle",
 def test_spec_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(kind="spiral")
-    with pytest.raises(ValueError):
-        ScenarioSpec(kind="helix", mollify_radius=-1.0)
-    for scales in ({"mollify_radius": np.nan}, {"taper_width": np.nan}):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ScenarioSpec(kind="vertical_up", **scales)
     for geom_eps in (0.0, -0.1):
         with pytest.raises(ValueError, match="geom_eps"):
             ScenarioSpec(kind="helix", geom_eps=geom_eps)
@@ -128,24 +124,29 @@ def test_random_lipschitz_deterministic(dim):
     assert not np.array_equal(a.positions, c.positions)
 
 
-def test_mollify_stays_close_and_pinned(gravity2):
-    grid = Grid(200)
-    spec = ScenarioSpec(kind="vertical_down", mollify_radius=0.02,
-                        taper_width=0.04)
-    state = build(spec, grid, gravity2)
-    smooth = mollify(state, spec)
+@pytest.mark.parametrize("n", [2, 3, 99, 100, 101, 200, 4000])
+def test_mollify_stays_close_and_pinned(gravity2, n):
+    # every grid from two cells up: the scales widen to 2h below 100 cells
+    # (at 2 and 3 cells the taper spans the whole curve)
+    grid = Grid(n)
+    state = build(ScenarioSpec(kind="vertical_down"), grid, gravity2)
+    smooth = mollify(state)
     assert np.all(smooth.positions[-1] == 0.0)
+    norms = np.linalg.norm(smooth.tangents, axis=1)
+    assert norms.max() <= np.linalg.norm(state.tangents, axis=1).max() + 1e-12
+    assert norms[0] == 0.0 and norms[-1] == 0.0
     gap = smooth.positions - state.positions
-    assert np.sqrt(grid.quad_trapezoid(np.sum(gap * gap, axis=1))) <= 0.05
+    width = mollify_scales(grid.h)[1]
+    assert np.sqrt(grid.quad_trapezoid(np.sum(gap * gap, axis=1))) \
+        <= 1.25 * width
 
 
 def test_mollify_is_stable_under_repetition(gravity2):
     grid = Grid(200)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=0.02,
-                        taper_width=0.04)
+    spec = ScenarioSpec(kind="quarter_circle")
     state = build(spec, grid, gravity2)
-    once = mollify(state, spec)
-    twice = mollify(once, spec)
+    once = mollify(state)
+    twice = mollify(once)
     gap_once = once.positions - state.positions
     gap_repeat = twice.positions - once.positions
     norm = lambda v: np.sqrt(grid.quad_trapezoid(np.sum(v * v, axis=1)))
@@ -155,10 +156,9 @@ def test_mollify_is_stable_under_repetition(gravity2):
 def test_mollify_never_stretches(gravity2):
     grid = Grid(300)
     for kind in ALL_KINDS_2D:
-        spec = ScenarioSpec(kind=kind, seed=4, mollify_radius=0.02,
-                            taper_width=0.04)
+        spec = ScenarioSpec(kind=kind, seed=4)
         state = build(spec, grid, gravity2)
-        smooth = mollify(state, spec)
+        smooth = mollify(state)
         before = np.linalg.norm(state.tangents, axis=1).max()
         after = np.linalg.norm(smooth.tangents, axis=1).max()
         assert after <= before + 1e-12
@@ -166,24 +166,12 @@ def test_mollify_never_stretches(gravity2):
 
 def test_mollify_tapers_both_ends(gravity2):
     grid = Grid(200)
-    spec = ScenarioSpec(kind="vertical_down", mollify_radius=0.02,
-                        taper_width=0.08)
-    smooth = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="vertical_down")
+    smooth = mollify(build(spec, grid, gravity2))
     u = smooth.tangents
     assert np.all(u[0] == 0.0)     # zero slope at the free end
     assert np.all(u[-1] == 0.0)    # identically pinned tail
     assert np.all(smooth.positions[-2] == 0.0)
-
-
-def test_mollify_under_resolved(gravity2):
-    grid = Grid(20)  # h = 0.05 > radius/2
-    spec = ScenarioSpec(kind="vertical_down", mollify_radius=0.02,
-                        taper_width=0.04)
-    state = build(spec, grid, gravity2)
-    with pytest.raises(UnderResolvedError):
-        mollify(state, spec)
-    with pytest.raises(ValueError):
-        mollify(state, ScenarioSpec(kind="vertical_down", taper_width=0.4))
 
 
 def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
@@ -191,9 +179,8 @@ def small_forward_run(g_minus, eps=1e-2, n=80, horizon=0.8):
     pairs."""
     grid = Grid(n)
     rmap = RegularizedMap(eps, dim=2)
-    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
-                        mollify_radius=0.03, taper_width=0.05)
-    init = mollify(build(spec, grid, g_minus), spec)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4)
+    init = mollify(build(spec, grid, g_minus))
     states, tensions = [], []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
     evolve(init, horizon, rmap, g_minus, cfg, observer=lambda s, dt, it, flux, pot: (
@@ -328,16 +315,16 @@ def _residual_bits(acc):
 
 
 def _forward_run_with_fluxes(g, eps=1e-2, n=80, horizon=0.8):
-    """small_forward_run's states, each with the flux evolve handed out."""
+    """small_forward_run's states, each with the dt, Newton iterations,
+    flux and potential density evolve handed out."""
     grid = Grid(n)
     rmap = RegularizedMap(eps, dim=2)
-    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4,
-                        mollify_radius=0.03, taper_width=0.05)
-    init = mollify(build(spec, grid, g), spec)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=np.pi / 4)
+    init = mollify(build(spec, grid, g))
     seen = []
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=0.02)
-    evolve(init, horizon, rmap, g, cfg, observer=lambda s, dt, it, flux, pot:
-           seen.append((s, flux)))
+    evolve(init, horizon, rmap, g, cfg,
+           observer=lambda *observed: seen.append(observed))
     return seen
 
 
@@ -358,19 +345,20 @@ def test_block_size_does_not_change_the_realized_residual(gravity2,
     blocked = seen if start == "in_the_block" else seen[1:]
     size = len(blocked) if per_block == "run" else per_block
     assert len(blocked) % 3 != 0
-    # floats per state (positions, flux, time) and the kept previous state
-    per_state = (n + 1) * 2 + n * 2 + 1
-    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS",
-                        n * 2 + size * per_state)
+    # floats per state: positions, flux, potential, time, dt and Newton
+    # iterations
+    per_state = (n + 1) * 2 + n * 2 + n + 3
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", size * per_state)
     realized = RealizedResidual(grid, g)
     assert realized._times.shape == (size,)
     if start == "added_alone":
-        realized.residual.add(seen[0][0], constitutive_tension(*seen[0]))
-    for state, flux in blocked:
-        realized.add(state, flux)
+        state, _, _, flux, _ = seen[0]
+        realized.residual.add(state, constitutive_tension(state, flux))
+    for observed in blocked:
+        realized.add(*observed)
     realized.flush()
     one_by_one = ResidualAccumulator(g)
-    for state, flux in seen:
+    for state, _, _, flux, _ in seen:
         one_by_one.add(state, constitutive_tension(state, flux))
     assert np.array_equal(_residual_bits(realized.residual),
                           _residual_bits(one_by_one))

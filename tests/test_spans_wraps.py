@@ -37,14 +37,11 @@ def test_the_tracer_sees_every_solve_and_every_evaluation(spans):
     # its initial state once more
     from whipflow import (GravitySpec, Grid, RegularizedMap, ScenarioSpec,
                           StepperConfig, build, evolve, mollify)
-    from whipflow.scenarios import mollify_scales
 
     grid = Grid(80)
     g = GravitySpec.down(2)
-    radius, width = mollify_scales(grid.h)
-    spec = ScenarioSpec(kind="quarter_circle", mollify_radius=radius,
-                        taper_width=width)
-    init = mollify(build(spec, grid, g), spec)
+    spec = ScenarioSpec(kind="quarter_circle")
+    init = mollify(build(spec, grid, g))
     tracer = spans.Tracer()
     stats = {}
     with spans.Patches() as patches:

@@ -297,9 +297,8 @@ def test_slope_and_value_bounds():
 def test_tension_bounded_by_arclength_along_run(gravity2):
     # |sigma(s)| <= s at every accepted state of a released straight whip
     grid = Grid(100)
-    spec = ScenarioSpec(kind="straight_angle", alpha0=0.9,
-                        mollify_radius=0.02, taper_width=0.04)
-    init = mollify(build(spec, grid, gravity2), spec)
+    spec = ScenarioSpec(kind="straight_angle", alpha0=0.9)
+    init = mollify(build(spec, grid, gravity2))
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-9, dt_max=0.02)
     excess = []
 
